@@ -17,6 +17,7 @@ from gapeig.errors import (
     InvalidMatrix,
     MeshOffsetError,
     NoGap,
+    NotConverged,
     PencilNotDefinite,
     QGridAsymmetric,
     ResolutionError,
@@ -38,6 +39,7 @@ __all__ = [
     "ResolutionError",
     "BasisTooLarge",
     "NoGap",
+    "NotConverged",
     "MeshOffsetError",
     "QGridAsymmetric",
     "WindowTooSmall",

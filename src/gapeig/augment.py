@@ -185,6 +185,19 @@ class ProjectorKernel:
         G = self.U.T @ self.apply_mass(self.U)
         return float(np.max(np.abs(G - np.eye(self.U.shape[1])))), float(np.trace(G))
 
+    def idempotency_residual(self):
+        """||P^2 - P||_F from r x r Gram matrices only (r = M_q * J).
+
+        P^2 - P = U E U^T M with E = U^T M U - I, so
+        ||P^2 - P||_F^2 = tr(E (U^T U) E (MU)^T (MU)); no n_win x n_win
+        matrix is formed.
+        """
+        MU = self.apply_mass(self.U)
+        E = self.U.T @ MU
+        E[np.diag_indices_from(E)] -= 1.0
+        sq = np.trace(E @ (self.U.T @ self.U) @ E @ (MU.T @ MU))
+        return float(np.sqrt(max(sq, 0.0)))
+
     def dense(self):
         MU = self.apply_mass(self.U)
         return MU @ MU.T
@@ -278,7 +291,7 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
     P.diagnostics = {
         "source": source,
         "orthonormality_defect": defect,
-        "idempotency_residual": defect,
+        "idempotency_residual": P.idempotency_residual(),
         "trace": trace,
         "trace_per_cell": trace / M_q,
         "decay_at_6_periods": float(np.max(far)),
@@ -388,36 +401,28 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     """Gap eigenvalues of H on the augmented space.
 
     The forms live on the projector window circle (the W tail beyond the
-    window is negligible by construction); the pencil blocks are the plain
-    Dirichlet FEM blocks, the coupling to the retained Bloch directions, and
-    their small Gram blocks.
+    window is negligible by construction).  The pencil is the plain
+    Dirichlet FEM tridiagonal bordered by the coupling to the retained Bloch
+    directions and their small Gram block, solved as an
+    eigcore.TridiagonalPencil with an n_aug-column border.
     """
     P = aug.projector
-    mesh = aug.mesh
     alpha, beta = _window_pair(window)
     pot = lambda x: V(x) + W(x)
-    formA, formM = _circle_forms(P.n_win, P.half_index, P.h, pot)
     idx = aug.idx
-    nf = len(idx)
     Uk = aug.U_keep
-    nk = Uk.shape[1]
-    n = nf + nk
-    Atot = np.zeros((n, n))
-    Btot = np.zeros((n, n))
-    for form, T in ((formA, Atot), (formM, Btot)):
-        d, o, s = form
-        T[:nf, :nf][np.diag_indices(nf)] = d[idx]
-        i = np.arange(nf - 1)
-        T[i, i + 1] = o[idx[:-1]]
-        T[i + 1, i] = o[idx[:-1]]
-        if nk:
-            FU = _apply_form(form, Uk)
-            T[:nf, nf:] = FU[idx]
-            T[nf:, :nf] = FU[idx].T
-            G = Uk.T @ FU
-            T[nf:, nf:] = 0.5 * (G + G.T)
+    formA, formM = _circle_forms(P.n_win, P.half_index, P.h, pot)
+
+    def blocks(form):
+        """The form's tridiagonal on the domain nodes and its border (columns, corner)."""
+        d, o, _ = form
+        FU = _apply_form(form, Uk)
+        G = Uk.T @ FU
+        return (d[idx], o[idx[:-1]]), (FU[idx], 0.5 * (G + G.T))
+
+    (tA, bA), (tM, bM) = blocks(formA), blocks(formM)
     try:
-        pencil = eigcore.SymmetricPencil(Atot, Btot)
+        pencil = eigcore.TridiagonalPencil(tA, tM, bA, bM)
     except PencilNotDefinite as e:
         raise AugmentationDegenerate(
             "augmented mass matrix not definite; retained directions overlap the P1 space"
@@ -425,15 +430,14 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     res = eigcore.solve_window(pencil, alpha, beta, with_vectors=with_vectors)
     diagd = {
         "method": "augmented",
-        "n_fem": nf,
-        "n_aug": nk,
+        "n_fem": len(idx),
+        "n_aug": Uk.shape[1],
         "M_q": P.M_q,
         "n_c": P.n_c,
+        "n_in_window": res.count,
+        "residual_bound": res.residual_bound,
     }
-    if with_vectors:
-        diagd["residual_bound"] = res.residual_bound
-        return SpectrumResult((alpha, beta), res.eigenvalues, diagd, res.eigenvectors)
-    return SpectrumResult((alpha, beta), res.eigenvalues, diagd)
+    return SpectrumResult((alpha, beta), res.eigenvalues, diagd, res.eigenvectors)
 
 
 def _h1_norm_circle(P, x):
@@ -447,17 +451,32 @@ def _h1_norm_circle(P, x):
     return float(np.sqrt(x @ y))
 
 
-def a2_estimate(V, mesh, J=1, M_q=64, M_pw=32, n_samples=50, seed=0, method="random", ref_source="planewave"):
+def a2_estimate(
+    V, mesh, J=1, M_q=64, M_pw=32, n_samples=50, seed=0, method="random", ref_source="planewave",
+    projector=None,
+):
     """Estimate sup over unit-H1 P1 functions of ||(P_ref - P_fem) phi||_H1.
 
     P_fem is the FEM-fiber projector at the mesh resolution, P_ref the
-    planewave-fiber projector on the same nodes.  method "random" maximizes
-    over fixed-seed random samples; "power" runs a deterministic power
-    iteration on the same quantity.  Decreasing estimates under mesh
-    refinement are the practical certificate that the augmentation converges.
+    planewave-fiber projector on the same nodes.  A FEM projector built
+    already (build_projector with the same J, M_q and the mesh's n_c) can be
+    passed as projector to skip rebuilding it; a mismatch raises ValueError.
+    method "random" maximizes over fixed-seed random samples; "power" runs a
+    deterministic power iteration on the same quantity.  Decreasing
+    estimates under mesh refinement are the practical certificate that the
+    augmentation converges.
     """
     n_c = mesh.n_c
-    P_fem = build_projector(V, J=J, n_c=n_c, M_q=M_q, source="fem")
+    if projector is None:
+        P_fem = build_projector(V, J=J, n_c=n_c, M_q=M_q, source="fem")
+    else:
+        got = (projector.J, projector.n_c, projector.M_q, projector.diagnostics.get("source"))
+        if got != (J, n_c, M_q, "fem"):
+            raise ValueError(
+                "projector has (J, n_c, M_q, source) = %r, a2_estimate needs %r"
+                % (got, (J, n_c, M_q, "fem"))
+            )
+        P_fem = projector
     P_ref = build_projector(V, J=J, n_c=n_c, M_q=M_q, source=ref_source, M_pw=M_pw)
     half = P_fem.half_index
     idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + half

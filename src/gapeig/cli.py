@@ -424,6 +424,11 @@ def run_supercell(cfg, out_dir, threads):
     return results, diag, ["supercell.csv"]
 
 
+def _certificate(res):
+    """Inertia count and residual bound of one windowed P1 solve."""
+    return {key: res.diagnostics[key] for key in ("n_in_window", "residual_bound")}
+
+
 def _galerkin_rows(V, W, lat, p, window, rows, results):
     n_c = p.get("n_c", 100)
     t = p.get("t", 0.0)
@@ -462,6 +467,7 @@ def _galerkin_rows(V, W, lat, p, window, rows, results):
                 "t": t,
                 "eigenvalues": res.eigenvalues,
                 "classes": [r.classification for r in reports],
+                "certificate": _certificate(res),
             }
         )
     return ref
@@ -519,7 +525,9 @@ def run_dislocation(cfg, out_dir, threads):
             )
             for ev in res.eigenvalues:
                 rows.append((kind, t, n_periods, n_c, ev))
-            results["runs"].append({"kind": kind, "t": t, "eigenvalues": res.eigenvalues})
+            results["runs"].append(
+                {"kind": kind, "t": t, "eigenvalues": res.eigenvalues, "certificate": _certificate(res)}
+            )
     write_csv(
         os.path.join(out_dir, "dislocation.csv"),
         ["kind", "t", "n_periods", "n_c", "eigenvalue"],
@@ -590,9 +598,10 @@ def run_augment(cfg, out_dir, threads):
                     "eigenvalues": res.eigenvalues,
                     "interior": res.interior(),
                     "n_aug": aug.n_aug,
+                    "certificate": _certificate(res),
                 }
             )
-    a2 = augment.a2_estimate(V, first_mesh, J=J, M_q=M_q)
+    a2 = augment.a2_estimate(V, first_mesh, J=J, M_q=M_q, projector=P)
     report = {
         "idempotency_residual": P.diagnostics["idempotency_residual"],
         "kernel_decay": P.diagnostics["decay_at_6_periods"],

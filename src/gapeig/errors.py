@@ -41,5 +41,9 @@ class AugmentationDegenerate(GapeigError):
     """Augmented trial space lost rank: original basis directions were not preserved."""
 
 
+class NotConverged(GapeigError):
+    """An iterative solve stopped short: an inner solve failed or a certified count was not met."""
+
+
 class ConfigError(GapeigError):
     """Configuration file is malformed or fails schema validation."""

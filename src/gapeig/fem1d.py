@@ -9,6 +9,11 @@ the Galerkin pencils, measures where eigenfunctions live (boundary vs
 compact mass), classifies gap eigenvalues against a pollution-free
 reference, and builds the half-line / junction dislocation operators whose
 spectra the boundary-localized modes track.
+
+Every pencil here is tridiagonal and stays so: it is an
+eigcore.TridiagonalPencil, whose windowed solves never form an n x n matrix
+and carry an exact inertia count of the eigenvalues in the window
+(diagnostics "n_in_window", next to "residual_bound").
 """
 
 import numpy as np
@@ -118,27 +123,23 @@ def _forms(mesh, pot):
     return dA, oA, dM, oM
 
 
-def _interior_pencil(dA, oA, dM, oM):
-    """Dense pencil on interior nodes (homogeneous Dirichlet)."""
-    A = np.diag(dA[1:-1]) + np.diag(oA[1:-1], 1) + np.diag(oA[1:-1], -1)
-    M = np.diag(dM[1:-1]) + np.diag(oM[1:-1], 1) + np.diag(oM[1:-1], -1)
-    return eigcore.SymmetricPencil(A, M)
+def _dirichlet_pencil(mesh, pot):
+    """Tridiagonal pencil on the interior nodes (homogeneous Dirichlet)."""
+    dA, oA, dM, oM = _forms(mesh, pot)
+    return eigcore.TridiagonalPencil((dA[1:-1], oA[1:-1]), (dM[1:-1], oM[1:-1]))
 
 
 def assemble_galerkin(V, W, mesh):
     """Dirichlet P1 pencil for -d^2/dx^2 + V + W on the mesh interior."""
-    return _interior_pencil(*_forms(mesh, lambda x: V(x) + W(x)))
+    return _dirichlet_pencil(mesh, lambda x: V(x) + W(x))
 
 
 def _spectrum(pencil, window, with_vectors, extra_diag):
     alpha, beta = _window_pair(window)
     res = eigcore.solve_window(pencil, alpha, beta, with_vectors=with_vectors)
-    diag = {"n_dof": pencil.n}
+    diag = {"n_dof": pencil.n, "n_in_window": res.count, "residual_bound": res.residual_bound}
     diag.update(extra_diag)
-    if with_vectors:
-        diag["residual_bound"] = res.residual_bound
-        return SpectrumResult((alpha, beta), res.eigenvalues, diag, res.eigenvectors)
-    return SpectrumResult((alpha, beta), res.eigenvalues, diag)
+    return SpectrumResult((alpha, beta), res.eigenvalues, diag, res.eigenvectors)
 
 
 def galerkin_spectrum(V, W, mesh, window, with_vectors=True):
@@ -291,7 +292,7 @@ def dislocation_spectrum(V, kind, t, window, n_periods=40, n_c=100, with_vectors
         pot = lambda x: np.where(x < 0, V(x + 0.5 * tb), V(x - 0.5 * tb))
     else:
         raise ValueError("kind must be 'halfline+', 'halfline-', or 'junction'")
-    pencil = _interior_pencil(*_forms(mesh, pot))
+    pencil = _dirichlet_pencil(mesh, pot)
     result = _spectrum(
         pencil,
         window,

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from gapeig import eigcore, model
-from gapeig.errors import BasisTooLarge
+from gapeig.errors import BasisTooLarge, NotConverged
 
 MAX_PLANEWAVES = 20000
 DEFAULT_EDGE_GUARD = 0.004
@@ -168,7 +168,9 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
     sampled potential in real space and gathers back; this realizes the same
     periodized operator as the dense assembly up to a unitary rephasing of
     the basis (which leaves eigenvalues unchanged).  The inner solves use
-    MINRES on the realified system with a kinetic preconditioner.
+    MINRES on the realified system with a kinetic preconditioner; if any of
+    them fails to converge the solve raises NotConverged, otherwise the
+    diagnostics report minres_nonconverged = 0.
     """
     lat = V.lattice
     b = lat.b
@@ -226,12 +228,14 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
         (2 * n, 2 * n), matvec=lambda xr: np.concatenate([pinv * xr[:n], pinv * xr[n:]]), dtype=float
     )
     inner_iters = [0]
+    inner_failures = [0]
 
     def opinv(rc):
         rc = np.asarray(rc, dtype=complex)
         rhs = np.concatenate([rc.real, rc.imag])
         sol, info = spla.minres(Aop, rhs, M=Pop, rtol=1e-10, maxiter=4000)
         inner_iters[0] += 1
+        inner_failures[0] += int(info != 0)
         return sol[:n] + 1j * sol[n:]
 
     OPinv = spla.LinearOperator((n, n), matvec=opinv, dtype=complex)
@@ -247,12 +251,17 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
         tol=tol,
         return_eigenvectors=False,
     )
+    if inner_failures[0]:
+        raise NotConverged(
+            "%d of %d MINRES inner solves did not converge" % (inner_failures[0], inner_iters[0])
+        )
     diag = {
         "method": "shift-invert",
         "n_planewaves": n,
         "fft_grid": G,
         "sigma": sigma,
         "inner_solves": inner_iters[0],
+        "minres_nonconverged": inner_failures[0],
         "edge_ratio": cw.edge_ratio,
         "k": k,
     }

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from gapeig import augment, bloch, fem1d, model, supercell
 from gapeig.errors import QGridAsymmetric, WindowTooSmall
@@ -42,6 +43,18 @@ def test_idempotency(proj_small, proj_full):
     once = proj_small.project(x)
     twice = proj_small.project(once)
     assert np.max(np.abs(twice - once)) <= 1e-10 * np.max(np.abs(once))
+
+
+def test_idempotency_residual_matches_dense(proj_small):
+    # the Gram-matrix formula against ||P^2 - P||_F formed densely, on a
+    # kernel whose columns are deliberately not mass-orthonormal
+    U = proj_small.U * np.linspace(0.9, 1.1, proj_small.U.shape[1])
+    K = augment.ProjectorKernel(proj_small.lattice, 1, proj_small.n_c, proj_small.M_q, U, None)
+    Mdense = K.apply_mass(np.eye(K.n_win))
+    Pd = U @ U.T @ Mdense
+    want = np.linalg.norm(Pd @ Pd - Pd)
+    assert K.idempotency_residual() == pytest.approx(want, rel=1e-10)
+    assert want > 0.1
 
 
 def test_translation_invariance(proj_full):
@@ -99,6 +112,38 @@ def test_fem_and_planewave_sources_agree(V1d):
     assert diff <= 5e-3  # FEM fiber carries the O(h^2) band error
 
 
+def dense_augmented_pencil(V, W, aug):
+    """The augmented pencil assembled densely: the oracle for the bordered solve."""
+    P = aug.projector
+    forms = augment._circle_forms(P.n_win, P.half_index, P.h, lambda x: V(x) + W(x))
+    idx, Uk = aug.idx, aug.U_keep
+    nf, nk = len(idx), Uk.shape[1]
+    out = []
+    for form in forms:
+        d, o, _ = form
+        T = np.zeros((nf + nk, nf + nk))
+        T[:nf, :nf] = np.diag(d[idx]) + np.diag(o[idx[:-1]], 1) + np.diag(o[idx[:-1]], -1)
+        FU = augment._apply_form(form, Uk)
+        T[:nf, nf:] = FU[idx]
+        T[nf:, :nf] = FU[idx].T
+        T[nf:, nf:] = Uk.T @ FU
+        out.append(0.5 * (T + T.T))
+    return out
+
+
+def test_augmented_spectrum_matches_dense_oracle(V1d, W1d, lat1d, proj_small):
+    for t in (0.0, 0.5):
+        aug = augment.augmented_space(proj_small, fem1d.symmetric_mesh(lat1d, 40, 3, t))
+        res = augment.augmented_spectrum(V1d, W1d, aug, WIN_1D, with_vectors=True)
+        A, M = dense_augmented_pencil(V1d, W1d, aug)
+        want = sla.eigh(A, M, subset_by_value=WIN_1D, eigvals_only=True)
+        assert aug.n_aug > 0
+        assert res.diagnostics["n_in_window"] == len(res.eigenvalues) == len(want) > 0
+        assert np.allclose(res.eigenvalues, want, rtol=1e-9, atol=0.0)
+        V = res.eigenvectors
+        assert np.max(np.abs(V.T @ M @ V - np.eye(len(want)))) <= 1e-9
+
+
 def test_augmented_spectrum_matches_reference(V1d, W1d, lat1d, proj_full, reference1d):
     # agreement with the planewave supercell is limited by the P1 fiber
     # error, O(h^2) ~ 1e-3 at n_c=100
@@ -154,6 +199,19 @@ def test_a2_identical_kernels_zero(V1d, lat1d):
     mesh = fem1d.symmetric_mesh(lat1d, 50, 3)
     out = augment.a2_estimate(V1d, mesh, M_q=16, ref_source="fem", n_samples=10)
     assert out["estimate"] <= 1e-10
+
+
+def test_a2_reuses_projector(V1d, lat1d, proj_small):
+    mesh = fem1d.symmetric_mesh(lat1d, 40, 3)
+    fresh = augment.a2_estimate(V1d, mesh, M_q=16, n_samples=10)
+    reused = augment.a2_estimate(V1d, mesh, M_q=16, n_samples=10, projector=proj_small)
+    assert reused == fresh
+    with pytest.raises(ValueError):
+        augment.a2_estimate(V1d, fem1d.symmetric_mesh(lat1d, 50, 3), M_q=16, projector=proj_small)
+    with pytest.raises(ValueError):
+        augment.a2_estimate(V1d, mesh, M_q=32, projector=proj_small)
+    with pytest.raises(ValueError):
+        augment.a2_estimate(V1d, mesh, J=2, M_q=16, projector=proj_small)
 
 
 def test_a2_decreases_with_refinement(V1d, lat1d):

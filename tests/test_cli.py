@@ -143,6 +143,30 @@ def test_determinism(tmp_path):
     assert sa == sb
 
 
+def test_determinism_structured_solves(tmp_path):
+    # the P1 subcommands go through the inertia-certified Lanczos solver;
+    # its fixed start vector keeps reruns byte-identical
+    cfg = write_cfg(tmp_path, SMALL_CFG)
+    steps = (("pollution-scan", "pollution.csv"), ("dislocation", "dislocation.csv"),
+             ("augment", "augment.csv"))
+    summaries = {}
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        assert cli.main(["gap", "--config", cfg, "--out", out]) == 0
+        for method, _ in steps:
+            assert cli.main([method, "--config", cfg, "--out", out]) == 0
+            s = read_summary(out)
+            s.pop("wall_time_s")
+            summaries[name, method] = s
+    for method, fname in steps:
+        a = open(os.path.join(str(tmp_path / "a"), fname), "rb").read()
+        b = open(os.path.join(str(tmp_path / "b"), fname), "rb").read()
+        assert a == b
+        assert summaries["a", method] == summaries["b", method]
+        for run in summaries["a", method]["results"]["runs"]:
+            assert run["certificate"]["n_in_window"] == len(run["eigenvalues"])
+
+
 def test_threads_flag_same_output(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CFG)
     outs = []

@@ -1,7 +1,9 @@
-"""Eigensolver wrappers against a self-contained Jacobi rotation oracle."""
+"""Eigensolver wrappers against a self-contained Jacobi rotation oracle, and the
+inertia-certified tridiagonal pencil against dense LAPACK."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from gapeig import eigcore
 from gapeig.errors import InvalidMatrix, PencilNotDefinite
@@ -134,3 +136,140 @@ def test_window_requires_order():
     p = eigcore.SymmetricPencil(np.eye(2))
     with pytest.raises(ValueError):
         eigcore.solve_window(p, 1.0, -1.0)
+
+
+# --- TridiagonalPencil: inertia-certified windowed solves, dense oracle ---
+
+
+def random_tridiagonal(rng, n, k=0):
+    """Tridiagonal (A, M) with M diagonally dominant, plus a k-column border
+    whose mass corner is large enough to keep M positive definite."""
+    a, b = rng.standard_normal(n), rng.standard_normal(n - 1)
+    m, mo = 2.0 + rng.random(n), rng.uniform(-0.5, 0.5, n - 1)
+    if not k:
+        return eigcore.TridiagonalPencil((a, b), (m, mo))
+    CA = rng.standard_normal((n, k))
+    GA = rng.standard_normal((k, k))
+    CM = 0.3 * rng.standard_normal((n, k))
+    R = rng.standard_normal((k, k))
+    GM = R @ R.T + (1.0 + 0.09 * (np.sqrt(n) + np.sqrt(k)) ** 2) * np.eye(k)
+    return eigcore.TridiagonalPencil((a, b), (m, mo), (CA, GA + GA.T), (CM, GM))
+
+
+def dense_of(p):
+    return p.A_sparse.toarray(), p.M_sparse.toarray()
+
+
+def test_tridiagonal_matches_dense_oracle():
+    rng = np.random.default_rng(2024)
+    for trial in range(120):
+        n = int(rng.integers(2, 61))
+        k = int(rng.integers(1, 11)) if trial % 2 else 0
+        p = random_tridiagonal(rng, n, k)
+        A, M = dense_of(p)
+        full = sla.eigh(A, M, eigvals_only=True)
+        windows = [(full[0] - 1.0, full[-1] + 1.0), tuple(np.sort(rng.uniform(full[0], full[-1], 2)))]
+        for lo, hi in windows:
+            want = full[(full > lo) & (full < hi)]
+            res = eigcore.solve_window(p, lo, hi)
+            assert res.count == len(res) == len(want)
+            assert np.allclose(res.eigenvalues, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(full)))
+            V = res.eigenvectors
+            assert np.max(np.abs(V.T @ M @ V - np.eye(len(want))), initial=0.0) <= 1e-10
+            assert res.residual_bound <= 1e-9 * max(1.0, np.max(np.abs(full)))
+
+
+def test_tridiagonal_negative_count_is_inertia():
+    rng = np.random.default_rng(8)
+    for k in (0, 3):
+        p = random_tridiagonal(rng, 40, k)
+        full = sla.eigh(*dense_of(p), eigvals_only=True)
+        for s in rng.uniform(full[0] - 1.0, full[-1] + 1.0, 25):
+            assert p.negative_count(s) == np.sum(full < s)
+
+
+def test_tridiagonal_empty_window():
+    rng = np.random.default_rng(9)
+    for k in (0, 4):
+        p = random_tridiagonal(rng, 30, k)
+        full = sla.eigh(*dense_of(p), eigvals_only=True)
+        lo = full[10] + 0.25 * (full[11] - full[10])
+        hi = full[10] + 0.75 * (full[11] - full[10])
+        for res in (eigcore.solve_window(p, lo, hi), eigcore.solve_window(p, full[-1] + 1, full[-1] + 2)):
+            assert len(res) == 0 and res.count == 0
+            assert res.eigenvectors.shape == (p.n, 0)
+
+
+def test_tridiagonal_open_window_ends():
+    # exact eigenvalues 1..6 (diagonal tridiagonal block) and 1.5, 2.5 (border
+    # corner): window ends lying on an eigenvalue exclude it
+    tri = eigcore.TridiagonalPencil((np.arange(1.0, 7.0), np.zeros(5)), (np.ones(6), np.zeros(5)))
+    bordered = eigcore.TridiagonalPencil(
+        (np.arange(1.0, 7.0), np.zeros(5)),
+        (np.ones(6), np.zeros(5)),
+        (np.zeros((6, 2)), np.diag([1.5, 2.5])),
+        (np.zeros((6, 2)), np.eye(2)),
+    )
+    for p, lo, hi, want in (
+        (tri, 2.0, 4.0, [3.0]),
+        (tri, 1.0, 3.0, [2.0]),
+        (tri, 2.0, 3.0, []),
+        (tri, 0.0, 6.0, [1.0, 2.0, 3.0, 4.0, 5.0]),
+        (bordered, 1.5, 2.5, [2.0]),
+        (bordered, 1.5, 3.0, [2.0, 2.5]),
+        (bordered, 1.25, 2.5, [1.5, 2.0]),
+    ):
+        res = eigcore.solve_window(p, lo, hi)
+        assert res.count == len(want)
+        assert np.allclose(res.eigenvalues, want, rtol=1e-12)
+    # ends next to an eigenvalue of a random pencil, on either side
+    rng = np.random.default_rng(10)
+    for k in (0, 5):
+        p = random_tridiagonal(rng, 50, k)
+        full = sla.eigh(*dense_of(p), eigvals_only=True)
+        d = 1e-7 * np.max(np.abs(full))
+        for lo, hi, j0, j1 in (
+            (full[5] - d, full[9] + d, 5, 10),
+            (full[5] + d, full[9] - d, 6, 9),
+            (full[5] - d, full[9] - d, 5, 9),
+        ):
+            res = eigcore.solve_window(p, lo, hi)
+            assert res.count == j1 - j0
+            assert np.allclose(res.eigenvalues, full[j0:j1], rtol=1e-10)
+
+
+def test_tridiagonal_lowest_matches_dense():
+    rng = np.random.default_rng(11)
+    for n, k in ((2, 0), (25, 0), (25, 3), (60, 0)):
+        p = random_tridiagonal(rng, n, k)
+        full = sla.eigh(*dense_of(p), eigvals_only=True)
+        for want in (1, min(5, p.n), p.n):
+            res = eigcore.solve_lowest(p, want)
+            assert np.allclose(res.eigenvalues, full[:want], rtol=1e-10, atol=1e-12)
+
+
+def test_tridiagonal_rejects_indefinite_mass():
+    a = (np.ones(4), np.zeros(3))
+    with pytest.raises(PencilNotDefinite):
+        eigcore.TridiagonalPencil(a, (np.array([1.0, 1.0, -1.0, 1.0]), np.zeros(3)))
+    with pytest.raises(PencilNotDefinite):
+        # positive diagonal, but the offdiagonal makes the block indefinite
+        eigcore.TridiagonalPencil(a, (np.ones(4), np.full(3, 0.9)))
+    # positive definite tridiagonal block and corner, indefinite Schur complement
+    C = np.zeros((4, 1))
+    C[1, 0] = 1.5
+    with pytest.raises(PencilNotDefinite):
+        eigcore.TridiagonalPencil(a, (np.ones(4), np.zeros(3)), (np.zeros((4, 1)), np.eye(1)), (C, np.eye(1)))
+
+
+def test_tridiagonal_rejects_malformed():
+    good = (np.ones(3), np.zeros(2))
+    with pytest.raises(InvalidMatrix):
+        eigcore.TridiagonalPencil((np.ones(3), np.zeros(3)), good)
+    with pytest.raises(InvalidMatrix):
+        eigcore.TridiagonalPencil((np.array([1.0, np.nan, 1.0]), np.zeros(2)), good)
+    with pytest.raises(InvalidMatrix):
+        eigcore.TridiagonalPencil(good, good, (np.zeros((3, 1)), np.eye(1)), None)
+    with pytest.raises(InvalidMatrix):
+        eigcore.TridiagonalPencil(good, good, (np.zeros((3, 2)), np.ones((2, 2)) + np.eye(2, k=1)),
+                                  (np.zeros((3, 2)), np.eye(2)))

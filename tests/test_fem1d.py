@@ -3,6 +3,7 @@ classification, domain monotonicity, dislocation operators."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from gapeig import fem1d, model
 from gapeig.errors import MeshOffsetError
@@ -155,6 +156,23 @@ def test_aligned_family_spurious_predicted_by_dislocation(
     # the genuine defect values are untouched
     true_vals = sorted(r.eigenvalue for r in reports if r.classification == "true")
     assert np.allclose(true_vals, REF_1D, atol=5e-3)
+
+
+def test_structured_solve_matches_dense_oracle(V1d, W1d, lat1d):
+    # Galerkin and dislocation pencils solved densely agree with the
+    # inertia-certified structured solve
+    mesh = fem1d.symmetric_mesh(lat1d, 50, 5, t=0.5)
+    cases = [
+        (fem1d.assemble_galerkin(V1d, W1d, mesh), fem1d.galerkin_spectrum(V1d, W1d, mesh, WIN_1D)),
+        (fem1d._dirichlet_pencil(fem1d.halfline_mesh(lat1d, 50, 20), lambda x: V1d(x + 0.5 * lat1d.b)),
+         fem1d.dislocation_spectrum(V1d, "halfline+", 0.5, WIN_1D, n_c=50, n_periods=20)),
+    ]
+    for pencil, res in cases:
+        A, M = pencil.A_sparse.toarray(), pencil.M_sparse.toarray()
+        want = sla.eigh(A, M, subset_by_value=WIN_1D, eigvals_only=True)
+        assert res.diagnostics["n_in_window"] == len(res.eigenvalues) == len(want) > 0
+        assert np.allclose(res.eigenvalues, want, rtol=1e-10, atol=0.0)
+        assert res.diagnostics["residual_bound"] <= 1e-10
 
 
 def test_domain_monotonicity(V1d, W1d, lat1d):

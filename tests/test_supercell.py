@@ -1,11 +1,13 @@
 """Supercell discretization: exact embeddings, free-particle oracle,
 dense/iterative agreement, commensurability breaking, set utilities."""
 
+import types
+
 import numpy as np
 import pytest
 
 from gapeig import model, supercell
-from gapeig.errors import BasisTooLarge
+from gapeig.errors import BasisTooLarge, NotConverged
 
 # converged 1D gap eigenvalues (L=40, N=640), stable to ~1e-12 under L and N
 # refinement within this package and matching the independent FEM route
@@ -153,6 +155,24 @@ def test_dense_vs_iterative_2d(V2d, W2d):
     dense = supercell.supercell_spectrum(V2d, W2d, 4, 32, win, method="dense")
     iter_ = supercell.supercell_spectrum(V2d, W2d, 4, 32, win, method="iterative")
     assert supercell.hausdorff(dense.eigenvalues, iter_.eigenvalues) <= 1e-8
+    assert iter_.diagnostics["minres_nonconverged"] == 0
+
+
+def test_iterative_minres_failure_raises(V2d, W2d, monkeypatch):
+    # an inner solve that reports non-convergence must not pass silently
+    real = supercell.spla.minres
+    calls = [0]
+
+    def minres(*args, **kwargs):
+        sol, info = real(*args, **kwargs)
+        calls[0] += 1
+        return sol, (1 if calls[0] == 3 else info)
+
+    spla = types.SimpleNamespace(**dict(vars(supercell.spla), minres=minres))
+    monkeypatch.setattr(supercell, "spla", spla)
+    win = (-0.361330513742, -0.005748116668)
+    with pytest.raises(NotConverged, match="1 of"):
+        supercell.supercell_spectrum(V2d, W2d, 2, 8, win, method="iterative")
 
 
 def test_iterative_rejects_1d(V1d, W1d, window1d):
