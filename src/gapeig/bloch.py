@@ -5,7 +5,9 @@ diagonalized in the planewave basis e^{i(q+G).x} with |G|_inf <= 2*pi*M_pw/b.
 Band functions are sampled on a symmetric midpoint grid of M_q points per
 axis (which contains no high-symmetry points and is invariant under
 q -> -q), and spectral gaps are located from the sampled band ranges with a
-finite-difference estimate of what the grid can actually resolve.
+finite-difference estimate of what the grid can actually resolve.  V is
+real, so eps_j(-q) = eps_j(q): the sweep solves the first half of the grid
+and mirrors it onto the second.
 """
 
 import itertools
@@ -74,8 +76,9 @@ def midpoint_grid(lattice, M_q):
     """Per-axis symmetric midpoint quasimomentum grid over (-pi/b, pi/b]."""
     if M_q < 2 or M_q % 2:
         raise QGridAsymmetric("M_q must be an even integer >= 2 for a +-q symmetric grid")
-    k0 = lattice.reciprocal
-    return k0 * (-0.5 + (np.arange(M_q) + 0.5) / M_q)
+    # mirrored from the positive half, so grid[::-1] == -grid holds exactly
+    half = lattice.reciprocal * (np.arange(M_q // 2) + 0.5) / M_q
+    return np.concatenate((-half[::-1], half))
 
 
 class BandStructure:
@@ -104,7 +107,13 @@ class BandStructure:
 
 
 def band_structure(V, M_pw=None, M_q=None, J_max=4, threads=1):
-    """Sample the lowest J_max bands on the midpoint quasimomentum grid."""
+    """Sample the lowest J_max bands on the midpoint quasimomentum grid.
+
+    The grid points in lexicographic order satisfy qpoints[N-1-p] ==
+    -qpoints[p] exactly and none is its own mirror (M_q is even), so only
+    the first N/2 fibers are solved: bands[N-1-p] = bands[p], since
+    eps(-q) = eps(q) for real V.
+    """
     lat = V.lattice
     d = lat.d
     if M_pw is None:
@@ -113,12 +122,14 @@ def band_structure(V, M_pw=None, M_q=None, J_max=4, threads=1):
         M_q = DEFAULT_M_Q[d]
     axis = midpoint_grid(lat, M_q)
     qpoints = np.array(list(itertools.product(axis, repeat=d)))
+    half = qpoints[: len(qpoints) // 2]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda q: fiber_bands(V, q, M_pw, J_max), qpoints))
+            results = list(ex.map(lambda q: fiber_bands(V, q, M_pw, J_max), half))
     else:
-        results = [fiber_bands(V, q, M_pw, J_max) for q in qpoints]
+        results = [fiber_bands(V, q, M_pw, J_max) for q in half]
     bands = np.array([r.eigenvalues for r in results])
+    bands = np.concatenate((bands, bands[::-1]))
     return BandStructure(lat, M_pw, M_q, qpoints, bands)
 
 
@@ -228,16 +239,3 @@ def find_gap(bs, J, gap_tol=GAP_TOL):
     }
     return GapWindow(J, alpha, beta, info)
 
-
-def exact_projector_fiber(V, q, M_pw, J):
-    """Rank-J spectral projector of the fiber at q in the planewave basis.
-
-    Raises NoGap when bands J and J+1 are degenerate at q (within 1e-10), in
-    which case the band projector is not well defined pointwise.
-    """
-    res = fiber_bands(V, q, M_pw, J + 1, with_vectors=True)
-    w = res.eigenvalues
-    if w[J] - w[J - 1] <= DEGENERACY_TOL:
-        raise NoGap("bands %d and %d degenerate at q (split %.3e)" % (J, J + 1, w[J] - w[J - 1]))
-    Vj = res.eigenvectors[:, :J]
-    return Vj @ Vj.conj().T

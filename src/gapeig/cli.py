@@ -217,6 +217,10 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once per process: jsonschema.validate would re-check SCHEMA against
+# the metaschema on every call (tests check SCHEMA itself)
+_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
 METHODS = ("bands", "gap", "supercell", "galerkin", "dislocation", "augment", "pollution-scan")
 
 
@@ -228,11 +232,10 @@ def load_config(path):
         raise ConfigError("cannot read config: %s" % e) from None
     except json.JSONDecodeError as e:
         raise ConfigError("malformed JSON in %s: %s" % (path, e)) from None
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if e is not None:
         loc = "/".join(str(p) for p in e.absolute_path) or "<top>"
-        raise ConfigError("config invalid at %s: %s" % (loc, e.message)) from None
+        raise ConfigError("config invalid at %s: %s" % (loc, e.message))
     return cfg
 
 

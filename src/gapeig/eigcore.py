@@ -4,7 +4,12 @@ Two pencil types go through the same entry points, solve_window and
 solve_lowest, which dispatch on the type:
 
 - SymmetricPencil: dense Hermitian (A, B), solved over LAPACK
-  (scipy.linalg.eigh).  Planewave supercells and Bloch fibers use it.
+  (scipy.linalg.eigh); a real A takes the real symmetric drivers.  Bloch
+  fibers are complex (a quasimomentum q != 0 breaks the conjugation
+  symmetry).  Dense planewave supercells are solved in their real
+  symmetric form, which supercell.solve_real_form builds from the complex
+  exponential-basis matrix after checking that the operator is real
+  (SYMMETRY_TOL bounds that reality defect as well).
 - TridiagonalPencil: real symmetric tridiagonal (A, M), optionally bordered
   by k dense columns and their k x k corner.  Every P1 finite element pencil
   is one (k = 0 for the Galerkin and dislocation pencils, k = n_aug for the

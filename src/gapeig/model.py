@@ -189,9 +189,6 @@ class SupercellCoefficients:
         idx = tuple(int(c) % self.grid for c in m)
         return complex(self.data[idx])
 
-    def max_abs(self):
-        return float(np.max(np.abs(self.data)))
-
 
 def fourier_sample(func, d, span, grid):
     """FFT Fourier coefficients of func periodized over a cube of side span.

@@ -9,13 +9,21 @@ values, which makes it the reference the FEM diagnostics compare against.
 
 Small problems are solved densely; the large 2D case uses a matrix-free
 FFT matvec with shift-invert Lanczos (same operator, iterative solver).
+
+V and W are real, so H commutes with complex conjugation, which maps the
+planewave of mode m to that of mode -m.  The wavevector lists are centrally
+symmetric in lexicographic order, so index i and index n-1-i are the modes m
+and -m, and with K the reversal permutation U = (I + iK)/sqrt(2) turns the
+complex Hermitian H into the real symmetric Uᴴ H U with the same spectrum.
+Dense solves go through that real form (solve_real_form): LAPACK works on a
+real matrix of half the bytes instead of a complex one.
 """
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from gapeig import eigcore, model
-from gapeig.errors import BasisTooLarge, NotConverged
+from gapeig.errors import BasisTooLarge, InvalidMatrix, NotConverged
 
 MAX_PLANEWAVES = 20000
 DEFAULT_EDGE_GUARD = 0.004
@@ -123,8 +131,11 @@ def _coeff_grid(L, N):
 
 
 def assemble_supercell(V, W, L, N, grid=None, max_planewaves=MAX_PLANEWAVES):
-    """Dense supercell pencil.  V enters through its exact Fourier coefficients
-    (which sit on supercell frequencies L*m), W through FFT periodization."""
+    """Dense supercell pencil in the exponential basis e^{2 pi i m.x/(L b)}.
+
+    V enters through its exact Fourier coefficients (which sit on supercell
+    frequencies L*m), W through FFT periodization.  The matrix is complex
+    Hermitian; supercell_spectrum solves its real form (solve_real_form)."""
     lat = V.lattice
     d = lat.d
     offs = supercell_wavevectors(d, L, N)
@@ -159,6 +170,42 @@ def assemble_supercell(V, W, L, N, grid=None, max_planewaves=MAX_PLANEWAVES):
     pencil = eigcore.SymmetricPencil(H)
     pencil.info = {"n_planewaves": n, "grid": grid, "edge_ratio": cw.edge_ratio}
     return pencil
+
+
+def solve_real_form(H, lo, hi):
+    """Eigenvalues in (lo, hi) of a planewave supercell matrix H, from its real form.
+
+    H must satisfy K H K = conj(H) with K the index reversal, i.e. commute
+    with complex conjugation in a centrally symmetric basis listed so that
+    index n-1-i holds the mode opposite to index i.  Then
+
+        S = Uᴴ H U = Re H + (K Im H - Im H K) / 2,   U = (I + iK)/sqrt(2),
+
+    is real symmetric with the spectrum of H; it is formed from views of H
+    with no complex temporaries and solved by a real windowed LAPACK call.
+    Raises InvalidMatrix when the reality defect, the larger of
+    max|K Re H - Re H K| and max|K Im H + Im H K|, exceeds SYMMETRY_TOL
+    times the largest entry of H (the real form would then drop part of H),
+    or when S is not symmetric.  Together the two checks also certify that
+    H is Hermitian, since S is unitarily similar to it.
+    """
+    R, J = H.real, H.imag
+    scale = max(1.0, _max_abs(R), _max_abs(J))
+    defect = max(_max_abs(R[::-1, :] - R[:, ::-1]), _max_abs(J[::-1, :] + J[:, ::-1]))
+    if not defect <= eigcore.SYMMETRY_TOL * scale:
+        raise InvalidMatrix(
+            "supercell matrix does not commute with conjugation in its reversed basis: "
+            "reality defect %.3e exceeds %.0e * scale" % (defect, eigcore.SYMMETRY_TOL)
+        )
+    S = J[::-1, :] - J[:, ::-1]
+    S *= 0.5
+    S += R
+    return eigcore.solve_window(eigcore.SymmetricPencil(S), lo, hi, with_vectors=False)
+
+
+def _max_abs(x):
+    """max |x| of a real array without an |x| temporary."""
+    return float(max(np.max(x), -np.min(x)))
 
 
 def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planewaves=MAX_PLANEWAVES):
@@ -271,7 +318,8 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
 def supercell_spectrum(V, W, L, N, window, method="auto", k=10, max_planewaves=MAX_PLANEWAVES):
     """Gap eigenvalues of the supercell operator inside the window.
 
-    method "dense" solves the assembled pencil with a windowed LAPACK call;
+    method "dense" solves the real form of the assembled matrix with a
+    windowed LAPACK call (solve_real_form);
     "iterative" (2D only) uses the matrix-free path; "auto" picks by size.
     """
     lat = V.lattice
@@ -283,7 +331,7 @@ def supercell_spectrum(V, W, L, N, window, method="auto", k=10, max_planewaves=M
         method = "dense" if n <= DENSE_LIMIT or lat.d == 1 else "iterative"
     if method == "dense":
         pencil = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
-        res = eigcore.solve_window(pencil, alpha, beta, with_vectors=False)
+        res = solve_real_form(pencil.A, alpha, beta)
         diag = dict(pencil.info)
         diag.update({"method": "dense", "L": int(L), "N": int(N)})
         return SpectrumResult((alpha, beta), res.eigenvalues, diag)
@@ -324,8 +372,7 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     H = np.diag((kscale * ms) ** 2).astype(complex)
     D = (ms[:, None] - ms[None, :]) % grid
     H += data[D]
-    pencil = eigcore.SymmetricPencil(H)
-    res = eigcore.solve_window(pencil, alpha, beta, with_vectors=False)
+    res = solve_real_form(H, alpha, beta)
     diag = {
         "method": "dense-mismatched",
         "L": float(L),
@@ -351,7 +398,7 @@ def convergence_scan(V, W, L_values, ratio, window, max_planewaves=MAX_PLANEWAVE
     rows = []
     prev = None
     for L in L_values:
-        N = int(ratio * L)
+        N = int(round(ratio * L))
         res = supercell_spectrum(V, W, L, N, window, max_planewaves=max_planewaves)
         interior = res.interior()
         delta = None if prev is None else hausdorff(prev, interior)

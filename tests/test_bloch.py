@@ -70,10 +70,13 @@ def test_fiber_entries(V1d):
 
 
 def test_midpoint_grid_symmetric(lat1d):
-    flat = np.sort(bloch.midpoint_grid(lat1d, 8))
-    assert np.allclose(flat + flat[::-1], 0.0, atol=1e-15)
-    assert not np.any(np.isclose(flat, 0.0))
-    assert np.max(np.abs(flat)) < 0.5 * lat1d.reciprocal
+    for M_q in (6, 8, 12, 64):
+        flat = bloch.midpoint_grid(lat1d, M_q)
+        # exact mirror image: the band sweep relies on it to solve half the grid
+        assert np.array_equal(flat[::-1], -flat)
+        assert np.all(np.diff(flat) > 0)
+        assert not np.any(np.isclose(flat, 0.0))
+        assert np.max(np.abs(flat)) < 0.5 * lat1d.reciprocal
 
 
 def test_midpoint_grid_rejects_odd(lat1d):
@@ -81,11 +84,16 @@ def test_midpoint_grid_rejects_odd(lat1d):
         bloch.midpoint_grid(lat1d, 7)
 
 
-def test_band_pm_q_symmetry(V1d):
-    bs = bloch.band_structure(V1d, M_pw=16, M_q=16)
-    grid = bs.bands
-    # real potential: bands at q and -q agree; the midpoint grid pairs them
-    assert np.max(np.abs(grid - grid[::-1])) <= 1e-9
+def test_fiber_pm_q_symmetry(V1d, V2d):
+    # the sweep solves half the grid and mirrors it; every sampled band must
+    # match direct fiber solves at q and at -q (eps(-q) = eps(q), real V)
+    for V, M_pw, M_q in ((V1d, 12, 6), (V2d, 3, 4)):
+        bs = bloch.band_structure(V, M_pw=M_pw, M_q=M_q)
+        assert np.array_equal(bs.qpoints[::-1], -bs.qpoints)
+        for q, eps in zip(bs.qpoints, bs.bands):
+            for s in (1.0, -1.0):
+                direct = bloch.fiber_bands(V, s * q, M_pw, bs.J_max, with_vectors=False)
+                assert np.max(np.abs(direct.eigenvalues - eps)) <= 1e-12
 
 
 def test_band_structure_threads_agree(V1d):
@@ -152,11 +160,3 @@ def test_band_range_ordering(V1d):
         lo_n, hi_n = bs.band_range(j + 1)
         assert lo_j <= lo_n and hi_j <= hi_n
 
-
-def test_exact_projector_fiber_rank(V1d):
-    q = np.array([0.2])
-    P = bloch.exact_projector_fiber(V1d, q, 16, 1)
-    # rank-1 orthogonal projector in the planewave basis
-    assert np.max(np.abs(P - P.conj().T)) <= 1e-12
-    assert np.max(np.abs(P @ P - P)) <= 1e-12
-    assert np.trace(P).real == pytest.approx(1.0, abs=1e-12)

@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
 from gapeig import cli
+from gapeig.errors import ConfigError
 
 GOLDEN_1D = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark1d.json")
 
@@ -193,6 +195,33 @@ def test_unknown_key_exit2(tmp_path):
     cfg["surprise"] = 1
     p = write_cfg(tmp_path, cfg)
     assert cli.main(["gap", "--config", p, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_schema_is_valid():
+    # load_config builds its validator once without checking SCHEMA itself
+    jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.update(surprise=1),
+        lambda c: c["gap"].update(M_quux=3),
+        lambda c: c["lattice"].update(d=3),
+        lambda c: c["supercell"].update(L="five"),
+        lambda c: c["perturbation"][0].update(sigma=-1.0),
+    ],
+)
+def test_config_error_matches_jsonschema_validate(tmp_path, edit):
+    # same failing path and message as a full jsonschema.validate call
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    edit(cfg)
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(cfg, cli.SCHEMA)
+    loc = "/".join(str(p) for p in want.value.absolute_path) or "<top>"
+    with pytest.raises(ConfigError) as got:
+        cli.load_config(write_cfg(tmp_path, cfg))
+    assert str(got.value) == "config invalid at %s: %s" % (loc, want.value.message)
 
 
 def test_unknown_section_key_exit2(tmp_path):

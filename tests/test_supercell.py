@@ -5,9 +5,10 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from gapeig import model, supercell
-from gapeig.errors import BasisTooLarge, NotConverged
+from gapeig.errors import BasisTooLarge, InvalidMatrix, NotConverged
 
 # converged 1D gap eigenvalues (L=40, N=640), stable to ~1e-12 under L and N
 # refinement within this package and matching the independent FEM route
@@ -18,6 +19,7 @@ REF_1D = (-1.0451627964356383, -0.6541194618386763)
 SEAM_VALUE = -0.645116
 
 WIN_1D = (-1.1442549263927626, -0.6450826051490102)
+WIN_2D = (-0.361330513742, -0.005748116668)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +153,7 @@ def test_mismatched_preconditions(V1d, W1d, V2d, W2d, window1d):
 
 
 def test_dense_vs_iterative_2d(V2d, W2d):
-    win = (-0.361330513742, -0.005748116668)
+    win = WIN_2D
     dense = supercell.supercell_spectrum(V2d, W2d, 4, 32, win, method="dense")
     iter_ = supercell.supercell_spectrum(V2d, W2d, 4, 32, win, method="iterative")
     assert supercell.hausdorff(dense.eigenvalues, iter_.eigenvalues) <= 1e-8
@@ -170,7 +172,7 @@ def test_iterative_minres_failure_raises(V2d, W2d, monkeypatch):
 
     spla = types.SimpleNamespace(**dict(vars(supercell.spla), minres=minres))
     monkeypatch.setattr(supercell, "spla", spla)
-    win = (-0.361330513742, -0.005748116668)
+    win = WIN_2D
     with pytest.raises(NotConverged, match="1 of"):
         supercell.supercell_spectrum(V2d, W2d, 2, 8, win, method="iterative")
 
@@ -178,3 +180,80 @@ def test_iterative_minres_failure_raises(V2d, W2d, monkeypatch):
 def test_iterative_rejects_1d(V1d, W1d, window1d):
     with pytest.raises(ValueError):
         supercell.supercell_spectrum(V1d, W1d, 10, 160, window1d, method="iterative")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda V, W, V2, W2: supercell.supercell_spectrum(V, W, 10, 160, WIN_1D),
+        lambda V, W, V2, W2: supercell.supercell_spectrum(V, W, 40, 640, WIN_1D),
+        lambda V, W, V2, W2: supercell.mismatched_supercell_spectrum(V, W, 20, 0.5, 328, WIN_1D),
+        lambda V, W, V2, W2: supercell.supercell_spectrum(V2, W2, 2, 18, WIN_2D, method="dense"),
+    ],
+    ids=["1d-L10", "1d-L40", "1d-mismatched-t0.5", "2d-L2-N18"],
+)
+def test_real_form_matches_complex_oracle(V1d, W1d, V2d, W2d, monkeypatch, case):
+    # every dense solve goes through the real form; it must agree with the
+    # complex Hermitian eigh of the exponential-basis matrix it was given
+    seen = []
+    real_solve = supercell.solve_real_form
+
+    def spy(H, lo, hi):
+        seen.append(H.copy())
+        return real_solve(H, lo, hi)
+
+    monkeypatch.setattr(supercell, "solve_real_form", spy)
+    res = case(V1d, W1d, V2d, W2d)
+    (H,) = seen
+    assert np.any(H.imag != 0)
+    want = sla.eigvalsh(H, subset_by_value=res.window)
+    assert len(want) == len(res.eigenvalues) > 0
+    assert np.max(np.abs(res.eigenvalues - want)) <= 1e-12
+    # and over a wide window holding many values on both sides of the gap
+    wide = real_solve(H, -5.0, 5.0).eigenvalues
+    want = sla.eigvalsh(H, subset_by_value=(-5.0, 5.0))
+    assert len(wide) == len(want) > 10
+    assert np.max(np.abs(wide - want)) <= 1e-12
+
+
+def _real_operator_matrix(n, seed):
+    """U S U^H for a random real symmetric S: Hermitian, complex, and
+    commuting with conjugation in the reversed basis."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n))
+    S = S + S.T
+    U = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2.0)
+    H = U @ S @ U.conj().T
+    return 0.5 * (H + H.conj().T), S
+
+
+def test_real_form_recovers_spectrum():
+    H, S = _real_operator_matrix(9, 3)
+    w = supercell.solve_real_form(H, -100.0, 100.0).eigenvalues
+    assert np.max(np.abs(w - np.linalg.eigvalsh(S))) <= 1e-12
+
+
+@pytest.mark.parametrize("part", ["generic", "real", "imag"])
+def test_real_form_rejects_non_real(part):
+    H, _ = _real_operator_matrix(9, 4)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((9, 9))
+    if part == "generic":
+        # a random Hermitian matrix: Hermitian, but not a real operator
+        H = X + X.T + 1j * (X - X.T)
+    elif part == "real":
+        H = H + 1e-6 * (X + X.T)
+    else:
+        H = H + 1e-6j * (X - X.T)
+    assert np.max(np.abs(H - H.conj().T)) <= 1e-12
+    with pytest.raises(InvalidMatrix, match="reality defect"):
+        supercell.solve_real_form(H, -100.0, 100.0)
+
+
+@pytest.mark.parametrize("ratio, L, N", [(8.2, 15, 123), (16.4, 15, 246)])
+def test_convergence_scan_rounds_N(V1d, W1d, ratio, L, N):
+    # ratio * L lands just below an integer; the scan must round as a
+    # single-L run does, not truncate
+    assert int(ratio * L) == N - 1
+    (row,) = supercell.convergence_scan(V1d, W1d, [L], ratio, WIN_1D)
+    assert row["N"] == N
