@@ -6,9 +6,12 @@ domain P1 finite element method (which pollutes spectral gaps with spurious
 eigenvalues), a planewave supercell method (pollution-free), and a projector
 augmented finite element method (pollution-free), together with diagnostics
 that detect and classify spurious modes.
+
+Importing the package loads no module but errors: import the ones you use
+(from gapeig import bloch).  model, eigcore and bloch need numpy alone;
+supercell, fem1d and augment bring in scipy.
 """
 
-from gapeig import augment, bloch, eigcore, fem1d, model, supercell
 from gapeig.errors import (
     AugmentationDegenerate,
     BasisTooLarge,

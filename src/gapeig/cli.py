@@ -9,6 +9,10 @@ exception, it is timing).
 
 Exit codes: 0 success, 2 config errors (nothing written), 3 numerical module
 errors (summary JSON written with the error name).
+
+Only model and bloch, which need numpy alone, are imported here; the runners
+that solve P1 pencils or supercells import fem1d, augment and supercell (and
+with them scipy) in their own bodies, so bands and gap start without scipy.
 """
 
 import argparse
@@ -21,7 +25,7 @@ import time
 import jsonschema
 import numpy as np
 
-from gapeig import augment, bloch, fem1d, model, supercell
+from gapeig import bloch, model
 from gapeig.errors import ConfigError, GapeigError
 
 _WINDOW = {
@@ -323,12 +327,14 @@ def _as_list(x):
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-def _reference_values(ref, V, W, window, max_planewaves=supercell.MAX_PLANEWAVES):
+def _reference_values(ref, V, W, window):
     if isinstance(ref, (list, tuple)):
         return np.asarray(ref, dtype=float)
+    from gapeig import supercell
+
     L = int(ref["L"])
     N = int(round(ref.get("ratio", 16) * L))
-    res = supercell.supercell_spectrum(V, W, L, N, window, max_planewaves=max_planewaves)
+    res = supercell.supercell_spectrum(V, W, L, N, window)
     return res.interior()
 
 
@@ -375,6 +381,8 @@ def run_gap(cfg, out_dir, threads):
 
 
 def run_supercell(cfg, out_dir, threads):
+    from gapeig import supercell
+
     _, V, W = build_problem(cfg)
     p = cfg["supercell"]
     window = resolve_window(p["window"], out_dir)
@@ -433,6 +441,8 @@ def _certificate(res):
 
 
 def _galerkin_rows(V, W, lat, p, window, rows, results):
+    from gapeig import fem1d, supercell
+
     n_c = p.get("n_c", 100)
     t = p.get("t", 0.0)
     ref = _reference_values(p["reference"], V, W, window) if "reference" in p else None
@@ -514,6 +524,8 @@ def run_pollution_scan(cfg, out_dir, threads):
 
 
 def run_dislocation(cfg, out_dir, threads):
+    from gapeig import fem1d
+
     _, V, _ = build_problem(cfg)
     p = cfg["dislocation"]
     window = resolve_window(p["window"], out_dir)
@@ -541,6 +553,8 @@ def run_dislocation(cfg, out_dir, threads):
 
 def _window_line_mass(aug, coeffs, lo, hi):
     """Mass of an augmented eigenfunction on [lo, hi] in window coordinates."""
+    from gapeig import fem1d
+
     P = aug.projector
     full = np.zeros(P.n_win)
     nf = len(aug.idx)
@@ -553,6 +567,8 @@ def _window_line_mass(aug, coeffs, lo, hi):
 
 
 def run_augment(cfg, out_dir, threads):
+    from gapeig import augment, fem1d, supercell
+
     lat, V, W = build_problem(cfg)
     p = cfg["augment"]
     window = resolve_window(p["window"], out_dir)

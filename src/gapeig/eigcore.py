@@ -3,13 +3,16 @@
 Two pencil types go through the same entry points, solve_window and
 solve_lowest, which dispatch on the type:
 
-- SymmetricPencil: dense Hermitian (A, B), solved over LAPACK
-  (scipy.linalg.eigh); a real A takes the real symmetric drivers.  Bloch
-  fibers are complex (a quasimomentum q != 0 breaks the conjugation
-  symmetry).  Dense planewave supercells are solved in their real
-  symmetric form, which supercell.solve_real_form builds from the complex
-  exponential-basis matrix after checking that the operator is real
-  (SYMMETRY_TOL bounds that reality defect as well).
+- SymmetricPencil: dense Hermitian (A, B); a real A takes the real
+  symmetric drivers.  Bloch fibers are complex (a quasimomentum q != 0
+  breaks the conjugation symmetry).  Dense planewave supercells are solved
+  in their real symmetric form, which supercell.solve_real_form builds from
+  the complex exponential-basis matrix after checking that the operator is
+  real (SYMMETRY_TOL bounds that reality defect as well).  The standard
+  problem (B=None: Bloch fibers, real supercell forms) goes through numpy's
+  LAPACK (numpy.linalg.eigh), full spectrum first and then the window or
+  the k lowest; the generalized problem uses scipy.linalg.eigh's subset
+  drivers.
 - TridiagonalPencil: real symmetric tridiagonal (A, M), optionally bordered
   by k dense columns and their k x k corner.  Every P1 finite element pencil
   is one (k = 0 for the Galerkin and dislocation pencils, k = n_aug for the
@@ -25,12 +28,15 @@ solve_lowest, which dispatch on the type:
 Every solve returns ascending eigenvalues and, on request, B-orthonormal
 eigenvectors with a residual bound; TridiagonalPencil solves always carry
 their residual bound and inertia count.
+
+scipy is imported inside the functions that use it (the generalized dense
+solve and everything TridiagonalPencil does), never at module level: a Bloch
+sweep needs only numpy, and importing scipy.linalg (which loads its own copy
+of numpy's namespace) takes longer than a whole 1D gap sweep, so a process
+that only locates a gap would spend most of its time importing.
 """
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from gapeig.errors import InvalidMatrix, NotConverged, PencilNotDefinite
 
@@ -43,15 +49,41 @@ CHECK_EVERY = 8
 LANCZOS_SEED = 0
 
 
+def _max_abs(x):
+    """max |x| of a real array without an |x| temporary (NaN when x has one)."""
+    return float(max(np.max(x), -np.min(x)))
+
+
+def _hermitian_defect(M):
+    """max |M_ij - conj(M_ji)| of a square array, with no complex arithmetic.
+
+    For a complex M the real and imaginary parts of M - Mᴴ, R - Rᵀ and
+    J + Jᵀ from the views R, J of M, are written into the two halves of one
+    buffer that is then read as complex: the modulus is numpy's complex abs
+    of the very values the complex formula forms, with no conjugate copy
+    and no complex subtraction.
+    """
+    if not np.iscomplexobj(M):
+        return _max_abs(M - M.T)
+    R, J = M.real, M.imag
+    buf = np.empty(M.shape + (2,), dtype=R.dtype)
+    np.subtract(R, R.T, out=buf[..., 0])
+    np.add(J, J.T, out=buf[..., 1])
+    return float(np.max(np.abs(buf.view(M.dtype)[..., 0])))
+
+
 def _check_hermitian(M, name):
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidMatrix("%s must be square, got shape %s" % (name, (M.shape,)))
-    if not np.all(np.isfinite(M)):
+    if not M.size:
+        return M
+    # max |M_ij|; NaN or inf exactly when some entry is not finite
+    peak = float(np.max(np.abs(M))) if np.iscomplexobj(M) else _max_abs(M)
+    if not np.isfinite(peak):
         raise InvalidMatrix("%s contains non-finite entries" % name)
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
-    defect = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-    if defect > SYMMETRY_TOL * scale:
+    defect = _hermitian_defect(M)
+    if defect > SYMMETRY_TOL * max(1.0, peak):
         raise InvalidMatrix(
             "%s is not Hermitian: defect %.3e exceeds %.0e * scale" % (name, defect, SYMMETRY_TOL)
         )
@@ -124,6 +156,8 @@ def _banded(d, e):
 
 
 def _assemble(d, e, border):
+    import scipy.sparse as sp
+
     T = sp.diags([e, d, e], [-1, 0, 1])
     if border is None:
         return T.tocsc()
@@ -164,6 +198,8 @@ class TridiagonalPencil:
                 self.A_border = self.M_border = None
         self.k = 0 if self.A_border is None else self.A_border[0].shape[1]
         self.n = n_t + self.k
+        import scipy.linalg as sla
+
         try:
             chol = sla.cholesky_banded(_banded(self.m, self.m_off)[:2])
         except np.linalg.LinAlgError:
@@ -202,6 +238,8 @@ class TridiagonalPencil:
         if self.k:
             (CA, GA), (CM, GM) = self.A_border, self.M_border
             Cs = CA - s * CM
+            import scipy.linalg as sla
+
             try:
                 Z = sla.solve_banded((1, 1), _banded(self.a - s * self.m, e), Cs)
             except np.linalg.LinAlgError:
@@ -262,14 +300,35 @@ def _finish(pencil, w, V):
     return EigResult(w, V, resid, ortho)
 
 
+def _solve_dense(pencil, with_vectors, by_value=None, by_index=None):
+    """Dense solve of a SymmetricPencil, all of it or the part by_value (an
+    open interval) or by_index (first and last 0-based index) selects.
+
+    The standard problem takes numpy's LAPACK over the full spectrum and then
+    selects; the generalized one takes scipy's subset drivers.
+    """
+    A, B = pencil.A, pencil.B
+    if B is not None:
+        import scipy.linalg as sla
+
+        driver = None if by_value is None and by_index is None else "gvx"
+        out = sla.eigh(A, B, subset_by_value=by_value, subset_by_index=by_index, driver=driver,
+                       eigvals_only=not with_vectors)
+        w, V = out if with_vectors else (out, None)
+        return _finish(pencil, w, V)
+    w, V = np.linalg.eigh(A) if with_vectors else (np.linalg.eigvalsh(A), None)
+    if by_value is not None:
+        keep = (w > by_value[0]) & (w < by_value[1])
+    elif by_index is not None:
+        keep = slice(by_index[0], by_index[1] + 1)
+    else:
+        keep = slice(None)
+    return _finish(pencil, w[keep], None if V is None else V[:, keep])
+
+
 def solve_pencil(pencil, with_vectors=True):
     """Full eigendecomposition of a dense pencil."""
-    A, B = pencil.A, pencil.B
-    if with_vectors:
-        w, V = sla.eigh(A, B)
-        return _finish(pencil, w, V)
-    w = sla.eigvalsh(A, B)
-    return _finish(pencil, w, None)
+    return _solve_dense(pencil, with_vectors)
 
 
 def _lanczos(pencil, lo, hi, count):
@@ -282,6 +341,9 @@ def _lanczos(pencil, lo, hi, count):
     deterministic.  Returns the count converged Ritz vectors nearest sigma,
     as columns.
     """
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spla
+
     n = pencil.n
     M = pencil.M_sparse
     sigma = 0.5 * (lo + hi)
@@ -351,6 +413,8 @@ def _solve_structured(pencil, lo, hi, count, with_vectors):
     """Eigenpairs of a TridiagonalPencil in (lo, hi), given the exact count there."""
     if count == 0:
         return EigResult(np.zeros(0), np.zeros((pencil.n, 0)) if with_vectors else None, 0.0, 0.0, 0)
+    import scipy.linalg as sla
+
     X = _lanczos(pencil, lo, hi, count)
     # Rayleigh-Ritz on the converged vectors polishes the values and makes
     # the vectors exactly M-orthonormal
@@ -377,13 +441,7 @@ def solve_window(pencil, lo, hi, with_vectors=True):
         raise ValueError("window requires lo < hi")
     if isinstance(pencil, TridiagonalPencil):
         return _solve_structured(pencil, lo, hi, pencil.count(lo, hi), with_vectors)
-    A, B = pencil.A, pencil.B
-    driver = None if B is None else "gvx"
-    if with_vectors:
-        w, V = sla.eigh(A, B, subset_by_value=(lo, hi), driver=driver)
-        return _finish(pencil, w, V)
-    w = sla.eigh(A, B, subset_by_value=(lo, hi), driver=driver, eigvals_only=True)
-    return _finish(pencil, w, None)
+    return _solve_dense(pencil, with_vectors, by_value=(lo, hi))
 
 
 def _lowest_window(pencil, k):
@@ -419,10 +477,4 @@ def solve_lowest(pencil, k, with_vectors=True):
         res = _solve_structured(pencil, lo, hi, count, True)
         V = res.eigenvectors[:, :k] if with_vectors else None
         return EigResult(res.eigenvalues[:k], V, res.residual_bound, res.orthonormality, count)
-    A, B = pencil.A, pencil.B
-    driver = None if B is None else "gvx"
-    if with_vectors:
-        w, V = sla.eigh(A, B, subset_by_index=(0, k - 1), driver=driver)
-        return _finish(pencil, w, V)
-    w = sla.eigh(A, B, subset_by_index=(0, k - 1), driver=driver, eigvals_only=True)
-    return _finish(pencil, w, None)
+    return _solve_dense(pencil, with_vectors, by_index=(0, k - 1))

@@ -113,6 +113,25 @@ def supercell_wavevectors(d, L, N):
     return m[np.sum(m * m, axis=1) <= N * N]
 
 
+def _mode_index(offs, targets, N):
+    """Row of each target mode in the basis offs = supercell_wavevectors(d, L, N),
+    -1 where the target lies outside it.
+
+    offs is lexicographic: in 1D the row of m is m + N, and in 2D the keys
+    m_x (2N+1) + m_y increase along offs, so a sorted search finds them (the
+    bound |m_y| <= N keeps the key one-to-one).
+    """
+    inside = np.all(np.abs(targets) <= N, axis=1)
+    if offs.shape[1] == 1:
+        rows = targets[:, 0] + N
+    else:
+        keys = offs[:, 0] * (2 * N + 1) + offs[:, 1]
+        want = targets[:, 0] * (2 * N + 1) + targets[:, 1]
+        rows = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        inside &= keys[rows] == want
+    return np.where(inside, rows, -1)
+
+
 def _check_budget(n, max_planewaves):
     if n > max_planewaves:
         raise BasisTooLarge(
@@ -149,13 +168,12 @@ def assemble_supercell(V, W, L, N, grid=None, max_planewaves=MAX_PLANEWAVES):
     H[np.diag_indices(n)] = np.sum(k * k, axis=1)
     # V_per: coefficient at lattice wavevector m couples supercell modes
     # differing by exactly L*m (integer, no interpolation)
-    index = {tuple(row): i for i, row in enumerate(offs)}
     cols = np.arange(n)
     for m, c in V.fourier_coefficients().items():
         if c == 0:
             continue
         shift = np.asarray(m, dtype=int) * int(L)
-        rows = np.array([index.get(tuple(row), -1) for row in offs + shift[None, :]])
+        rows = _mode_index(offs, offs + shift[None, :], int(N))
         keep = rows >= 0
         H[rows[keep], cols[keep]] += c
     # W: all pairwise couplings from the periodized coefficient table
@@ -190,8 +208,9 @@ def solve_real_form(H, lo, hi):
     H is Hermitian, since S is unitarily similar to it.
     """
     R, J = H.real, H.imag
-    scale = max(1.0, _max_abs(R), _max_abs(J))
-    defect = max(_max_abs(R[::-1, :] - R[:, ::-1]), _max_abs(J[::-1, :] + J[:, ::-1]))
+    max_abs = eigcore._max_abs
+    scale = max(1.0, max_abs(R), max_abs(J))
+    defect = max(max_abs(R[::-1, :] - R[:, ::-1]), max_abs(J[::-1, :] + J[:, ::-1]))
     if not defect <= eigcore.SYMMETRY_TOL * scale:
         raise InvalidMatrix(
             "supercell matrix does not commute with conjugation in its reversed basis: "
@@ -201,11 +220,6 @@ def solve_real_form(H, lo, hi):
     S *= 0.5
     S += R
     return eigcore.solve_window(eigcore.SymmetricPencil(S), lo, hi, with_vectors=False)
-
-
-def _max_abs(x):
-    """max |x| of a real array without an |x| temporary."""
-    return float(max(np.max(x), -np.min(x)))
 
 
 def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planewaves=MAX_PLANEWAVES):
@@ -218,6 +232,13 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
     MINRES on the realified system with a kinetic preconditioner; if any of
     them fails to converge the solve raises NotConverged, otherwise the
     diagnostics report minres_nonconverged = 0.
+
+    eigsh returns the k values nearest the window centre sigma.  They hold
+    every eigenvalue of the window only when the farthest of them lies at
+    least the window's half-width from sigma; until it does, k is doubled
+    (capped at n - 1) and the solve repeated, and NotConverged is raised
+    when the cap is reached uncertified.  The diagnostics report the k that
+    certified the window (k_used) and window_complete.
     """
     lat = V.lattice
     b = lat.b
@@ -288,20 +309,32 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
     OPinv = spla.LinearOperator((n, n), matvec=opinv, dtype=complex)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w = spla.eigsh(
-        Hop,
-        k=k,
-        sigma=sigma,
-        which="LM",
-        OPinv=OPinv,
-        v0=v0,
-        tol=tol,
-        return_eigenvectors=False,
-    )
-    if inner_failures[0]:
-        raise NotConverged(
-            "%d of %d MINRES inner solves did not converge" % (inner_failures[0], inner_iters[0])
+    k_used = min(k, n - 1)
+    while True:
+        w = spla.eigsh(
+            Hop,
+            k=k_used,
+            sigma=sigma,
+            which="LM",
+            OPinv=OPinv,
+            v0=v0,
+            tol=tol,
+            return_eigenvectors=False,
         )
+        if inner_failures[0]:
+            raise NotConverged(
+                "%d of %d MINRES inner solves did not converge" % (inner_failures[0], inner_iters[0])
+            )
+        # the k_used values nearest sigma hold the whole window once the
+        # farthest of them lies at or beyond the window's half-width
+        if np.max(np.abs(w - sigma)) >= 0.5 * (beta - alpha):
+            break
+        if k_used == n - 1:
+            raise NotConverged(
+                "all %d eigenvalues nearest the window centre lie inside the window; "
+                "its completeness cannot be certified" % k_used
+            )
+        k_used = min(2 * k_used, n - 1)
     diag = {
         "method": "shift-invert",
         "n_planewaves": n,
@@ -311,6 +344,8 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
         "minres_nonconverged": inner_failures[0],
         "edge_ratio": cw.edge_ratio,
         "k": k,
+        "k_used": k_used,
+        "window_complete": True,
     }
     return np.sort(w), diag
 

@@ -295,6 +295,24 @@ def test_console_entry_point(tmp_path):
     assert "NoGap" in proc.stderr
 
 
+def test_gap_loads_no_scipy(tmp_path):
+    # locating the gap needs numpy alone; scipy loads only with the
+    # subcommands that solve P1 pencils or supercells
+    cfg = write_cfg(tmp_path, SMALL_CFG)
+    script = (
+        "import sys\n"
+        "from gapeig import cli\n"
+        "cli.build_problem(cli.load_config(sys.argv[1]))\n"
+        "assert cli.main(['gap', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_csv_floats_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CFG)
     out = str(tmp_path / "out")

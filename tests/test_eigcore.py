@@ -132,6 +132,65 @@ def test_rejects_indefinite_mass():
         eigcore.SymmetricPencil(A, B)
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_hermitian_defect_matches_complex_formula(complex_):
+    # the check reads real views; it must give exactly what the complex
+    # formula max|M - M^H| gives, so it is neither looser nor tighter
+    rng = np.random.default_rng(8)
+    n = 30
+    X = rng.standard_normal((n, n))
+    if complex_:
+        X = X + 1j * rng.standard_normal((n, n))
+    H = 0.5 * (X + X.conj().T)
+    for planted in (0.0, 1e-14, 3e-9, 0.5):
+        M = H.copy()
+        M[3, 7] += planted * (1 + 1j if complex_ else 1)
+        defect = float(np.max(np.abs(M - M.conj().T)))
+        assert eigcore._hermitian_defect(M) == defect
+        if defect > eigcore.SYMMETRY_TOL * max(1.0, float(np.max(np.abs(M)))):
+            with pytest.raises(InvalidMatrix, match="not Hermitian"):
+                eigcore.SymmetricPencil(M)
+        else:
+            eigcore.SymmetricPencil(M)
+    M = H.copy()
+    M[2, 2] = np.inf
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        eigcore.SymmetricPencil(M)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_standard_dense_solves_match_scipy_subset_oracle(complex_):
+    # standard pencils take numpy's full eigh and then select; the selection
+    # must reproduce LAPACK's subset drivers
+    rng = np.random.default_rng(21)
+    n = 60
+    X = rng.standard_normal((n, n))
+    if complex_:
+        X = X + 1j * rng.standard_normal((n, n))
+    A = 0.5 * (X + X.conj().T)
+    p = eigcore.SymmetricPencil(A)
+    full = sla.eigvalsh(A)
+    scale = np.max(np.abs(full))
+    lo, hi = 0.5 * (full[20] + full[21]), 0.5 * (full[33] + full[34])
+    cases = [
+        (lambda v: eigcore.solve_window(p, lo, hi, with_vectors=v),
+         sla.eigh(A, subset_by_value=(lo, hi), eigvals_only=True)),
+        (lambda v: eigcore.solve_lowest(p, 7, with_vectors=v),
+         sla.eigh(A, subset_by_index=(0, 6), eigvals_only=True)),
+    ]
+    for solve, want in cases:
+        for with_vectors in (False, True):
+            res = solve(with_vectors)
+            assert len(res) == len(want) > 0
+            assert np.max(np.abs(res.eigenvalues - want)) <= 1e-12 * scale
+            if with_vectors:
+                V = res.eigenvectors
+                assert res.residual_bound <= 1e-10
+                assert np.max(np.linalg.norm(A @ V - V * res.eigenvalues, axis=0)) <= 1e-10
+            else:
+                assert res.eigenvectors is None
+
+
 def test_window_requires_order():
     p = eigcore.SymmetricPencil(np.eye(2))
     with pytest.raises(ValueError):

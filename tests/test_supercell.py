@@ -177,6 +177,62 @@ def test_iterative_minres_failure_raises(V2d, W2d, monkeypatch):
         supercell.supercell_spectrum(V2d, W2d, 2, 8, win, method="iterative")
 
 
+def test_iterative_window_retries_until_complete(V2d, W2d):
+    # with k=2 the farthest value found lies inside the window's half-width,
+    # so the window is not yet proven complete and k must grow
+    dense = supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="dense")
+    res = supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="iterative", k=2)
+    assert res.diagnostics["k"] == 2
+    assert res.diagnostics["k_used"] > 2
+    assert res.diagnostics["window_complete"] is True
+    assert len(res) == len(dense) == 2
+    assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-8
+
+
+def test_iterative_window_uncertified_raises(V2d, W2d, monkeypatch):
+    # an eigsh whose values never reach the window's half-width cannot
+    # certify completeness, however large k grows
+    seen = []
+
+    def eigsh(A, k, sigma, **kwargs):
+        seen.append(k)
+        return np.full(k, sigma)
+
+    spla = types.SimpleNamespace(**dict(vars(supercell.spla), eigsh=eigsh))
+    monkeypatch.setattr(supercell, "spla", spla)
+    with pytest.raises(NotConverged, match="completeness"):
+        supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
+    n = len(supercell.supercell_wavevectors(2, 2, 8))
+    assert seen[0] == 10 and seen[-1] == n - 1
+    assert all(b == min(2 * a, n - 1) for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("d, L, N", [(1, 10, 160), (2, 2, 18)])
+def test_assemble_supercell_index_matches_lookup(V1d, W1d, V2d, W2d, d, L, N):
+    # H from the arithmetic mode index must equal, bit for bit, the one built
+    # with a dict lookup of every shifted offset
+    V, W = (V1d, W1d) if d == 1 else (V2d, W2d)
+    got = supercell.assemble_supercell(V, W, L, N).A
+    offs = supercell.supercell_wavevectors(d, L, N)
+    n = len(offs)
+    grid = supercell._coeff_grid(L, N)
+    k = 2.0 * np.pi / (L * V.lattice.b) * offs
+    H = np.zeros((n, n), dtype=complex)
+    H[np.diag_indices(n)] = np.sum(k * k, axis=1)
+    index = {tuple(row): i for i, row in enumerate(offs)}
+    for m, c in V.fourier_coefficients().items():
+        if c == 0:
+            continue
+        shift = np.asarray(m, dtype=int) * L
+        rows = np.array([index.get(tuple(row), -1) for row in offs + shift[None, :]])
+        keep = rows >= 0
+        H[rows[keep], np.arange(n)[keep]] += c
+    cw = model.perturbation_supercell_coefficients(W, L, grid=grid)
+    D = [(offs[:, a][:, None] - offs[:, a][None, :]) % grid for a in range(d)]
+    H += cw.data[tuple(D)]
+    assert np.array_equal(got, H)
+
+
 def test_iterative_rejects_1d(V1d, W1d, window1d):
     with pytest.raises(ValueError):
         supercell.supercell_spectrum(V1d, W1d, 10, 160, window1d, method="iterative")
