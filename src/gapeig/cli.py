@@ -11,18 +11,20 @@ Exit codes: 0 success, 2 config errors (nothing written), 3 numerical module
 errors (summary JSON written with the error name).
 
 Only model and bloch, which need numpy alone, are imported here; the runners
-that solve P1 pencils or supercells import fem1d, augment and supercell (and
-with them scipy) in their own bodies, so bands and gap start without scipy.
+import fem1d, augment and supercell in their own bodies.  fem1d and augment
+bring in scipy, supercell only for a 2D solve, so bands, gap and a 1D
+supercell run on numpy alone.  jsonschema is imported only to explain a
+config that load_config rejects.
 """
 
 import argparse
+import functools
 import io
 import json
 import os
 import sys
 import time
 
-import jsonschema
 import numpy as np
 
 from gapeig import bloch, model
@@ -221,14 +223,109 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
-# built once per process: jsonschema.validate would re-check SCHEMA against
-# the metaschema on every call (tests check SCHEMA itself)
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
-
 METHODS = ("bands", "gap", "supercell", "galerkin", "dislocation", "augment", "pollution-scan")
 
 
+class _Unsupported(Exception):
+    """A schema construct _conforms does not decide exactly."""
+
+
+def _is_type(x, kind):
+    """JSON Schema (draft 2020-12) types of JSON values, as jsonschema
+    decides them: bool is neither integer nor number, and 1.0 is an integer."""
+    if kind == "object":
+        return isinstance(x, dict)
+    if kind == "array":
+        return isinstance(x, list)
+    if kind == "string":
+        return isinstance(x, str)
+    if kind not in ("number", "integer"):
+        raise _Unsupported(kind)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return kind == "number" or isinstance(x, int) or x.is_integer()
+
+
+def _json_equal(a, x):
+    """Equality of enum member a and value x, as jsonschema decides it."""
+    if isinstance(a, (list, dict)):
+        raise _Unsupported("enum member %r" % (a,))
+    if isinstance(a, bool) or isinstance(x, bool):
+        return a is x
+    return a == x
+
+
+def _conforms(x, schema):
+    """Whether the JSON value x is valid under schema, for the keywords SCHEMA
+    uses, with jsonschema's semantics; _Unsupported for any other keyword."""
+    for key, arg in schema.items():
+        if key == "type":
+            ok = _is_type(x, arg)
+        elif key == "enum":
+            ok = any(_json_equal(a, x) for a in arg)
+        elif key == "oneOf":
+            ok = sum(_conforms(x, sub) for sub in arg) == 1
+        elif key in ("properties", "required", "additionalProperties"):
+            if not isinstance(x, dict):
+                continue
+            if key == "properties":
+                ok = all(_conforms(x[k], sub) for k, sub in arg.items() if k in x)
+            elif key == "required":
+                ok = all(k in x for k in arg)
+            elif arg is False and "patternProperties" not in schema:
+                ok = set(x) <= set(schema.get("properties", {}))
+            else:
+                raise _Unsupported("additionalProperties %r" % (arg,))
+        elif key in ("items", "prefixItems", "minItems", "maxItems"):
+            if not isinstance(x, list):
+                continue
+            if key == "items":
+                if not isinstance(arg, dict):
+                    raise _Unsupported("items %r" % (arg,))
+                ok = all(_conforms(v, arg) for v in x[len(schema.get("prefixItems", [])):])
+            elif key == "prefixItems":
+                ok = all(_conforms(v, sub) for v, sub in zip(x, arg))
+            else:
+                ok = len(x) >= arg if key == "minItems" else len(x) <= arg
+        elif key in ("minimum", "exclusiveMinimum", "exclusiveMaximum", "multipleOf"):
+            if not _is_type(x, "number"):
+                continue
+            if key == "minimum":
+                ok = not x < arg
+            elif key == "exclusiveMinimum":
+                ok = not x <= arg
+            elif key == "exclusiveMaximum":
+                ok = not x >= arg
+            elif isinstance(arg, int):
+                ok = not x % arg
+            else:
+                raise _Unsupported("multipleOf %r" % (arg,))
+        else:
+            raise _Unsupported(key)
+        if not ok:
+            return False
+    return True
+
+
+@functools.cache
+def _validator():
+    """jsonschema's validator of SCHEMA, built once per process (SCHEMA
+    itself is checked by the tests, not on every load)."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(SCHEMA)
+
+
 def load_config(path):
+    """Read and validate a config file; ConfigError when it is unreadable,
+    malformed or invalid.
+
+    A valid config is accepted by _conforms, a check of the few keywords
+    SCHEMA uses; only a config it rejects (or cannot decide) goes to
+    jsonschema, which names the failing path and reason.  So the common
+    case never imports jsonschema, whose import takes longer than a 1D gap
+    sweep.
+    """
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -236,10 +333,17 @@ def load_config(path):
         raise ConfigError("cannot read config: %s" % e) from None
     except json.JSONDecodeError as e:
         raise ConfigError("malformed JSON in %s: %s" % (path, e)) from None
-    e = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if e is not None:
-        loc = "/".join(str(p) for p in e.absolute_path) or "<top>"
-        raise ConfigError("config invalid at %s: %s" % (loc, e.message))
+    try:
+        valid = _conforms(cfg, SCHEMA)
+    except _Unsupported:
+        valid = False
+    if not valid:
+        import jsonschema
+
+        e = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+        if e is not None:
+            loc = "/".join(str(p) for p in e.absolute_path) or "<top>"
+            raise ConfigError("config invalid at %s: %s" % (loc, e.message))
     return cfg
 
 
@@ -399,15 +503,14 @@ def run_supercell(cfg, out_dir, threads):
             for ev in row["eigenvalues"]:
                 cls = "interior" if ev in row["interior"] else "edge"
                 rows.append((row["L"], row["N"], 0.0, ev, cls))
-            results["runs"].append(
-                {
-                    "L": row["L"],
-                    "N": row["N"],
-                    "eigenvalues": row["eigenvalues"],
-                    "interior": row["interior"],
-                    "delta_prev": row["delta_prev"],
-                }
-            )
+            run = {
+                "L": row["L"],
+                "N": row["N"],
+                "eigenvalues": row["eigenvalues"],
+                "interior": row["interior"],
+                "delta_prev": row["delta_prev"],
+            }
+            results["runs"].append(_with_certificate(run, row["diagnostics"]))
             diag = row["diagnostics"]
     else:
         L = Ls[0]
@@ -423,9 +526,8 @@ def run_supercell(cfg, out_dir, threads):
         for ev in res.eigenvalues:
             cls = "interior" if ev in interior else "edge"
             rows.append((L, N, t, ev, cls))
-        results["runs"].append(
-            {"L": L, "N": N, "t": t, "eigenvalues": res.eigenvalues, "interior": interior}
-        )
+        run = {"L": L, "N": N, "t": t, "eigenvalues": res.eigenvalues, "interior": interior}
+        results["runs"].append(_with_certificate(run, res.diagnostics))
         diag = res.diagnostics
     write_csv(
         os.path.join(out_dir, "supercell.csv"),
@@ -435,9 +537,17 @@ def run_supercell(cfg, out_dir, threads):
     return results, diag, ["supercell.csv"]
 
 
-def _certificate(res):
-    """Inertia count and residual bound of one windowed P1 solve."""
-    return {key: res.diagnostics[key] for key in ("n_in_window", "residual_bound")}
+def _certificate(diagnostics):
+    """Inertia count and residual bound of one certified windowed solve."""
+    return {key: diagnostics[key] for key in ("n_in_window", "residual_bound")}
+
+
+def _with_certificate(run, diagnostics):
+    """run plus the certificate of its solve, when the solve was certified
+    (the 1D fiber form; dense and 2D supercell solves carry none)."""
+    if "n_in_window" in diagnostics:
+        run["certificate"] = _certificate(diagnostics)
+    return run
 
 
 def _galerkin_rows(V, W, lat, p, window, rows, results):
@@ -480,7 +590,7 @@ def _galerkin_rows(V, W, lat, p, window, rows, results):
                 "t": t,
                 "eigenvalues": res.eigenvalues,
                 "classes": [r.classification for r in reports],
-                "certificate": _certificate(res),
+                "certificate": _certificate(res.diagnostics),
             }
         )
     return ref
@@ -541,7 +651,8 @@ def run_dislocation(cfg, out_dir, threads):
             for ev in res.eigenvalues:
                 rows.append((kind, t, n_periods, n_c, ev))
             results["runs"].append(
-                {"kind": kind, "t": t, "eigenvalues": res.eigenvalues, "certificate": _certificate(res)}
+                {"kind": kind, "t": t, "eigenvalues": res.eigenvalues,
+                 "certificate": _certificate(res.diagnostics)}
             )
     write_csv(
         os.path.join(out_dir, "dislocation.csv"),
@@ -617,7 +728,7 @@ def run_augment(cfg, out_dir, threads):
                     "eigenvalues": res.eigenvalues,
                     "interior": res.interior(),
                     "n_aug": aug.n_aug,
-                    "certificate": _certificate(res),
+                    "certificate": _certificate(res.diagnostics),
                 }
             )
     a2 = augment.a2_estimate(V, first_mesh, J=J, M_q=M_q, projector=P)

@@ -1,7 +1,7 @@
 """Hermitian eigenvalue solves with validated inputs and checked outputs.
 
-Two pencil types go through the same entry points, solve_window and
-solve_lowest, which dispatch on the type:
+Three operator types go through the same entry point solve_window, which
+dispatches on the type (solve_lowest takes the first two):
 
 - SymmetricPencil: dense Hermitian (A, B); a real A takes the real
   symmetric drivers.  Bloch fibers are complex (a quasimomentum q != 0
@@ -20,25 +20,35 @@ solve_lowest, which dispatch on the type:
   densified.  The number of eigenvalues in a window is counted exactly by
   Sylvester inertia: the LDL^T pivots of the tridiagonal block plus, with a
   border, the inertia of the k x k Schur complement (Haynsworth additivity;
-  Parlett, The Symmetric Eigenvalue Problem).  The eigenpairs come from
-  shift-invert Lanczos at the window centre on one sparse LU factorization,
-  and the count certifies them: a solve that cannot return exactly that
-  many eigenvalues raises NotConverged.
+  Parlett, The Symmetric Eigenvalue Problem).  Shifts are inverted by one
+  sparse LU factorization each.
+- DiagonalLowRank: diag(e) - Y diag(sign) Yᴴ with Y of rank k, the form of a
+  1D supercell in its Bloch fiber eigenbasis.  Haynsworth inertia of a
+  k x k matrix counts its eigenvalues below a shift, Woodbury inverts the
+  shift in O(nk) per vector, and its count is certified against the
+  distance tol to the operator it stands for (ResolutionError otherwise).
+
+The last two share one certified shift-invert Lanczos: the window is
+sliced by inertia counts where values hug its ends, each piece is solved by
+a Lanczos run at its centre with one full reorthogonalization per step,
+and a Rayleigh-Ritz step polishes the values.  The count certifies them: a
+solve that cannot return exactly that many eigenvalues raises NotConverged.
 
 Every solve returns ascending eigenvalues and, on request, B-orthonormal
-eigenvectors with a residual bound; TridiagonalPencil solves always carry
-their residual bound and inertia count.
+eigenvectors with a residual bound; structured solves always carry their
+residual bound, inertia count and Lanczos steps.
 
 scipy is imported inside the functions that use it (the generalized dense
-solve and everything TridiagonalPencil does), never at module level: a Bloch
-sweep needs only numpy, and importing scipy.linalg (which loads its own copy
-of numpy's namespace) takes longer than a whole 1D gap sweep, so a process
-that only locates a gap would spend most of its time importing.
+solve and TridiagonalPencil's factorizations), never at module level: a
+Bloch sweep and a DiagonalLowRank solve need only numpy, and importing
+scipy.linalg (which loads its own copy of numpy's namespace) takes longer
+than a whole 1D gap sweep, so a process that only locates a gap would spend
+most of its time importing.
 """
 
 import numpy as np
 
-from gapeig.errors import InvalidMatrix, NotConverged, PencilNotDefinite
+from gapeig.errors import InvalidMatrix, NotConverged, PencilNotDefinite, ResolutionError
 
 SYMMETRY_TOL = 1e-12
 # Lanczos: a Ritz pair counts as converged when its residual estimate is
@@ -47,6 +57,10 @@ LANCZOS_TOL = 1e-13
 MAX_KRYLOV = 1000
 CHECK_EVERY = 8
 LANCZOS_SEED = 0
+# windowed solves take the end slices of END_SLICE times the width apart
+# when they hold eigenvalues, at most MAX_SLICE_DEPTH levels deep
+END_SLICE = 1.0 / 32
+MAX_SLICE_DEPTH = 12
 
 
 def _max_abs(x):
@@ -214,6 +228,32 @@ class TridiagonalPencil:
         self.A_sparse = _assemble(self.a, self.a_off, self.A_border)
         self.M_sparse = _assemble(self.m, self.m_off, self.M_border)
 
+    dtype = float
+
+    @property
+    def mass(self):
+        return self.M_sparse
+
+    def apply(self, X):
+        return self.A_sparse @ X
+
+    def shift_inverse(self, sigma):
+        """Solver of (A - sigma M) x = y from one sparse LU factorization.
+
+        Natural order keeps the border last, and threshold pivoting keeps
+        the factors inside the arrow pattern (full partial pivoting can swap
+        border rows up and fill in O(n^2) entries).  LinAlgError when the
+        factor is exactly singular.
+        """
+        import scipy.sparse.linalg as spla
+
+        try:
+            lu = spla.splu(self.A_sparse - sigma * self.M_sparse, permc_spec="NATURAL",
+                           diag_pivot_thresh=0.1)
+        except RuntimeError:
+            raise np.linalg.LinAlgError("A - sigma M is exactly singular") from None
+        return lu.solve
+
     def negative_count(self, s, zero_negative=False):
         """Number of negative eigenvalues of A - s M, i.e. of eigenvalues below s.
 
@@ -258,22 +298,126 @@ class TridiagonalPencil:
         return self.negative_count(hi) - self.negative_count(lo, zero_negative=True)
 
 
+class DiagonalLowRank:
+    """Hermitian H = diag(e) - Y diag(sign) Yᴴ: a real diagonal plus a
+    rank-k term with signature sign (entries +1 or -1), Y of shape (n, k).
+
+    A supercell in its Bloch fiber eigenbasis has this form (e the fiber
+    eigenvalues, Y the compressed perturbation).  Nothing n x n is formed.
+    With D = diag(e) - s, the bordered matrix [[D, Y], [Yᴴ, diag(sign)]] has
+    the Schur complements H - s and C(s) = diag(sign) - Yᴴ D⁻¹ Y, so
+    Haynsworth inertia additivity (Parlett, The Symmetric Eigenvalue
+    Problem) counts the eigenvalues below s as
+
+        nu(H - s) = nu(D) + nu(C(s)) - #{sign = -1}
+
+    in O(n k^2), and Woodbury applies (H - s)⁻¹ = D⁻¹ + D⁻¹ Y C(s)⁻¹ Yᴴ D⁻¹
+    in O(n k) once C(s) is factored.
+
+    tol bounds the distance in norm from H to the operator it stands for
+    (the part of a perturbation a compression dropped, plus roundoff):
+    count certifies its window for every operator that close, and raises
+    ResolutionError when it cannot.
+    """
+
+    mass = None
+
+    def __init__(self, e, Y, sign, tol=0.0):
+        self.e = _real_array(e, "diagonal", np.shape(e))
+        if self.e.ndim != 1:
+            raise InvalidMatrix("diagonal must be a vector")
+        self.Y = np.asarray(Y)
+        if self.Y.ndim != 2 or self.Y.shape[0] != len(self.e):
+            raise InvalidMatrix("Y must have shape (%d, k), got %s" % (len(self.e), self.Y.shape))
+        if not np.all(np.isfinite(self.Y)):
+            raise InvalidMatrix("Y contains non-finite entries")
+        self.sign = _real_array(sign, "signature", (self.Y.shape[1],))
+        if not np.all(np.abs(self.sign) == 1.0):
+            raise InvalidMatrix("signature entries must be +1 or -1")
+        if not tol >= 0.0:
+            raise ValueError("tol must be nonnegative")
+        self.tol = float(tol)
+        self.n, self.k = self.Y.shape
+        self.dtype = np.result_type(self.Y.dtype, float)
+        self._Yh = self.Y.conj().T
+        self._n_minus = int(np.count_nonzero(self.sign < 0))
+
+    def _schur(self, d):
+        """C(s) = diag(sign) - Yᴴ D⁻¹ Y for D = diag(d)."""
+        return np.diag(self.sign) - (self._Yh / d) @ self.Y
+
+    def negative_count(self, s):
+        """Number of eigenvalues below s, by Haynsworth inertia."""
+        d = self.e - s
+        if not np.all(d):
+            # D is exactly singular at s, so C(s) does not exist: count just below s
+            return self.negative_count(s - 2.0**-40 * max(1.0, abs(s)))
+        neg = int(np.count_nonzero(d < 0.0))
+        if self.k:
+            c = np.linalg.eigvalsh(self._schur(d))
+            neg += int(np.count_nonzero(c < 0.0)) - self._n_minus
+        return neg
+
+    def count(self, lo, hi):
+        """Number of eigenvalues in (lo, hi) of every operator within tol of H.
+
+        The counts at each end ± tol must agree (no eigenvalue of H within
+        tol of an end, so none can cross it); ResolutionError otherwise.
+        """
+        below = []
+        for end in (lo, hi):
+            left, right = self.negative_count(end - self.tol), self.negative_count(end + self.tol)
+            if left != right:
+                raise ResolutionError(
+                    "%d eigenvalue(s) within %.3e of the window end %.17g: the count "
+                    "is not certified" % (right - left, self.tol, end)
+                )
+            below.append(left)
+        return below[1] - below[0]
+
+    def apply(self, X):
+        """H X for a block of columns X."""
+        return self.e[:, None] * X - self.Y @ (self.sign[:, None] * (self._Yh @ X))
+
+    def shift_inverse(self, sigma):
+        """Solver of (H - sigma) x = y by Woodbury, O(n k) per vector after
+        one eigendecomposition of C(sigma); LinAlgError when H - sigma or D
+        is exactly singular."""
+        d = self.e - sigma
+        if not np.all(d):
+            raise np.linalg.LinAlgError("a diagonal entry equals the shift")
+        if not self.k:
+            return lambda y: y / d
+        c, P = np.linalg.eigh(self._schur(d))
+        if not np.all(c):
+            raise np.linalg.LinAlgError("H - sigma is exactly singular")
+        Z = (self.Y / d[:, None]) @ P
+        Zh = Z.conj().T
+
+        def solve(y):
+            return y / d + Z @ ((Zh @ y) / c)
+
+        return solve
+
+
 class EigResult:
     """Eigenvalues in ascending order plus optional eigenvectors and diagnostics.
 
     residual_bound is max_j ||A v_j - lambda_j B v_j||_2 and orthonormality
     is ||V^H B V - I||_max; dense value-only solves leave both None.  count
-    is the inertia count that certifies a TridiagonalPencil solve (None for
-    dense solves).
+    is the inertia count that certifies a structured solve and
+    lanczos_steps the Lanczos steps it took over all window slices (both
+    None for dense solves).
     """
 
     def __init__(self, eigenvalues, eigenvectors=None, residual_bound=None, orthonormality=None,
-                 count=None):
+                 count=None, lanczos_steps=None):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenvectors = eigenvectors
         self.residual_bound = residual_bound
         self.orthonormality = orthonormality
         self.count = count
+        self.lanczos_steps = lanczos_steps
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -331,63 +475,62 @@ def solve_pencil(pencil, with_vectors=True):
     return _solve_dense(pencil, with_vectors)
 
 
-def _lanczos(pencil, lo, hi, count):
-    """Shift-invert Lanczos at the centre of (lo, hi) until count Ritz pairs
-    with values inside have converged.
+def _lanczos(op, lo, hi, count):
+    """One shift-invert Lanczos run at the centre sigma of (lo, hi).
 
     OP = (A - sigma M)^{-1} M is self-adjoint in the M inner product, so the
     Lanczos basis is kept M-orthonormal with one full reorthogonalization
     per step.  The start vector comes from a fixed seed, so the result is
-    deterministic.  Returns the count converged Ritz vectors nearest sigma,
-    as columns.
+    deterministic.  Returns the count converged Ritz vectors nearest sigma
+    with values inside, as columns, or None when fewer have converged once
+    the basis is full; and the number of steps taken.
     """
-    import scipy.linalg as sla
-    import scipy.sparse.linalg as spla
-
-    n = pencil.n
-    M = pencil.M_sparse
+    n = op.n
+    M = op.mass
     sigma = 0.5 * (lo + hi)
-    # natural order keeps the border last, and threshold pivoting keeps the
-    # factors inside the arrow pattern (full partial pivoting can swap border
-    # rows up and fill in O(n^2) entries)
-    factor = lambda s: spla.splu(pencil.A_sparse - s * M, permc_spec="NATURAL", diag_pivot_thresh=0.1)
     try:
-        lu = factor(sigma)
-    except RuntimeError:
-        # sigma is an eigenvalue (exactly singular factor): move it off
+        solve = op.shift_inverse(sigma)
+    except np.linalg.LinAlgError:
+        # sigma is an eigenvalue (exactly singular shift): move it off
         sigma += 1e-6 * (hi - lo)
-        lu = factor(sigma)
+        solve = op.shift_inverse(sigma)
     m_max = min(n, MAX_KRYLOV)
-    Q = np.empty((m_max, n))
-    MQ = np.empty((m_max, n))
+    Q = np.empty((m_max, n), dtype=op.dtype)
+    MQ = Q if M is None else np.empty((m_max, n), dtype=op.dtype)
     alpha = np.zeros(m_max)
     beta = np.zeros(m_max)
     rng = np.random.default_rng(LANCZOS_SEED)
 
+    def project_out(v, j):
+        # v minus its M-orthogonal projection on the first j basis vectors;
+        # the coefficients MQ^H v are formed with conjugated vectors only
+        return v - Q[:j].T @ (MQ[:j] @ v.conj()).conj()
+
     def start(j):
-        v = rng.standard_normal(n)
+        v = rng.standard_normal(n).astype(op.dtype)
         for _ in range(2):
-            v -= Q[:j].T @ (MQ[:j] @ v)
-        Mv = M @ v
-        nrm = np.sqrt(v @ Mv)
+            v = project_out(v, j)
+        Mv = v if M is None else M @ v
+        nrm = np.sqrt(np.vdot(v, Mv).real)
         return v / nrm, Mv / nrm
 
     q, Mq = start(0)
     check_at = count
     for j in range(m_max):
         Q[j], MQ[j] = q, Mq
-        w = lu.solve(Mq)
+        w = solve(Mq)
         if j:
             w -= beta[j - 1] * Q[j - 1]
-        alpha[j] = Mq @ w
+        alpha[j] = np.vdot(Mq, w).real
         w -= alpha[j] * q
-        w -= Q[: j + 1].T @ (MQ[: j + 1] @ w)
-        Mw = M @ w
-        beta[j] = np.sqrt(max(float(w @ Mw), 0.0))
+        w = project_out(w, j + 1)
+        Mw = w if M is None else M @ w
+        beta[j] = np.sqrt(max(np.vdot(w, Mw).real, 0.0))
         m = j + 1
         if m >= check_at or m == m_max:
             check_at = m + CHECK_EVERY
-            theta, S = sla.eigh_tridiagonal(alpha[:m], beta[: m - 1])
+            T = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+            theta, S = np.linalg.eigh(T)
             with np.errstate(divide="ignore"):
                 lam = sigma + 1.0 / theta
             good = (lam > lo) & (lam < hi) & (np.abs(beta[j] * S[-1]) <= LANCZOS_TOL * np.abs(theta))
@@ -401,47 +544,91 @@ def _lanczos(pencil, lo, hi, count):
             q, Mq = w / beta[j], Mw / beta[j]
     found = np.flatnonzero(good)
     if len(found) < count:
-        raise NotConverged(
-            "shift-invert Lanczos found %d of %d certified eigenvalues in %d steps"
-            % (len(found), count, m)
-        )
+        return None, m
     pick = found[np.argsort(-np.abs(theta[found]), kind="stable")[:count]]
-    return (S[:, pick].T @ Q[:m]).T
+    return (S[:, pick].T @ Q[:m]).T, m
 
 
-def _solve_structured(pencil, lo, hi, count, with_vectors):
-    """Eigenpairs of a TridiagonalPencil in (lo, hi), given the exact count there."""
+def _window_vectors(op, lo, hi, count):
+    """Ritz vectors of the count eigenvalues in (lo, hi), as columns, and
+    the Lanczos steps spent on them.
+
+    A value hugging a window end converges slowly from the window centre,
+    next to the values just outside that end.  So the window is sliced by
+    counts first: when op.negative_count finds values in an end slice of
+    END_SLICE times the width, that slice and the rest are solved apart,
+    each by the same rule, down to MAX_SLICE_DEPTH levels.  Every piece
+    is then solved by one Lanczos run at its centre; NotConverged when a
+    run cannot return the piece's count.
+    """
+    below_hi = op.negative_count(hi)
+    pending = [(lo, hi, below_hi - count, below_hi, 0)]
+    blocks = []
+    steps = 0
+    while pending:
+        a, b, below_a, below_b, depth = pending.pop()
+        if below_b <= below_a:
+            continue
+        t = END_SLICE * (b - a)
+        if depth < MAX_SLICE_DEPTH and a < a + t < b - t < b:
+            below_at, below_bt = op.negative_count(a + t), op.negative_count(b - t)
+            if below_at > below_a or below_bt < below_b:
+                pending += [(a, a + t, below_a, below_at, depth + 1),
+                            (a + t, b - t, below_at, below_bt, depth + 1),
+                            (b - t, b, below_bt, below_b, depth + 1)]
+                continue
+        X, m = _lanczos(op, a, b, below_b - below_a)
+        steps += m
+        if X is None:
+            raise NotConverged(
+                "shift-invert Lanczos found fewer than the %d certified eigenvalues in "
+                "(%.17g, %.17g) in %d steps" % (below_b - below_a, a, b, m)
+            )
+        blocks.append(X)
+    return np.column_stack(blocks), steps
+
+
+def _solve_structured(op, lo, hi, count, with_vectors):
+    """Eigenpairs of a structured operator in (lo, hi), given the exact count there.
+
+    op is a TridiagonalPencil or a DiagonalLowRank: it provides n, dtype,
+    mass (M, or None for the identity), apply (A X), shift_inverse and
+    negative_count.
+    """
     if count == 0:
-        return EigResult(np.zeros(0), np.zeros((pencil.n, 0)) if with_vectors else None, 0.0, 0.0, 0)
-    import scipy.linalg as sla
-
-    X = _lanczos(pencil, lo, hi, count)
+        V = np.zeros((op.n, 0), dtype=op.dtype) if with_vectors else None
+        return EigResult(np.zeros(0), V, 0.0, 0.0, 0, 0)
+    X, steps = _window_vectors(op, lo, hi, count)
     # Rayleigh-Ritz on the converged vectors polishes the values and makes
-    # the vectors exactly M-orthonormal
-    AX = pencil.A_sparse @ X
-    MX = pencil.M_sparse @ X
-    Hs = X.T @ AX
-    Ms = X.T @ MX
-    w, Y = sla.eigh(0.5 * (Hs + Hs.T), 0.5 * (Ms + Ms.T))
+    # the vectors exactly M-orthonormal (vectors from different slices are
+    # orthogonal only to the accuracy of their convergence)
+    AX = op.apply(X)
+    MX = X if op.mass is None else op.mass @ X
+    Hs = X.conj().T @ AX
+    Ms = X.conj().T @ MX
+    Li = np.linalg.inv(np.linalg.cholesky(0.5 * (Ms + Ms.conj().T)))
+    R = Li @ Hs @ Li.conj().T
+    w, Z = np.linalg.eigh(0.5 * (R + R.conj().T))
     if not np.all((w > lo) & (w < hi)):
         raise NotConverged(
             "%d eigenvalues certified in (%.17g, %.17g) but the solve returned %s"
             % (count, lo, hi, np.array2string(w, precision=17))
         )
+    Y = Li.conj().T @ Z
     V = X @ Y
     MV = MX @ Y
     resid = float(np.max(np.linalg.norm(AX @ Y - MV * w[None, :], axis=0)))
-    ortho = float(np.max(np.abs(V.T @ MV - np.eye(count))))
-    return EigResult(w, V if with_vectors else None, resid, ortho, count)
+    ortho = float(np.max(np.abs(V.conj().T @ MV - np.eye(count))))
+    return EigResult(w, V if with_vectors else None, resid, ortho, count, steps)
 
 
 def solve_window(pencil, lo, hi, with_vectors=True):
     """Eigenpairs with eigenvalues inside the open interval (lo, hi)."""
     if not (lo < hi):
         raise ValueError("window requires lo < hi")
-    if isinstance(pencil, TridiagonalPencil):
-        return _solve_structured(pencil, lo, hi, pencil.count(lo, hi), with_vectors)
-    return _solve_dense(pencil, with_vectors, by_value=(lo, hi))
+    if isinstance(pencil, SymmetricPencil):
+        return _solve_dense(pencil, with_vectors, by_value=(lo, hi))
+    return _solve_structured(pencil, lo, hi, pencil.count(lo, hi), with_vectors)
 
 
 def _lowest_window(pencil, k):
@@ -476,5 +663,6 @@ def solve_lowest(pencil, k, with_vectors=True):
         count = pencil.count(lo, hi)
         res = _solve_structured(pencil, lo, hi, count, True)
         V = res.eigenvectors[:, :k] if with_vectors else None
-        return EigResult(res.eigenvalues[:k], V, res.residual_bound, res.orthonormality, count)
+        return EigResult(res.eigenvalues[:k], V, res.residual_bound, res.orthonormality, count,
+                         res.lanczos_steps)
     return _solve_dense(pencil, with_vectors, by_index=(0, k - 1))

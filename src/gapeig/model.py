@@ -91,33 +91,12 @@ class PeriodicPotential:
             coeffs[mneg] = coeffs.get(mneg, 0.0) + np.conj(cplus)
         return coeffs
 
-    def sup_bound(self):
-        """Upper bound on sup |V| (sum of term amplitudes)."""
-        return sum(abs(t[0]) for t in self.terms)
-
-
-def _axis_factor_max(shift, power, center, sigma):
-    """Exact max over u of |u + shift|^power * exp(-(u - center)^2 / sigma^2)."""
-    if power == 0:
-        return 1.0
-    # stationary points solve u^2 + (shift - center) u - (shift*center + p*sigma^2/2) = 0;
-    # the discriminant (shift + center)^2 + 2 p sigma^2 is always positive
-    bq = shift - center
-    cq = -(shift * center + 0.5 * power * sigma * sigma)
-    disc = bq * bq - 4.0 * cq
-    best = 0.0
-    for u in (0.5 * (-bq + np.sqrt(disc)), 0.5 * (-bq - np.sqrt(disc))):
-        val = abs(u + shift) ** power * np.exp(-((u - center) ** 2) / sigma**2)
-        best = max(best, val)
-    return best
-
 
 class Perturbation:
     """Localized perturbation W(x) = sum_k c_k prod_i (x_i + s_i)^{p_i} e^{-|x - x0|^2/sigma^2}.
 
     Terms are dicts with keys coefficient, factors (list of (shift, power) per
-    axis), center, sigma.  W is bounded and Gaussian-decaying; sup_norm_bound
-    gives a finite bound computed per term from the exact per-axis maxima.
+    axis), center, sigma.
     """
 
     def __init__(self, lattice, terms):
@@ -158,16 +137,6 @@ class Perturbation:
             out = out + coeff * poly * np.exp(-r2 / sigma**2)
         return out
 
-    def sup_norm_bound(self):
-        """Finite upper bound on sup |W|."""
-        total = 0.0
-        for coeff, factors, center, sigma in self.terms:
-            prod = 1.0
-            for (s, p), z in zip(factors, center):
-                prod *= _axis_factor_max(s, p, z, sigma)
-            total += abs(coeff) * prod
-        return total
-
 
 class SupercellCoefficients:
     """Fourier coefficients of a function periodized over the cell (-span/2, span/2]^d.
@@ -190,6 +159,12 @@ class SupercellCoefficients:
         return complex(self.data[idx])
 
 
+def cell_points(span, grid):
+    """The grid sample points along one axis of the cell centered at the
+    origin: x_p = -span/2 + p * span/grid, p = 0 .. grid-1."""
+    return -0.5 * span + span * np.arange(grid) / grid
+
+
 def fourier_sample(func, d, span, grid):
     """FFT Fourier coefficients of func periodized over a cube of side span.
 
@@ -198,7 +173,7 @@ def fourier_sample(func, d, span, grid):
     edge_ratio is the largest Nyquist-shell magnitude relative to the overall
     maximum (an aliasing estimate).
     """
-    pts = [(-0.5 * span + span * np.arange(grid) / grid) for _ in range(d)]
+    pts = [cell_points(span, grid)] * d
     if d == 1:
         vals = np.asarray(func(pts[0]), dtype=float)
     else:

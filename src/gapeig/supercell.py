@@ -7,20 +7,36 @@ periodized by FFT sampling.  This discretization is pollution-free: gap
 eigenvalues converge to the defect eigenvalues as L grows, with no spurious
 values, which makes it the reference the FEM diagnostics compare against.
 
-Small problems are solved densely; the large 2D case uses a matrix-free
-FFT matvec with shift-invert Lanczos (same operator, iterative solver).
+A 1D supercell is solved in its fiber form (assemble_fiber_form), which
+never forms an n x n matrix.  V couples mode m only to the modes m + L p,
+so the periodic part splits into L Bloch fibers, one per coset m mod L,
+eigendecomposed by one batched eigh.  W is sampled on the FFT grid, where
+its part of H is F diag(w) Fᴴ; on the grid points where W is not
+negligible that factor has a real Gram matrix (a Dirichlet kernel), whose
+eigendecomposition compresses W to rank k (63 for the benchmark W at every
+L, against n = 32L + 1 planewaves).  In the fiber eigenbasis H is then
+diag(e) - Y diag(sign) Yᴴ, an eigcore.DiagonalLowRank: the window is counted
+exactly by Haynsworth inertia, certified against the dropped part of W,
+and its values come from eigcore's shift-invert Lanczos with an O(nk)
+Woodbury inverse.  This path needs numpy alone.
+
+2D supercells are solved densely when small and with a matrix-free FFT
+matvec and shift-invert Lanczos (MINRES inner solves through scipy, loaded
+on first use as supercell.spla) when large.
 
 V and W are real, so H commutes with complex conjugation, which maps the
 planewave of mode m to that of mode -m.  The wavevector lists are centrally
 symmetric in lexicographic order, so index i and index n-1-i are the modes m
 and -m, and with K the reversal permutation U = (I + iK)/sqrt(2) turns the
 complex Hermitian H into the real symmetric Uᴴ H U with the same spectrum.
-Dense solves go through that real form (solve_real_form): LAPACK works on a
-real matrix of half the bytes instead of a complex one.
+Dense solves (method "dense", the 2D route at small sizes and the mismatched
+cell) go through that real form (solve_real_form): LAPACK works on a real
+matrix of half the bytes instead of a complex one.
 """
 
+import sys
+
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from gapeig import eigcore, model
 from gapeig.errors import BasisTooLarge, InvalidMatrix, NotConverged
@@ -28,6 +44,27 @@ from gapeig.errors import BasisTooLarge, InvalidMatrix, NotConverged
 MAX_PLANEWAVES = 20000
 DEFAULT_EDGE_GUARD = 0.004
 DENSE_LIMIT = 4200
+# 1D fiber form: W's grid points with |w| <= SUPPORT_TOL max|w| and its
+# components with s^2 <= RANK_TOL max s^2 are dropped; ROUNDOFF * ||H||
+# is the allowance for roundoff in the window count's certification
+SUPPORT_TOL = 1e-13
+RANK_TOL = 1e-13
+ROUNDOFF = 64 * np.finfo(float).eps
+
+
+def __getattr__(name):
+    """supercell.spla, scipy.sparse.linalg, is imported on first use (PEP 562).
+
+    Only the matrix-free 2D path needs it, so a 1D supercell runs on numpy
+    alone.  _iterative_window_2d reads it as a module attribute, so an
+    assignment to supercell.spla (a test's or a tracer's) takes effect.
+    """
+    if name != "spla":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    import scipy.sparse.linalg
+
+    globals()["spla"] = scipy.sparse.linalg
+    return scipy.sparse.linalg
 
 
 def hausdorff(a, b):
@@ -44,21 +81,6 @@ def hausdorff(a, b):
     d1 = np.max([np.min(np.abs(b - x)) for x in a])
     d2 = np.max([np.min(np.abs(a - y)) for y in b])
     return float(max(d1, d2))
-
-
-def persistent_values(runs, tol=0.01):
-    """Values from the first run that reappear within tol in every other run."""
-    if not runs:
-        return np.array([])
-    first = np.atleast_1d(np.asarray(runs[0], dtype=float))
-    keep = []
-    for x in first:
-        if all(
-            len(np.atleast_1d(r)) and np.min(np.abs(np.atleast_1d(r) - x)) <= tol
-            for r in runs[1:]
-        ):
-            keep.append(x)
-    return np.array(keep)
 
 
 class SpectrumResult:
@@ -190,6 +212,124 @@ def assemble_supercell(V, W, L, N, grid=None, max_planewaves=MAX_PLANEWAVES):
     return pencil
 
 
+def _fiber_blocks(V, L, N):
+    """Bloch fibers of the periodic part of a 1D supercell, eigendecomposed.
+
+    V couples planewave m only to m + L p, so the modes m = r (mod L) form
+    one block per coset r, the Bloch fiber at quasimomentum 2 pi r/(L b).
+    Listed by ascending m, a coset holds consecutive multiples of L, and V's
+    coefficient at lattice wavevector p sits on its p-th subdiagonal.
+    Blocks of one size (there are at most two sizes) share one batched
+    eigh.  Returns [(rows, e, Q)] per size: rows[b] are the basis rows of
+    block b, e[b] its eigenvalues and Q[b] its eigenvectors.
+    """
+    L, N = int(L), int(N)
+    kscale = 2.0 * np.pi / (L * V.lattice.b)
+    first = -N + (np.arange(L) + N) % L
+    sizes = (N - first) // L + 1
+    coeffs = [(m[0], c) for m, c in V.fourier_coefficients().items() if c != 0]
+    groups = []
+    for size in np.unique(sizes):
+        rows = (first[sizes == size] + N)[:, None] + L * np.arange(size)[None, :]
+        E = np.zeros((len(rows), size, size), dtype=complex)
+        diag = np.arange(size)
+        E[:, diag, diag] = (kscale * (rows - N)) ** 2
+        for p, c in coeffs:
+            i = np.arange(max(0, -p), size - max(0, p))
+            E[:, i + p, i] += c
+        e, Q = np.linalg.eigh(E)
+        groups.append((rows, e, Q))
+    return groups
+
+
+def _dirichlet(j, N, g):
+    """sum_{|m| <= N} e^{2 pi i m j/g} = sin((2N+1) pi j/g) / sin(pi j/g)."""
+    j = np.asarray(j, dtype=float)
+    out = np.full(j.shape, 2.0 * N + 1.0)
+    nz = j != 0
+    out[nz] = np.sin((2 * N + 1) * np.pi * j[nz] / g) / np.sin(np.pi * j[nz] / g)
+    return out
+
+
+def _compress_perturbation(w, N, g):
+    """Low-rank factor of the W part of a 1D supercell.
+
+    With x_p the g grid points of the cell and w_p = W(x_p), the W part of
+    H on the planewaves |m| <= N is F diag(w) Fᴴ, F_mp = e^{-2 pi i m x_p/(Lb)}/sqrt(g)
+    (the table assemble_supercell reads, summed the other way).  Grid points
+    with |w_p| <= SUPPORT_TOL max|w| are dropped.  On each sign's support
+    S, B = F_S diag(sqrt|w_S|) has the real Gram matrix
+    BᴴB = diag(sqrt|w|) D diag(sqrt|w|)/g with D the Dirichlet kernel of
+    p - q, so its eigendecomposition BᴴB = U diag(s^2) Uᴴ gives BBᴴ ~ Z Zᴴ,
+    Z = B U_k, keeping the s^2 above RANK_TOL of the largest; each column
+    of Z is one FFT.  Returns (Z, sign, support, dropped): W ~ -Z diag(sign) Zᴴ,
+    support the number of grid points kept and dropped a bound on the
+    spectral norm of what was left out (F Fᴴ = I, so a dropped point moves
+    W by at most its |w_p|).
+    """
+    ms = np.arange(-N, N + 1)
+    peak = float(np.max(np.abs(w), initial=0.0))
+    kept = np.abs(w) > SUPPORT_TOL * peak
+    dropped = float(np.max(np.abs(w[~kept]), initial=0.0))
+    parts = []
+    for w_sign in (-1.0, 1.0):
+        S = np.flatnonzero(kept & (w_sign * w > 0.0))
+        root = np.sqrt(np.abs(w[S]))
+        G = root[:, None] * _dirichlet(S[:, None] - S[None, :], N, g) * root[None, :] / g
+        s2, U = np.linalg.eigh(G)
+        parts.append((w_sign, S, root, s2, U))
+    top = max((float(s2[-1]) for _, _, _, s2, _ in parts if len(s2)), default=0.0)
+    phase = np.where(ms % 2, -1.0, 1.0) / np.sqrt(g)
+    cols, sign = [], []
+    for w_sign, S, root, s2, U in parts:
+        keep = s2 > RANK_TOL * top
+        dropped += float(np.max(s2[~keep], initial=0.0))
+        full = np.zeros((g, int(np.count_nonzero(keep))))
+        full[S] = root[:, None] * U[:, keep]
+        # F_mp = (-1)^m e^{-2 pi i m p/g}/sqrt(g): the cell starts at -Lb/2
+        cols.append(np.fft.fft(full, axis=0)[ms % g] * phase[:, None])
+        sign += [-w_sign] * full.shape[1]
+    return np.hstack(cols), np.array(sign), int(np.count_nonzero(kept)), dropped
+
+
+def assemble_fiber_form(V, W, L, N):
+    """The 1D supercell operator as Bloch fibers plus a low-rank W:
+    an eigcore.DiagonalLowRank, H ~ diag(e) - Y diag(sign) Yᴴ.
+
+    e are the eigenvalues of the L fibers of the periodic part
+    (_fiber_blocks), and Y = Qᴴ Z is the compressed W
+    (_compress_perturbation) in the fibers' eigenbasis Q.  The operator is
+    unitarily similar to assemble_supercell's H up to the dropped part of
+    W; its tol adds to that bound a roundoff allowance, so its window
+    counts hold for the assembled H.  Nothing n x n is formed.  info holds
+    n_planewaves, grid, edge_ratio, rank_w (the rank k of Y) and
+    support_points (the grid points of W kept).
+    """
+    L, N = int(L), int(N)
+    grid = _coeff_grid(L, N)
+    # the aliasing refusal of the dense assembly, and its edge ratio
+    cw = model.perturbation_supercell_coefficients(W, L, grid=grid)
+    x = model.cell_points(L * V.lattice.b, grid)
+    w = W(x) + np.zeros_like(x)  # a W without terms evaluates to the scalar 0
+    Z, sign, support, dropped = _compress_perturbation(w, N, grid)
+    es, Ys = [], []
+    for rows, e, Q in _fiber_blocks(V, L, N):
+        es.append(e.ravel())
+        Ys.append(np.matmul(Q.conj().transpose(0, 2, 1), Z[rows]).reshape(e.size, Z.shape[1]))
+    e = np.concatenate(es)
+    Y = np.concatenate(Ys)
+    scale = float(np.max(np.abs(e))) + float(np.sum(np.linalg.norm(Y, axis=0) ** 2, initial=0.0))
+    op = eigcore.DiagonalLowRank(e, Y, sign, tol=dropped + ROUNDOFF * scale)
+    op.info = {
+        "n_planewaves": len(e),
+        "grid": grid,
+        "edge_ratio": cw.edge_ratio,
+        "rank_w": Y.shape[1],
+        "support_points": support,
+    }
+    return op
+
+
 def solve_real_form(H, lo, hi):
     """Eigenvalues in (lo, hi) of a planewave supercell matrix H, from its real form.
 
@@ -240,6 +380,7 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
     when the cap is reached uncertified.  The diagnostics report the k that
     certified the window (k_used) and window_complete.
     """
+    spla = sys.modules[__name__].spla
     lat = V.lattice
     b = lat.b
     L = int(L)
@@ -354,16 +495,34 @@ def supercell_spectrum(V, W, L, N, window, method="auto", k=10, max_planewaves=M
     """Gap eigenvalues of the supercell operator inside the window.
 
     method "dense" solves the real form of the assembled matrix with a
-    windowed LAPACK call (solve_real_form);
-    "iterative" (2D only) uses the matrix-free path; "auto" picks by size.
+    windowed LAPACK call (solve_real_form); "iterative" (2D only) uses the
+    matrix-free path.  "auto" takes, in 1D, the fiber form
+    (assemble_fiber_form) with its inertia-certified count and Woodbury
+    shift-invert Lanczos, whose diagnostics carry the certificate
+    n_in_window and residual_bound (a bound on ||H v - lambda v|| for the
+    assembled H) and lanczos_steps; in 2D it picks dense or iterative by
+    size.
     """
     lat = V.lattice
     alpha, beta = _window_pair(window)
     offs = supercell_wavevectors(lat.d, L, N)
     n = len(offs)
     _check_budget(n, max_planewaves)
+    if method == "auto" and lat.d == 1:
+        op = assemble_fiber_form(V, W, L, N)
+        res = eigcore.solve_window(op, alpha, beta, with_vectors=False)
+        diag = dict(op.info)
+        diag.update({
+            "method": "fibers",
+            "L": int(L),
+            "N": int(N),
+            "n_in_window": res.count,
+            "residual_bound": res.residual_bound + op.tol,
+            "lanczos_steps": res.lanczos_steps,
+        })
+        return SpectrumResult((alpha, beta), res.eigenvalues, diag)
     if method == "auto":
-        method = "dense" if n <= DENSE_LIMIT or lat.d == 1 else "iterative"
+        method = "dense" if n <= DENSE_LIMIT else "iterative"
     if method == "dense":
         pencil = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
         res = solve_real_form(pencil.A, alpha, beta)

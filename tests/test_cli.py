@@ -1,6 +1,7 @@
 """End-to-end CLI: config validation, exit codes, outputs, determinism."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,11 +10,15 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapeig import cli
 from gapeig.errors import ConfigError
 
-GOLDEN_1D = os.path.join(os.path.dirname(__file__), "..", "configs", "benchmark1d.json")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+GOLDEN_1D = os.path.join(ROOT, "configs", "benchmark1d.json")
+GOLDEN_2D = os.path.join(ROOT, "configs", "benchmark2d.json")
 
 SMALL_CFG = {
     "lattice": {"d": 1, "b": 6.283185307179586},
@@ -51,6 +56,11 @@ SMALL_CFG = {
         "reference": [-1.0451627964356383, -0.6541194618386763],
     },
 }
+
+
+def read_cfg(path):
+    with open(path) as f:
+        return json.load(f)
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -143,6 +153,12 @@ def test_determinism(tmp_path):
     sa.pop("wall_time_s")
     sb.pop("wall_time_s")
     assert sa == sb
+    # the 1D supercell run carries the certificate of its fiber-form solve
+    (run,) = sa["results"]["runs"]
+    assert run["certificate"]["n_in_window"] == len(run["eigenvalues"]) == 2
+    assert 0 < run["certificate"]["residual_bound"] <= 1e-10
+    for key in ("rank_w", "support_points", "lanczos_steps"):
+        assert sa["diagnostics"][key] > 0
 
 
 def test_determinism_structured_solves(tmp_path):
@@ -295,22 +311,98 @@ def test_console_entry_point(tmp_path):
     assert "NoGap" in proc.stderr
 
 
-def test_gap_loads_no_scipy(tmp_path):
-    # locating the gap needs numpy alone; scipy loads only with the
-    # subcommands that solve P1 pencils or supercells
+def _loaded_after(tmp_path, methods, prefixes):
+    """Modules under the given package names loaded by a fresh process that
+    runs the subcommands on SMALL_CFG."""
     cfg = write_cfg(tmp_path, SMALL_CFG)
     script = (
         "import sys\n"
         "from gapeig import cli\n"
         "cli.build_problem(cli.load_config(sys.argv[1]))\n"
-        "assert cli.main(['gap', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "for method in sys.argv[3:]:\n"
+        "    assert cli.main([method, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in %r))\n" % (prefixes,)
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, cfg, str(tmp_path / "out")], capture_output=True, text=True
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out")] + methods,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_gap_loads_no_scipy(tmp_path):
+    # locating the gap needs numpy alone; scipy loads only with the
+    # subcommands that solve P1 pencils or 2D supercells
+    assert _loaded_after(tmp_path, ["gap"], ("scipy",)) == "[]"
+
+
+def test_supercell_1d_loads_no_scipy(tmp_path):
+    # the 1D supercell solves its fiber form with numpy alone
+    assert _loaded_after(tmp_path, ["gap", "supercell"], ("scipy",)) == "[]"
+
+
+def test_valid_config_loads_no_jsonschema():
+    # jsonschema is imported only to explain a config the checker rejects
+    script = (
+        "import sys\n"
+        "from gapeig import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    cli.load_config(path)\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'jsonschema'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, GOLDEN_1D, GOLDEN_2D], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 25), st.sampled_from([0.0, 1.0, 2.0, -0.5, 2.5, 1e300]),
+    st.text(max_size=3), st.sampled_from(["cos", "sin", "gap.json", "auto", "halfline+", "junction"]),
+    st.lists(st.integers(-2, 3), max_size=3), st.lists(st.floats(-2, 2), max_size=3),
+)
+
+
+def _paths(x, prefix=()):
+    """Every path into a JSON value, the value itself first."""
+    yield prefix
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    cfg = json.loads(json.dumps(draw(st.sampled_from([SMALL_CFG, read_cfg(GOLDEN_1D), read_cfg(GOLDEN_2D)]))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))[1:]))
+        parent = cfg
+        for k in path[:-1]:
+            parent = parent[k]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(_JSON_VALUES)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["sigma", "window", "extra", "L", "phase"]))] = draw(_JSON_VALUES)
+        else:
+            parent.append(draw(_JSON_VALUES))
+    return cfg
+
+
+@given(_mutated_configs())
+@settings(max_examples=300, deadline=None)
+def test_config_checker_implies_jsonschema(cfg):
+    # a config the fast checker accepts is valid for jsonschema, so skipping
+    # jsonschema for it loses nothing
+    try:
+        fast = cli._conforms(cfg, cli.SCHEMA)
+    except cli._Unsupported:
+        fast = False
+    if fast:
+        jsonschema.validate(cfg, cli.SCHEMA)
 
 
 def test_csv_floats_roundtrip(tmp_path):
@@ -324,3 +416,41 @@ def test_csv_floats_roundtrip(tmp_path):
     got = sorted(float(r["eigenvalue"]) for r in rows)
     want = sorted(s["results"]["runs"][0]["eigenvalues"])
     assert got == want  # repr round-trips exactly
+
+
+def _load_layers():
+    """perfbench/layers.py, imported from its file without changing it."""
+    path = os.path.join(ROOT, "perfbench", "layers.py")
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+def test_perfbench_tracer_still_sees_supercell_layers(tmp_path):
+    # the tracer swaps supercell.spla, which is now imported lazily; the 2D
+    # MINRES calls must still go through the swapped namespace, and the
+    # 1D fiber-form solve must stay inside traced layers
+    from gapeig import supercell
+
+    layers = _load_layers()
+    cfg1 = read_cfg(GOLDEN_1D)
+    cfg1["supercell"]["window"] = [-1.1442549263927626, -0.6450826051490102]
+    cfg2 = read_cfg(GOLDEN_2D)
+    cfg2["supercell"] = {"window": [-0.361330513742, -0.005748116668], "L": 2, "ratio": 4,
+                         "method": "iterative"}
+    tracer = layers.Tracer()
+    metrics = []
+    for name, cfg in (("one", cfg1), ("two", cfg2)):
+        run_id = tracer.begin_run()
+        with tracer.install():
+            assert cli.main(["supercell", "--config", write_cfg(tmp_path, cfg, name + ".json"),
+                             "--out", str(tmp_path / name)]) == 0
+        spans = [sp for sp in tracer.spans if sp[5] == run_id]
+        metrics.append(layers.run_metrics(spans, tracer.counters[run_id]))
+    assert metrics[0]["eigcore.solve_window_calls"] == 3
+    assert metrics[1]["supercell.minres_calls"] > 0
+    assert [m["trace.coverage"] >= 0.98 for m in metrics] == [True, True], metrics
+    import scipy.sparse.linalg
+
+    assert supercell.spla is scipy.sparse.linalg

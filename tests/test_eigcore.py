@@ -1,12 +1,13 @@
 """Eigensolver wrappers against a self-contained Jacobi rotation oracle, and the
-inertia-certified tridiagonal pencil against dense LAPACK."""
+inertia-certified tridiagonal pencil and diagonal-plus-low-rank operator
+against dense LAPACK."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from gapeig import eigcore
-from gapeig.errors import InvalidMatrix, PencilNotDefinite
+from gapeig.errors import InvalidMatrix, PencilNotDefinite, ResolutionError
 
 
 def jacobi_eigenvalues(A, sweeps=60, tol=1e-14):
@@ -332,3 +333,56 @@ def test_tridiagonal_rejects_malformed():
     with pytest.raises(InvalidMatrix):
         eigcore.TridiagonalPencil(good, good, (np.zeros((3, 2)), np.ones((2, 2)) + np.eye(2, k=1)),
                                   (np.zeros((3, 2)), np.eye(2)))
+
+
+# --- DiagonalLowRank: Haynsworth counts and Woodbury solves, dense oracle ---
+
+
+def random_low_rank(rng, n, k, signs):
+    e = np.sort(rng.uniform(-3.0, 3.0, n))
+    Y = 0.5 * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    sign = rng.choice(signs, k).astype(float)
+    op = eigcore.DiagonalLowRank(e, Y, sign)
+    return op, np.diag(e) - (Y * sign) @ Y.conj().T
+
+
+@pytest.mark.parametrize("signs", [(1.0,), (-1.0,), (1.0, -1.0)], ids=["neg-w", "pos-w", "mixed"])
+def test_diagonal_low_rank_matches_dense_oracle(signs):
+    rng = np.random.default_rng(31)
+    for n, k in ((40, 3), (90, 8)):
+        op, H = random_low_rank(rng, n, k, signs)
+        full = np.linalg.eigvalsh(H)
+        for s in rng.uniform(full[0] - 1.0, full[-1] + 1.0, 20):
+            assert op.negative_count(s) == np.sum(full < s)
+        lo, hi = np.sort(rng.uniform(-2.0, 2.0, 2))
+        want = full[(full > lo) & (full < hi)]
+        res = eigcore.solve_window(op, lo, hi)
+        assert res.count == len(res) == len(want)
+        assert np.max(np.abs(res.eigenvalues - want), initial=0.0) <= 1e-12
+        assert res.residual_bound <= 1e-11
+        assert np.max(np.abs(H @ res.eigenvectors - res.eigenvectors * res.eigenvalues), initial=0.0) <= 1e-11
+        x = rng.standard_normal(n)
+        assert np.allclose(op.shift_inverse(0.1)(x), np.linalg.solve(H - 0.1 * np.eye(n), x), rtol=1e-10)
+
+
+def test_diagonal_low_rank_count_tolerance():
+    # eigenvalues within tol of a window end leave the count undecided
+    rng = np.random.default_rng(32)
+    op, H = random_low_rank(rng, 30, 4, (1.0, -1.0))
+    full = np.linalg.eigvalsh(H)
+    op.tol = 1e-6
+    lo, hi = full[3] - 0.5e-6, full[20] + 1e-3
+    with pytest.raises(ResolutionError):
+        op.count(lo, hi)
+    assert op.count(full[3] + 2e-6, hi) == 17
+    op.tol = 0.0
+    assert op.count(lo, hi) == 18
+
+
+def test_diagonal_low_rank_rejects_malformed():
+    with pytest.raises(InvalidMatrix):
+        eigcore.DiagonalLowRank(np.ones(3), np.ones((4, 1)), [1.0])
+    with pytest.raises(InvalidMatrix):
+        eigcore.DiagonalLowRank(np.ones(3), np.ones((3, 1)), [0.5])
+    with pytest.raises(InvalidMatrix):
+        eigcore.DiagonalLowRank(np.ones(3), np.full((3, 1), np.nan), [1.0])

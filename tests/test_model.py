@@ -80,31 +80,12 @@ def test_potential_real_from_coefficients(V1d):
     assert np.allclose(tot.real, V1d(x), atol=1e-12)
 
 
-def test_sup_bound(V1d, V2d):
-    x = np.linspace(0, 2 * np.pi, 4001)
-    assert V1d.sup_bound() >= np.max(np.abs(V1d(x))) - 1e-9
-    xx, yy = np.meshgrid(x[::8], x[::8])
-    assert V2d.sup_bound() >= np.max(np.abs(V2d(xx, yy))) - 1e-9
-
-
 def test_perturbation_values(W1d, W2d):
     x = np.array([0.0, 1.5, -2.0])
     assert np.allclose(W1d(x), -((x + 2.0) ** 2) * np.exp(-(x**2)), atol=1e-15)
     y = np.array([0.5, -0.3, 0.25])
     want = -((x + 2.0) ** 2) * (2.0 * y - 1.0) ** 2 * np.exp(-(x**2) - y**2)
     assert np.allclose(W2d(x, y), want, atol=1e-13)
-
-
-@given(st.floats(-30, 30))
-@settings(max_examples=50, deadline=None)
-def test_perturbation_sup_norm_bound(W1d, x):
-    assert abs(W1d(x)) <= W1d.sup_norm_bound() + 1e-12
-
-
-def test_perturbation_sup_norm_bound_2d(W2d):
-    g = np.linspace(-6, 6, 121)
-    xx, yy = np.meshgrid(g, g)
-    assert np.max(np.abs(W2d(xx, yy))) <= W2d.sup_norm_bound() + 1e-12
 
 
 def test_perturbation_validation(lat1d):

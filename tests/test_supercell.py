@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gapeig import model, supercell
-from gapeig.errors import BasisTooLarge, InvalidMatrix, NotConverged
+from gapeig import eigcore, model, supercell
+from gapeig.errors import BasisTooLarge, InvalidMatrix, NotConverged, ResolutionError
 
 # converged 1D gap eigenvalues (L=40, N=640), stable to ~1e-12 under L and N
 # refinement within this package and matching the independent FEM route
@@ -39,15 +39,6 @@ def test_hausdorff_symmetric():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=5), rng.normal(size=8)
     assert supercell.hausdorff(a, b) == supercell.hausdorff(b, a)
-
-
-def test_persistent_values():
-    runs = [[1.0, 2.0, 7.0], [1.004, 2.3, 7.002], [0.998, 7.001]]
-    kept = supercell.persistent_values(runs, tol=0.01)
-    assert np.allclose(kept, [1.0, 7.0])
-    assert len(supercell.persistent_values([], tol=0.01)) == 0
-    # an empty later run kills everything
-    assert len(supercell.persistent_values([[1.0], []], tol=0.01)) == 0
 
 
 def test_spectrum_result_window_and_interior():
@@ -132,11 +123,11 @@ def test_mismatched_seam_state(V1d, empty_w, window1d):
     # with W = 0 the commensurate cell has nothing in the gap, but the
     # incommensurate periodization carries a potential jump at the cell seam
     # that binds a state just below the upper edge; it persists under N
-    runs = []
-    for N in (328, 656):
-        res = supercell.mismatched_supercell_spectrum(V1d, empty_w, 20, 0.5, N, window1d)
-        runs.append(res.eigenvalues)
-    kept = supercell.persistent_values(runs, tol=1e-4)
+    coarse, res = (
+        supercell.mismatched_supercell_spectrum(V1d, empty_w, 20, 0.5, N, window1d) for N in (328, 656)
+    )
+    # the values of the coarse basis that reappear within 1e-4 in the fine one
+    kept = [x for x in coarse.eigenvalues if np.min(np.abs(res.eigenvalues - x), initial=np.inf) <= 1e-4]
     assert len(kept) == 1
     assert kept[0] == pytest.approx(SEAM_VALUE, abs=1e-5)
     # the seam also degrades the coefficient tail by orders of magnitude
@@ -241,8 +232,8 @@ def test_iterative_rejects_1d(V1d, W1d, window1d):
 @pytest.mark.parametrize(
     "case",
     [
-        lambda V, W, V2, W2: supercell.supercell_spectrum(V, W, 10, 160, WIN_1D),
-        lambda V, W, V2, W2: supercell.supercell_spectrum(V, W, 40, 640, WIN_1D),
+        lambda V, W, V2, W2: supercell.supercell_spectrum(V, W, 10, 160, WIN_1D, method="dense"),
+        lambda V, W, V2, W2: supercell.supercell_spectrum(V, W, 40, 640, WIN_1D, method="dense"),
         lambda V, W, V2, W2: supercell.mismatched_supercell_spectrum(V, W, 20, 0.5, 328, WIN_1D),
         lambda V, W, V2, W2: supercell.supercell_spectrum(V2, W2, 2, 18, WIN_2D, method="dense"),
     ],
@@ -313,3 +304,67 @@ def test_convergence_scan_rounds_N(V1d, W1d, ratio, L, N):
     assert int(ratio * L) == N - 1
     (row,) = supercell.convergence_scan(V1d, W1d, [L], ratio, WIN_1D)
     assert row["N"] == N
+
+
+# --- 1D fiber form: Bloch fibers plus a low-rank W, inertia-certified ---
+
+
+@pytest.mark.parametrize("L, count", [(10, 2), (20, 2), (40, 2), (80, 4)])
+def test_fiber_form_matches_dense(V1d, W1d, window1d, L, count):
+    # the count is the dense count and the values the dense ones; at L=80
+    # two values lie within 6e-6 of the window ends, which slicing handles
+    fibers = supercell.supercell_spectrum(V1d, W1d, L, 16 * L, window1d)
+    dense = supercell.supercell_spectrum(V1d, W1d, L, 16 * L, window1d, method="dense")
+    diag = fibers.diagnostics
+    assert diag["method"] == "fibers"
+    assert diag["n_in_window"] == len(fibers) == len(dense) == count
+    assert np.max(np.abs(fibers.eigenvalues - dense.eigenvalues)) <= 1e-13
+    assert diag["residual_bound"] <= 1e-10
+    assert diag["rank_w"] < diag["support_points"] < diag["n_planewaves"] == 32 * L + 1
+    assert diag["lanczos_steps"] > 0
+
+
+def test_fiber_form_mixed_sign_w(V1d, lat1d, window1d):
+    # a W of both signs compresses each sign apart; the signature enters
+    # the count
+    W = model.Perturbation(
+        lat1d,
+        [
+            {"coefficient": -1.0, "factors": [(2.0, 2)], "center": (0.0,), "sigma": 1.0},
+            {"coefficient": 0.6, "factors": [(0.0, 0)], "center": (4.0,), "sigma": 0.7},
+        ],
+    )
+    op = supercell.assemble_fiber_form(V1d, W, 20, 320)
+    assert set(op.sign) == {-1.0, 1.0}
+    fibers = supercell.supercell_spectrum(V1d, W, 20, 320, window1d)
+    dense = supercell.supercell_spectrum(V1d, W, 20, 320, window1d, method="dense")
+    assert fibers.diagnostics["n_in_window"] == len(fibers) == len(dense) > 0
+    assert np.max(np.abs(fibers.eigenvalues - dense.eigenvalues)) <= 1e-13
+
+
+def test_fiber_form_without_w_counts_fiber_values(V1d, empty_w):
+    # with W = 0 the operator is the fibers alone: the count is the number
+    # of fiber eigenvalues in the window, and they are the dense spectrum
+    lo, hi = -1.2, 2.2
+    op = supercell.assemble_fiber_form(V1d, empty_w, 10, 160)
+    assert op.info["rank_w"] == 0 and op.info["support_points"] == 0
+    res = supercell.supercell_spectrum(V1d, empty_w, 10, 160, (lo, hi))
+    assert res.diagnostics["n_in_window"] == np.count_nonzero((op.e > lo) & (op.e < hi)) > 10
+    dense = np.linalg.eigvalsh(supercell.assemble_supercell(V1d, empty_w, 10, 160).A)
+    want = dense[(dense > lo) & (dense < hi)]
+    assert len(res) == len(want)
+    assert np.max(np.abs(res.eigenvalues - want)) <= 1e-12
+
+
+def test_fiber_form_end_on_eigenvalue_raises(V1d, W1d, window1d):
+    # a window end within the compression bound of an eigenvalue leaves the
+    # count undecided
+    value = supercell.supercell_spectrum(V1d, W1d, 10, 160, window1d, method="dense").eigenvalues[0]
+    with pytest.raises(ResolutionError, match="window end"):
+        supercell.supercell_spectrum(V1d, W1d, 10, 160, (value, window1d[1]))
+
+
+def test_fiber_form_krylov_cap_raises(V1d, W1d, window1d, monkeypatch):
+    monkeypatch.setattr(eigcore, "MAX_KRYLOV", 2)
+    with pytest.raises(NotConverged, match="certified"):
+        supercell.supercell_spectrum(V1d, W1d, 10, 160, window1d)
