@@ -15,12 +15,17 @@ geometric sums of unit phases), with an antiperiodic seam since every
 midpoint momentum satisfies e^{i q M_q b} = -1.  Exact orthogonality gives a
 kernel that is symmetric, real, idempotent and of trace M_q*J by
 construction, up to roundoff.
+
+Every form here comes from fem1d's one P1 kernel: the window circle uses
+its antiperiodic seam -1, the periodic fiber (fem_fiber) its quasiperiodic
+seam e^{iqb}, and the domain blocks are the circle forms restricted to the
+Dirichlet nodes.
 """
 
 import numpy as np
 import scipy.linalg as sla
 
-from gapeig import bloch, eigcore
+from gapeig import bloch, eigcore, fem1d
 from gapeig.errors import (
     AugmentationDegenerate,
     NoGap,
@@ -28,12 +33,10 @@ from gapeig.errors import (
     QGridAsymmetric,
     WindowTooSmall,
 )
-from gapeig.fem1d import Mesh1D
 from gapeig.supercell import SpectrumResult, _window_pair
 
 DEFAULT_TAU = 1e-10
 DEFAULT_SIGMA_TOL = 1e-8
-GAUSS_POINTS = 10
 
 
 class FemFiber:
@@ -46,47 +49,17 @@ class FemFiber:
         self.n_c = n_c
 
 
-def _period_forms(lattice, n_c, q, pot):
-    """Quasiperiodic P1 forms on one period [0, b): n_c nodes, wrap phase e^{iqb}."""
-    b = lattice.b
-    h = b / n_c
-    phase = np.exp(1j * q * b)
-    xg, wg = np.polynomial.legendre.leggauss(GAUSS_POINTS)
-    e = np.arange(n_c)
-    a = e * h
-    xq = a[:, None] + 0.5 * h * (xg[None, :] + 1.0)
-    wq = 0.5 * h * wg[None, :]
-    pl = ((a + h)[:, None] - xq) / h
-    pr = (xq - a[:, None]) / h
-    wpv = wq * pot(xq)
-    kll = np.sum(wpv * pl * pl, axis=1)
-    klr = np.sum(wpv * pl * pr, axis=1)
-    krr = np.sum(wpv * pr * pr, axis=1)
-    A = np.zeros((n_c, n_c), dtype=complex)
-    M = np.zeros((n_c, n_c), dtype=complex)
-    left = e
-    right = (e + 1) % n_c
-    for i in range(n_c):
-        l, r = left[i], right[i]
-        f = phase if r != i + 1 else 1.0
-        A[l, l] += 1.0 / h + kll[i]
-        A[r, r] += 1.0 / h + krr[i]
-        A[l, r] += (-1.0 / h + klr[i]) * f
-        A[r, l] += np.conj((-1.0 / h + klr[i]) * f)
-        M[l, l] += h / 3.0
-        M[r, r] += h / 3.0
-        M[l, r] += (h / 6.0) * f
-        M[r, l] += np.conj((h / 6.0) * f)
-    return A, M
-
-
 def fem_fiber(V, q, n_c, J):
     """Solve the lowest J bands of the periodic FEM fiber at q.
 
     Eigenvectors are mass-orthonormal, so each band function carries unit
     mass per period.
     """
-    A, M = _period_forms(V.lattice, n_c, q, V)
+    b = V.lattice.b
+    h = b / n_c
+    a = np.arange(n_c) * h
+    forms = fem1d.p1_forms(n_c, h, np.exp(1j * q * b), fem1d.element_integrals(a, a + h, h, V))
+    A, M = (fem1d.dense_form(f) for f in forms)
     pencil = eigcore.SymmetricPencil(A, M)
     res = eigcore.solve_lowest(pencil, J, with_vectors=True)
     return FemFiber(q, res.eigenvalues, res.eigenvectors, n_c)
@@ -101,48 +74,6 @@ def _planewave_cell_vectors(V, q, n_c, J, M_pw):
     # psi(x) = e^{iqx} sum_G c_G e^{i 2 pi m x / b} / sqrt(b)
     phases = np.exp(1j * np.outer(x, q + lat.reciprocal * offs)) / np.sqrt(lat.b)
     return res.eigenvalues, phases @ res.eigenvectors
-
-
-def _circle_forms(n_win, half_index, h, pot):
-    """Antiperiodic P1 forms on the window circle of n_win nodes.
-
-    Node i sits at (i - half_index)*h; element n_win-1 wraps back to node 0
-    with a sign flip (antiperiodic seam).  Returns (d, o, s) per form: the
-    diagonal, the first offdiagonal, and the seam entry coupling nodes
-    n_win-1 and 0.
-    """
-    xg, wg = np.polynomial.legendre.leggauss(GAUSS_POINTS)
-    a = (np.arange(n_win) - half_index) * h
-    xq = a[:, None] + 0.5 * h * (xg[None, :] + 1.0)
-    wq = 0.5 * h * wg[None, :]
-    pl = ((a + h)[:, None] - xq) / h
-    pr = (xq - a[:, None]) / h
-    wpv = wq * pot(xq)
-    kll = np.sum(wpv * pl * pl, axis=1)
-    klr = np.sum(wpv * pl * pr, axis=1)
-    krr = np.sum(wpv * pr * pr, axis=1)
-    dA = np.zeros(n_win)
-    dA += 1.0 / h + kll
-    dA += np.roll(1.0 / h + krr, 1)
-    oA = (-1.0 / h + klr)[:-1]
-    sA = -(-1.0 / h + klr[-1])
-    dM = np.full(n_win, 2.0 * h / 3.0)
-    oM = np.full(n_win - 1, h / 6.0)
-    sM = -h / 6.0
-    return (dA, oA, sA), (dM, oM, sM)
-
-
-def _apply_form(form, X):
-    """Multiply a circle-tridiagonal form (d, o, s) into columns of X."""
-    d, o, s = form
-    if X.ndim == 1:
-        return _apply_form(form, X[:, None])[:, 0]
-    Y = d[:, None] * X
-    Y[:-1] += o[:, None] * X[1:]
-    Y[1:] += o[:, None] * X[:-1]
-    Y[-1] += s * X[0]
-    Y[0] += s * X[-1]
-    return Y
 
 
 class ProjectorKernel:
@@ -165,15 +96,23 @@ class ProjectorKernel:
         self.U = U
         self.band_window = band_window
         self.tau = tau
-        self.mass_form = (
-            np.full(self.n_win, 2.0 * self.h / 3.0),
-            np.full(self.n_win - 1, self.h / 6.0),
-            -self.h / 6.0,
-        )
+        self.mass_form = self.forms()[1]
         self.diagnostics = {}
 
+    def forms(self, pot=None):
+        """P1 forms (A, M) on the window circle, A = stiffness + pot.
+
+        Node i sits at (i - half_index)*h; the last element wraps back to
+        node 0 through the antiperiodic seam.
+        """
+        integrals = None
+        if pot is not None:
+            a = (np.arange(self.n_win) - self.half_index) * self.h
+            integrals = fem1d.element_integrals(a, a + self.h, self.h, pot)
+        return fem1d.p1_forms(self.n_win, self.h, -1.0, integrals)
+
     def apply_mass(self, X):
-        return _apply_form(self.mass_form, X)
+        return fem1d.apply_form(self.mass_form, X)
 
     def project(self, x):
         """Apply P = U U^T M to window coefficients."""
@@ -242,18 +181,13 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
         raise ValueError("projector augmentation is 1D")
     if M_q % 2 or M_q < 4:
         raise QGridAsymmetric("M_q must be an even integer >= 4 for a +-q symmetric grid")
-    k0 = lat.reciprocal
-    qs = k0 * (np.arange(M_q // 2) + 0.5) / M_q
+    qs = bloch.midpoint_grid(lat, M_q)[M_q // 2:]
     n_win = M_q * n_c
     cols = []
     lo_next = np.inf
     hi_band = -np.inf
     cell_phases = np.exp(1j * np.outer(qs, lat.b * (np.arange(M_q) - M_q // 2)))
-    mass = (
-        np.full(n_win, 2.0 * lat.b / n_c / 3.0),
-        np.full(n_win - 1, lat.b / n_c / 6.0),
-        -lat.b / n_c / 6.0,
-    )
+    mass = fem1d.p1_forms(n_win, lat.b / n_c, -1.0)[1]
     for i, q in enumerate(qs):
         if source == "fem":
             fib = fem_fiber(V, q, n_c, J + 1)
@@ -274,8 +208,8 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
             if source == "planewave":
                 # sampled exact Bloch functions are exactly orthogonal across
                 # the frame but not exactly unit mass; fix the norms
-                re = re / np.sqrt(float(re @ _apply_form(mass, re[:, None])[:, 0]))
-                im = im / np.sqrt(float(im @ _apply_form(mass, im[:, None])[:, 0]))
+                re = re / np.sqrt(float(re @ fem1d.apply_form(mass, re)))
+                im = im / np.sqrt(float(im @ fem1d.apply_form(mass, im)))
             cols.append(re)
             cols.append(im)
     U = np.column_stack(cols)
@@ -337,7 +271,7 @@ def augmented_space(projector, mesh, sigma_tol=DEFAULT_SIGMA_TOL, min_margin=1.0
     the residual Gram I - Y^T M_dom^{-1} Y below sigma_tol carry no new
     content and would degrade conditioning.
     """
-    if not isinstance(mesh, Mesh1D):
+    if not isinstance(mesh, fem1d.Mesh1D):
         raise TypeError("mesh must be a Mesh1D")
     if mesh.n_c != projector.n_c:
         raise ValueError("mesh and projector must share n_c")
@@ -366,12 +300,7 @@ def augmented_space(projector, mesh, sigma_tol=DEFAULT_SIGMA_TOL, min_margin=1.0
     # residual of each coupled direction against the P1 space, in the mass
     # inner product: R = I - Y^T M_dom^{-1} Y with Y the domain mass moments
     Y = projector.apply_mass(Uc)[idx]
-    h = mesh.h
-    n_int = len(idx)
-    ab = np.zeros((2, n_int))
-    ab[0, 1:] = h / 6.0
-    ab[1, :] = 2.0 * h / 3.0
-    Z = sla.solveh_banded(ab, Y)
+    Z = sla.solveh_banded(_banded(projector.mass_form, idx), Y)
     R = np.eye(rank) - Y.T @ Z
     R = 0.5 * (R + R.T)
     lam, E = sla.eigh(R)
@@ -408,15 +337,14 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     """
     P = aug.projector
     alpha, beta = _window_pair(window)
-    pot = lambda x: V(x) + W(x)
     idx = aug.idx
     Uk = aug.U_keep
-    formA, formM = _circle_forms(P.n_win, P.half_index, P.h, pot)
+    formA, formM = P.forms(lambda x: V(x) + W(x))
 
     def blocks(form):
         """The form's tridiagonal on the domain nodes and its border (columns, corner)."""
         d, o, _ = form
-        FU = _apply_form(form, Uk)
+        FU = fem1d.apply_form(form, Uk)
         G = Uk.T @ FU
         return (d[idx], o[idx[:-1]]), (FU[idx], 0.5 * (G + G.T))
 
@@ -440,15 +368,13 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     return SpectrumResult((alpha, beta), res.eigenvalues, diagd, res.eigenvectors)
 
 
-def _h1_norm_circle(P, x):
-    h = P.h
-    n = P.n_win
-    dK = np.full(n, 2.0 / h)
-    oK = np.full(n - 1, -1.0 / h)
-    sK = 1.0 / h
-    stiff = (dK, oK, sK)
-    y = _apply_form(stiff, x[:, None])[:, 0] + P.apply_mass(x[:, None])[:, 0]
-    return float(np.sqrt(x @ y))
+def _banded(form, idx):
+    """A form on the consecutive nodes idx (Dirichlet), in solveh_banded's upper storage."""
+    d, o, _ = form
+    ab = np.zeros((2, len(idx)))
+    ab[0, 1:] = o[idx[:-1]]
+    ab[1] = d[idx]
+    return ab
 
 
 def a2_estimate(
@@ -482,17 +408,18 @@ def a2_estimate(
     idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + half
     if idx[0] < 0 or idx[-1] >= P_fem.n_win:
         raise WindowTooSmall("mesh does not fit inside the projector window")
-    n_int = len(idx)
-    h = mesh.h
-    # domain H1 Gram (Dirichlet): stiffness + mass tridiagonals
-    dG = np.full(n_int, 2.0 / h + 2.0 * h / 3.0)
-    oG = np.full(n_int - 1, -1.0 / h + h / 6.0)
+    stiff, mass = P_fem.forms()
+    # domain H1 Gram (Dirichlet): the window's stiffness + mass on the mesh interior
+    gram = _banded(tuple(k + m for k, m in zip(stiff, mass)), idx)
 
     def apply_gram(x):
-        y = dG * x
-        y[:-1] += oG * x[1:]
-        y[1:] += oG * x[:-1]
-        return y
+        return fem1d.apply_form((gram[1], gram[0, 1:], 0.0), x)
+
+    def h1_win(x):
+        return fem1d.apply_form(stiff, x) + fem1d.apply_form(mass, x)
+
+    def h1_norm_win(x):
+        return float(np.sqrt(x @ h1_win(x)))
 
     def h1_normalize(x):
         return x / np.sqrt(x @ apply_gram(x))
@@ -502,11 +429,6 @@ def a2_estimate(
         full[idx] = x
         return P_ref.project(full) - P_fem.project(full)
 
-    stiff_win = (
-        np.full(P_fem.n_win, 2.0 / h),
-        np.full(P_fem.n_win - 1, -1.0 / h),
-        1.0 / h,
-    )
     rng = np.random.default_rng(seed)
     if method == "random":
         # isotropic nodal noise has almost no overlap with the low bands the
@@ -517,24 +439,19 @@ def a2_estimate(
         for _ in range(n_samples):
             g = rng.standard_normal(U_all.shape[1])
             x = h1_normalize((U_all @ g)[idx])
-            best = max(best, _h1_norm_circle(P_fem, apply_diff(x)))
+            best = max(best, h1_norm_win(apply_diff(x)))
         est = best
     elif method == "power":
         # power iteration on G_dom^{-1} D^T G_win D in the domain H1 metric
-        ab = np.zeros((2, n_int))
-        ab[0, 1:] = oG
-        ab[1, :] = dG
-        x = h1_normalize(rng.standard_normal(n_int))
+        x = h1_normalize(rng.standard_normal(len(idx)))
         est = 0.0
         for _ in range(30):
-            d = apply_diff(x)
-            g = _apply_form(stiff_win, d) + P_fem.apply_mass(d[:, None])[:, 0]
-            x_new = sla.solveh_banded(ab, g[idx])
+            x_new = sla.solveh_banded(gram, h1_win(apply_diff(x))[idx])
             nrm = np.sqrt(abs(x_new @ apply_gram(x_new)))
             if nrm == 0:
                 break
             x = x_new / nrm
-            est = _h1_norm_circle(P_fem, apply_diff(x))
+            est = h1_norm_win(apply_diff(x))
     else:
         raise ValueError("method must be 'random' or 'power'")
     return {

@@ -11,7 +11,6 @@ and mirrors it onto the second.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -124,6 +123,9 @@ def band_structure(V, M_pw=None, M_q=None, J_max=4, threads=1):
     qpoints = np.array(list(itertools.product(axis, repeat=d)))
     half = qpoints[: len(qpoints) // 2]
     if threads > 1:
+        # imported here: concurrent.futures brings logging into every process
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(lambda q: fiber_bands(V, q, M_pw, J_max), half))
     else:

@@ -559,27 +559,13 @@ def _galerkin_rows(V, W, lat, p, window, rows, results):
     for n_half in _as_list(p["n_half"]):
         mesh = fem1d.symmetric_mesh(lat, n_c, n_half, t)
         res = fem1d.galerkin_spectrum(V, W, mesh, window)
-        if ref is not None:
-            reports = fem1d.classify_modes(
-                mesh,
-                res,
-                ref,
-                match_tol=p.get("match_tol", fem1d.MATCH_TOL),
-                edge_guard_frac=p.get("edge_guard", supercell.DEFAULT_EDGE_GUARD),
-            )
-        else:
-            guard = p.get("edge_guard", supercell.DEFAULT_EDGE_GUARD) * (window[1] - window[0])
-            reports = [
-                fem1d.LocalizationReport(
-                    ev,
-                    fem1d.boundary_mass(mesh, res.eigenvectors[:, i]),
-                    fem1d.compact_mass(mesh, res.eigenvectors[:, i]),
-                    "undetermined"
-                    if ev <= window[0] + guard or ev >= window[1] - guard
-                    else "interior",
-                )
-                for i, ev in enumerate(res.eigenvalues)
-            ]
+        reports = fem1d.classify_modes(
+            mesh,
+            res,
+            ref,
+            match_tol=p.get("match_tol", fem1d.MATCH_TOL),
+            edge_guard_frac=p.get("edge_guard", supercell.DEFAULT_EDGE_GUARD),
+        )
         for r in reports:
             rows.append(
                 (n_half, t, n_c, mesh.h, r.eigenvalue, r.mu_boundary, r.mu_compact, r.classification)
@@ -678,7 +664,7 @@ def _window_line_mass(aug, coeffs, lo, hi):
 
 
 def run_augment(cfg, out_dir, threads):
-    from gapeig import augment, fem1d, supercell
+    from gapeig import augment, fem1d
 
     lat, V, W = build_problem(cfg)
     p = cfg["augment"]
@@ -688,7 +674,6 @@ def run_augment(cfg, out_dir, threads):
     M_q = p.get("M_q", 64)
     P = augment.build_projector(V, J=J, n_c=n_c, M_q=M_q)
     ref = _reference_values(p["reference"], V, W, window) if "reference" in p else None
-    guard = supercell.DEFAULT_EDGE_GUARD * (window[1] - window[0])
     rows = []
     results = {"window": list(window), "runs": []}
     first_mesh = None
@@ -712,15 +697,7 @@ def run_augment(cfg, out_dir, threads):
                     aug, c, mesh.x_hi - 2 * lat.b, mesh.x_hi
                 )
                 mk = _window_line_mass(aug, c, -2 * lat.b, 2 * lat.b)
-                if ev <= window[0] + guard or ev >= window[1] - guard:
-                    cls = "undetermined"
-                elif ref is None:
-                    cls = "interior"
-                elif len(ref) and np.min(np.abs(ref - ev)) <= p.get("match_tol", fem1d.MATCH_TOL):
-                    cls = "true"
-                else:
-                    cls = "spurious"
-                rows.append((L, t, n_c, M_q, ev, mb, mk, cls))
+                rows.append((L, t, n_c, M_q, ev, mb, mk, fem1d.mode_label(ev, res.window, ref)))
             results["runs"].append(
                 {
                     "L": L,

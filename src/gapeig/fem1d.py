@@ -10,6 +10,12 @@ compact mass), classifies gap eigenvalues against a pollution-free
 reference, and builds the half-line / junction dislocation operators whose
 spectra the boundary-localized modes track.
 
+Every P1 form of the package comes from one kernel, element_integrals plus
+p1_forms, whose seam factor closes the element chain as the open line (0;
+the Dirichlet pencil drops node 0), the antiperiodic window circle (-1) or
+the quasiperiodic Bloch fiber (e^{iqb}).  mode_label is the one classifier
+of gap eigenvalues, for every P1 route.
+
 Every pencil here is tridiagonal and stays so: it is an
 eigcore.TridiagonalPencil, whose windowed solves never form an n x n matrix
 and carry an exact inertia count of the eigenvalues in the window
@@ -89,44 +95,74 @@ def halfline_mesh(lattice, n_c, n_periods):
     return Mesh1D(lattice.b, n_c, 0, int(n_periods) * int(n_c))
 
 
-def _forms(mesh, pot):
-    """Tridiagonal stiffness+potential and mass forms on all nodes.
+def element_integrals(left, right, h, pot):
+    """Potential integrals of the two P1 hats over each element [left, right].
 
-    Stiffness and mass are exact for P1; the potential term uses 10 point
-    Gauss-Legendre per element, exact to machine precision for the smooth
-    potentials used here.  Returns (dA, oA, dM, oM) with dA the diagonal and
-    oA the first offdiagonal (one entry per element).
+    Returns (kll, klr, krr), the integrals of pot*phi_l^2, pot*phi_l*phi_r
+    and pot*phi_r^2 per element, by GAUSS_POINTS point Gauss-Legendre:
+    exact to machine precision for the smooth potentials used here.
     """
-    nodes = mesh.nodes
-    h = mesh.h
-    nn = len(nodes)
     xg, wg = np.polynomial.legendre.leggauss(GAUSS_POINTS)
-    a = nodes[:-1]
-    xq = a[:, None] + 0.5 * h * (xg[None, :] + 1.0)
+    xq = left[:, None] + 0.5 * h * (xg[None, :] + 1.0)
     wq = 0.5 * h * wg[None, :]
-    pl = (nodes[1:, None] - xq) / h
-    pr = (xq - a[:, None]) / h
-    pv = pot(xq)
-    wpv = wq * pv
-    kll = np.sum(wpv * pl * pl, axis=1)
-    klr = np.sum(wpv * pl * pr, axis=1)
-    krr = np.sum(wpv * pr * pr, axis=1)
-    dA = np.zeros(nn)
-    oA = np.empty(nn - 1)
-    dA[:-1] += 1.0 / h + kll
-    dA[1:] += 1.0 / h + krr
-    oA[:] = -1.0 / h + klr
-    dM = np.zeros(nn)
-    oM = np.full(nn - 1, h / 6.0)
-    dM[:-1] += h / 3.0
-    dM[1:] += h / 3.0
-    return dA, oA, dM, oM
+    pl = (right[:, None] - xq) / h
+    pr = (xq - left[:, None]) / h
+    wpv = wq * pot(xq)
+    return (
+        np.sum(wpv * pl * pl, axis=1),
+        np.sum(wpv * pl * pr, axis=1),
+        np.sum(wpv * pr * pr, axis=1),
+    )
+
+
+def p1_forms(n, h, seam=0.0, integrals=None):
+    """P1 forms A (stiffness plus potential) and M (mass) on a chain of n elements.
+
+    Element e couples node e to node e + 1; the last one wraps back to node
+    0 with its coupling multiplied by seam: 0 for an open line (node 0 then
+    holds both end elements, and callers drop it), -1 for the antiperiodic
+    window circle, e^{iqb} for the quasiperiodic Bloch fiber.  integrals
+    are the element_integrals of the potential, None for no potential.
+    Each form is (diag, offdiag, seam entry); the conjugate of the seam
+    entry couples node 0 to node n - 1.
+    """
+    kll, klr, krr = (np.zeros(n),) * 3 if integrals is None else integrals
+    off = -1.0 / h + klr
+    dA = (1.0 / h + kll) + np.roll(1.0 / h + krr, 1)
+    dM = np.full(n, 2.0 * h / 3.0)
+    oM = np.full(n - 1, h / 6.0)
+    return (dA, off[:-1], seam * off[-1]), (dM, oM, seam * (h / 6.0))
+
+
+def apply_form(form, X):
+    """Multiply a form (diag, offdiag, seam) into a vector or the columns of X."""
+    d, o, s = form
+    if X.ndim == 1:
+        return apply_form(form, X[:, None])[:, 0]
+    Y = d[:, None] * X
+    Y[:-1] += o[:, None] * X[1:]
+    Y[1:] += o[:, None] * X[:-1]
+    Y[-1] += s * X[0]
+    Y[0] += np.conj(s) * X[-1]
+    return Y
+
+
+def dense_form(form):
+    """A form (diag, offdiag, seam) as a dense Hermitian matrix."""
+    d, o, s = form
+    F = np.diag(d).astype(np.result_type(d, s)) + np.diag(o, 1) + np.diag(o, -1)
+    F[-1, 0] += s
+    F[0, -1] += np.conj(s)
+    return F
 
 
 def _dirichlet_pencil(mesh, pot):
-    """Tridiagonal pencil on the interior nodes (homogeneous Dirichlet)."""
-    dA, oA, dM, oM = _forms(mesh, pot)
-    return eigcore.TridiagonalPencil((dA[1:-1], oA[1:-1]), (dM[1:-1], oM[1:-1]))
+    """Tridiagonal pencil on the interior nodes (homogeneous Dirichlet): the
+    open-line forms without node 0."""
+    nodes = mesh.nodes
+    integrals = element_integrals(nodes[:-1], nodes[1:], mesh.h, pot)
+    (dA, oA, _), (dM, oM, _) = p1_forms(mesh.n_nodes - 1, mesh.h, 0.0, integrals)
+    return eigcore.TridiagonalPencil((dA[1:], oA[1:]), (dM[1:], oM[1:]))
 
 
 def assemble_galerkin(V, W, mesh):
@@ -230,6 +266,30 @@ class LocalizationReport:
         )
 
 
+def mode_label(
+    eigenvalue, window, reference, match_tol=MATCH_TOL, edge_guard_frac=DEFAULT_EDGE_GUARD
+):
+    """Class of one eigenvalue in the window (alpha, beta).
+
+    A value hugging a window endpoint (within edge_guard_frac of the window
+    width) is "undetermined", since at fixed mesh size the numerical band
+    edge intrudes slightly into the window and such values cannot be
+    attributed either way.  Otherwise it is "interior" when reference is
+    None, "true" within match_tol of a pollution-free reference eigenvalue,
+    and "spurious" when no reference value is that close.
+    """
+    alpha, beta = window
+    guard = edge_guard_frac * (beta - alpha)
+    if eigenvalue <= alpha + guard or eigenvalue >= beta - guard:
+        return "undetermined"
+    if reference is None:
+        return "interior"
+    reference = np.atleast_1d(np.asarray(reference, dtype=float))
+    if len(reference) and np.min(np.abs(reference - eigenvalue)) <= match_tol:
+        return "true"
+    return "spurious"
+
+
 def classify_modes(
     mesh,
     result,
@@ -239,32 +299,18 @@ def classify_modes(
     R=None,
     K=None,
 ):
-    """Classify windowed Galerkin eigenvalues as true, spurious, or undetermined.
+    """Label windowed Galerkin eigenvalues by mode_label, with their masses.
 
-    A value within match_tol of a pollution-free reference eigenvalue is
-    "true"; a value hugging a window endpoint (within edge_guard_frac of the
-    window width) is "undetermined", since at fixed mesh size the numerical
-    band edge intrudes slightly into the window and such values cannot be
-    attributed either way; everything else is "spurious".  Each report
-    carries the boundary and compact masses of the eigenfunction.
+    reference None gives "interior"/"undetermined" labels only.  Each
+    report carries the boundary and compact masses of the eigenfunction.
     """
     if result.eigenvectors is None:
         raise ValueError("classification needs eigenvectors; solve with with_vectors=True")
-    reference = np.atleast_1d(np.asarray(reference, dtype=float))
-    alpha, beta = result.window
-    guard = edge_guard_frac * (beta - alpha)
     reports = []
     for i, ev in enumerate(result.eigenvalues):
         c = result.eigenvectors[:, i]
-        mb = boundary_mass(mesh, c, R)
-        mk = compact_mass(mesh, c, K)
-        if ev <= alpha + guard or ev >= beta - guard:
-            cls = "undetermined"
-        elif len(reference) and np.min(np.abs(reference - ev)) <= match_tol:
-            cls = "true"
-        else:
-            cls = "spurious"
-        reports.append(LocalizationReport(ev, mb, mk, cls))
+        cls = mode_label(ev, result.window, reference, match_tol, edge_guard_frac)
+        reports.append(LocalizationReport(ev, boundary_mass(mesh, c, R), compact_mass(mesh, c, K), cls))
     return reports
 
 

@@ -114,8 +114,7 @@ def test_fem_and_planewave_sources_agree(V1d):
 
 def dense_augmented_pencil(V, W, aug):
     """The augmented pencil assembled densely: the oracle for the bordered solve."""
-    P = aug.projector
-    forms = augment._circle_forms(P.n_win, P.half_index, P.h, lambda x: V(x) + W(x))
+    forms = aug.projector.forms(lambda x: V(x) + W(x))
     idx, Uk = aug.idx, aug.U_keep
     nf, nk = len(idx), Uk.shape[1]
     out = []
@@ -123,7 +122,7 @@ def dense_augmented_pencil(V, W, aug):
         d, o, _ = form
         T = np.zeros((nf + nk, nf + nk))
         T[:nf, :nf] = np.diag(d[idx]) + np.diag(o[idx[:-1]], 1) + np.diag(o[idx[:-1]], -1)
-        FU = augment._apply_form(form, Uk)
+        FU = fem1d.apply_form(form, Uk)
         T[:nf, nf:] = FU[idx]
         T[nf:, :nf] = FU[idx].T
         T[nf:, nf:] = Uk.T @ FU
@@ -193,6 +192,66 @@ def test_spectral_split_invariant(V1d, gap1d):
         for q in bloch.midpoint_grid(V1d.lattice, 16):
             fib = augment.fem_fiber(V1d, q, n_c, 2)
             assert fib.eigenvalues[0] < gap1d.gamma < fib.eigenvalues[1]
+
+
+def p1_bloch_eigenvalues(length, n_el, q):
+    """Closed form P1 FEM eigenvalues of -u'' on a circle of n_el elements
+    with u(x + length) = e^{iq length} u(x), in increasing order.
+
+    With the consistent mass matrix the nodal Bloch waves e^{i theta j},
+    theta = (q + 2 pi k/length) h, give (6/h^2) (1-cos theta) / (2+cos theta),
+    evaluated with 1 - cos theta = 2 sin^2(theta/2) to keep small values
+    accurate.  Returns the values and the wavenumbers q + 2 pi k/length
+    (k centred on 0, so that |theta| <= pi) in that order.
+    """
+    h = length / n_el
+    k = q + 2.0 * np.pi * (np.arange(n_el) - n_el // 2) / length
+    th = k * h
+    ev = (12.0 / h**2) * np.sin(0.5 * th) ** 2 / (2.0 + np.cos(th))
+    order = np.argsort(ev)
+    return ev[order], k[order]
+
+
+@pytest.mark.parametrize("qb", [1.0, 2.0, -1.3, -2.5, np.pi - 1e-3, -(np.pi - 1e-3)])
+def test_fem_fiber_matches_closed_form(lat1d, qb):
+    # V = 0: the quasiperiodic seam e^{iqb} against the closed form.  The
+    # values are even in q, so the vectors check the seam's direction: each
+    # is the Bloch wave e^{i k x} sampled on the period nodes
+    free = model.PeriodicPotential(lat1d, [])
+    n_c, J = 12, 6
+    q = qb / lat1d.b
+    fib = augment.fem_fiber(free, q, n_c, J)
+    want, k = p1_bloch_eigenvalues(lat1d.b, n_c, q)
+    assert np.allclose(fib.eigenvalues, want[:J], rtol=1e-12, atol=0.0)
+    x = np.arange(n_c) * (lat1d.b / n_c)
+    for j in range(J):
+        wave = np.exp(1j * k[j] * x) / np.sqrt(n_c)
+        v = fib.vectors[:, j]
+        assert abs(np.vdot(wave, v)) / np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_window_circle_matches_closed_form(lat1d, proj_small):
+    # V = 0 on the window circle: antiperiodic, so q = pi / (n_win h); the
+    # forms without potential and with a zero potential through the
+    # quadrature are the same
+    n_c, M_q = 6, 8
+    n = n_c * M_q
+    P = augment.ProjectorKernel(lat1d, 1, n_c, M_q, np.zeros((n, 0)), None)
+    length = n * P.h
+    want, _ = p1_bloch_eigenvalues(length, n, np.pi / length)
+    for forms in (P.forms(), P.forms(lambda x: 0.0 * x)):
+        A, M = (fem1d.dense_form(f) for f in forms)
+        assert A.dtype == M.dtype == float
+        got = sla.eigh(A, M, eigvals_only=True)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    # on the full-size window the exact antiperiodic waves satisfy A v = lambda M v
+    n = proj_small.n_win
+    length = n * proj_small.h
+    want, k = p1_bloch_eigenvalues(length, n, np.pi / length)
+    waves = np.exp(1j * np.outer(np.arange(n) * proj_small.h, k[:20]))
+    stiff, mass = proj_small.forms()
+    res = fem1d.apply_form(stiff, waves) - want[:20] * fem1d.apply_form(mass, waves)
+    assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(stiff[0]))
 
 
 def test_a2_identical_kernels_zero(V1d, lat1d):

@@ -116,6 +116,33 @@ def test_gap_and_dependents(tmp_path):
     assert s["results"]["runs_with_spurious"] == 2
 
 
+def test_galerkin_without_reference(tmp_path):
+    # with no reference the rows carry interior/undetermined labels only, and
+    # they and their masses are exactly classify_modes(mesh, res, None)
+    from gapeig import fem1d
+
+    p = {k: v for k, v in SMALL_CFG["galerkin"].items() if k != "reference"}
+    cfg = write_cfg(tmp_path, dict(SMALL_CFG, galerkin=p))
+    out = str(tmp_path / "out")
+    assert cli.main(["gap", "--config", cfg, "--out", out]) == 0
+    assert cli.main(["galerkin", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "galerkin.csv")) as f:
+        rows = list(csv.DictReader(f))
+    assert "interior" in {r["class"] for r in rows} <= {"interior", "undetermined"}
+    lat, V, W = cli.build_problem(cli.load_config(cfg))
+    mesh = fem1d.symmetric_mesh(lat, p["n_c"], p["n_half"], p["t"])
+    res = fem1d.galerkin_spectrum(V, W, mesh, cli.resolve_window(p["window"], out))
+    want = [
+        (r.eigenvalue, r.mu_boundary, r.mu_compact, r.classification)
+        for r in fem1d.classify_modes(mesh, res, None)
+    ]
+    got = [
+        (float(r["eigenvalue"]), float(r["mu_boundary"]), float(r["mu_compact"]), r["class"])
+        for r in rows
+    ]
+    assert got == want
+
+
 def test_bands_csv(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CFG)
     out = str(tmp_path / "out")
@@ -333,13 +360,14 @@ def _loaded_after(tmp_path, methods, prefixes):
 
 def test_gap_loads_no_scipy(tmp_path):
     # locating the gap needs numpy alone; scipy loads only with the
-    # subcommands that solve P1 pencils or 2D supercells
-    assert _loaded_after(tmp_path, ["gap"], ("scipy",)) == "[]"
+    # subcommands that solve P1 pencils or 2D supercells, and the thread
+    # pool (concurrent.futures) only with threads > 1
+    assert _loaded_after(tmp_path, ["gap"], ("scipy", "concurrent")) == "[]"
 
 
 def test_supercell_1d_loads_no_scipy(tmp_path):
     # the 1D supercell solves its fiber form with numpy alone
-    assert _loaded_after(tmp_path, ["gap", "supercell"], ("scipy",)) == "[]"
+    assert _loaded_after(tmp_path, ["gap", "supercell"], ("scipy", "concurrent")) == "[]"
 
 
 def test_valid_config_loads_no_jsonschema():
