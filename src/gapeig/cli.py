@@ -42,12 +42,14 @@ _WAVEVECTOR = {
         {"type": "array", "items": {"type": "integer"}, "minItems": 1, "maxItems": 2},
     ]
 }
-_INT_OR_LIST = {
-    "oneOf": [
-        {"type": "integer"},
-        {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-    ]
-}
+
+
+def _int_or_list(**bound):
+    """An integer, or a non-empty list of integers, each within bound."""
+    item = {"type": "integer", **bound}
+    return {"oneOf": [item, {"type": "array", "items": item, "minItems": 1}]}
+
+
 _NUM_OR_LIST = {
     "oneOf": [
         {"type": "number"},
@@ -143,7 +145,7 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "window": _WINDOW,
-                "L": _INT_OR_LIST,
+                "L": _int_or_list(minimum=1),
                 "ratio": {"type": "number", "minimum": 4},
                 "t": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "method": {"enum": ["auto", "dense", "iterative"]},
@@ -158,7 +160,7 @@ SCHEMA = {
             "properties": {
                 "window": _WINDOW,
                 "n_c": {"type": "integer", "minimum": 2},
-                "n_half": _INT_OR_LIST,
+                "n_half": _int_or_list(minimum=2),
                 "t": {"type": "number", "minimum": 0},
                 "reference": _REFERENCE,
                 "match_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -195,7 +197,7 @@ SCHEMA = {
                 "J": {"type": "integer", "minimum": 1},
                 "n_c": {"type": "integer", "minimum": 2},
                 "M_q": {"type": "integer", "minimum": 4, "multipleOf": 2},
-                "L": _INT_OR_LIST,
+                "L": _int_or_list(minimum=4, multipleOf=2),
                 "t": _NUM_OR_LIST,
                 "svd_tol": {"type": "number", "exclusiveMinimum": 0},
                 "window_margin": {"type": "number", "minimum": 0},
@@ -678,8 +680,6 @@ def run_augment(cfg, out_dir, threads):
     results = {"window": list(window), "runs": []}
     first_mesh = None
     for L in _as_list(p["L"]):
-        if L % 2:
-            raise ConfigError("augment L values must be even (domain is L periods, symmetric)")
         for t in _as_list(p.get("t", 0.0)):
             mesh = fem1d.symmetric_mesh(lat, n_c, L // 2, t)
             if first_mesh is None:

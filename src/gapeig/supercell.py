@@ -1,11 +1,16 @@
 """Planewave supercell discretization of H = -Laplacian + V_per + W.
 
 The operator is restricted to a periodized supercell of side L*b with
-planewave basis k in 2*pi/(L*b) * Z^d, |k| <= 2*pi*N/(L*b).  Periodic V_per
-coefficients land exactly on supercell frequencies (integer L), W is
-periodized by FFT sampling.  This discretization is pollution-free: gap
-eigenvalues converge to the defect eigenvalues as L grows, with no spurious
-values, which makes it the reference the FEM diagnostics compare against.
+planewave basis k in 2*pi/(L*b) * Z^d, |k| <= 2*pi*N/(L*b).  This
+discretization is pollution-free: gap eigenvalues converge to the defect
+eigenvalues as L grows, with no spurious values, which makes it the
+reference the FEM diagnostics compare against.
+
+Every route reads the operator from one Fourier table of V + W on the
+_coeff_grid(L, N) FFT grid (_fourier_table): W periodized by FFT sampling,
+plus V's exact coefficients, which land on the supercell frequencies L*m
+(integer L).  In the planewave basis H = diag(|k|^2) + table[m_i - m_j]
+(_planewave_matrix).
 
 A 1D supercell is solved in its fiber form (assemble_fiber_form), which
 never forms an n x n matrix.  V couples mode m only to the modes m + L p,
@@ -20,18 +25,22 @@ exactly by Haynsworth inertia, certified against the dropped part of W,
 and its values come from eigcore's shift-invert Lanczos with an O(nk)
 Woodbury inverse.  This path needs numpy alone.
 
-2D supercells are solved densely when small and with a matrix-free FFT
-matvec and shift-invert Lanczos (MINRES inner solves through scipy, loaded
-on first use as supercell.spla) when large.
+2D supercells are solved densely when small and, when large, by a
+matrix-free shift-invert Lanczos whose matvec convolves with the same
+table, truncated to its bandwidth, by FFT (_real_form_matvec; MINRES inner
+solves through scipy, loaded on first use as supercell.spla).
 
 V and W are real, so H commutes with complex conjugation, which maps the
 planewave of mode m to that of mode -m.  The wavevector lists are centrally
 symmetric in lexicographic order, so index i and index n-1-i are the modes m
 and -m, and with K the reversal permutation U = (I + iK)/sqrt(2) turns the
 complex Hermitian H into the real symmetric Uᴴ H U with the same spectrum.
-Dense solves (method "dense", the 2D route at small sizes and the mismatched
-cell) go through that real form (solve_real_form): LAPACK works on a real
-matrix of half the bytes instead of a complex one.
+Both the dense and the matrix-free solves work on that real form.  Dense
+ones (method "dense", the 2D route at small sizes and the mismatched cell)
+form it by solve_real_form and hand LAPACK a real matrix of half the bytes
+of H; the matrix-free one applies it by _real_form_matvec, so scipy's eigsh
+runs symmetric Lanczos and its MINRES inner solves work on real vectors of
+length n.
 """
 
 import sys
@@ -135,25 +144,6 @@ def supercell_wavevectors(d, L, N):
     return m[np.sum(m * m, axis=1) <= N * N]
 
 
-def _mode_index(offs, targets, N):
-    """Row of each target mode in the basis offs = supercell_wavevectors(d, L, N),
-    -1 where the target lies outside it.
-
-    offs is lexicographic: in 1D the row of m is m + N, and in 2D the keys
-    m_x (2N+1) + m_y increase along offs, so a sorted search finds them (the
-    bound |m_y| <= N keeps the key one-to-one).
-    """
-    inside = np.all(np.abs(targets) <= N, axis=1)
-    if offs.shape[1] == 1:
-        rows = targets[:, 0] + N
-    else:
-        keys = offs[:, 0] * (2 * N + 1) + offs[:, 1]
-        want = targets[:, 0] * (2 * N + 1) + targets[:, 1]
-        rows = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        inside &= keys[rows] == want
-    return np.where(inside, rows, -1)
-
-
 def _check_budget(n, max_planewaves):
     if n > max_planewaves:
         raise BasisTooLarge(
@@ -171,73 +161,76 @@ def _coeff_grid(L, N):
     return g
 
 
-def assemble_supercell(V, W, L, N, grid=None, max_planewaves=MAX_PLANEWAVES):
-    """Dense supercell pencil in the exponential basis e^{2 pi i m.x/(L b)}.
+def _fourier_table(V, W, L, N, grid):
+    """The Fourier table of V + W on the supercell's FFT grid, and W's edge
+    ratio.
 
-    V enters through its exact Fourier coefficients (which sit on supercell
-    frequencies L*m), W through FFT periodization.  The matrix is complex
-    Hermitian; supercell_spectrum solves its real form (solve_real_form)."""
-    lat = V.lattice
-    d = lat.d
-    offs = supercell_wavevectors(d, L, N)
+    W's periodized coefficients (model.perturbation_supercell_coefficients,
+    with its aliasing refusal) plus V's exact ones, which sit on the
+    supercell frequencies L*m.  A V coefficient with some |L m_a| > 2N is
+    left out: no pair of modes |m| <= N differs by it, and modulo grid it
+    would alias onto a difference that one does.  W=None gives V's table
+    alone (edge ratio None).
+    """
+    table = np.zeros((grid,) * V.lattice.d, dtype=complex)
+    for m, c in V.fourier_coefficients().items():
+        shift = int(L) * np.asarray(m, dtype=int)
+        if np.all(np.abs(shift) <= 2 * N):
+            table[tuple(shift % grid)] += c
+    if W is None:
+        return table, None
+    cw = model.perturbation_supercell_coefficients(W, L, grid=grid)
+    return cw.data + table, cw.edge_ratio
+
+
+def _planewave_matrix(modes, kscale, table):
+    """diag(|k|^2) + table[m_i - m_j] on the planewaves modes (..., n, d),
+    k = kscale * m: the supercell operator, or a stack of its blocks.
+
+    The table's grid must be larger than twice every |m_i - m_j|_a, as
+    _coeff_grid's is, so that no two differences share an entry."""
+    g, d = table.shape[0], modes.shape[-1]
+    H = table[tuple((modes[..., :, None, a] - modes[..., None, :, a]) % g for a in range(d))]
+    k = kscale * modes
+    i = np.arange(modes.shape[-2])
+    H[..., i, i] += np.sum(k * k, axis=-1)
+    return H
+
+
+def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
+    """Dense supercell matrix H in the exponential basis e^{2 pi i m.x/(L b)},
+    and its info {n_planewaves, grid, edge_ratio}.
+
+    H is complex Hermitian.  It is not validated here: solve_real_form, which
+    supercell_spectrum hands it to, checks it while forming its real form."""
+    offs = supercell_wavevectors(V.lattice.d, L, N)
     n = len(offs)
     _check_budget(n, max_planewaves)
-    if grid is None:
-        grid = _coeff_grid(L, N)
-    kscale = 2.0 * np.pi / (L * lat.b)
-    k = kscale * offs
-    H = np.zeros((n, n), dtype=complex)
-    H[np.diag_indices(n)] = np.sum(k * k, axis=1)
-    # V_per: coefficient at lattice wavevector m couples supercell modes
-    # differing by exactly L*m (integer, no interpolation)
-    cols = np.arange(n)
-    for m, c in V.fourier_coefficients().items():
-        if c == 0:
-            continue
-        shift = np.asarray(m, dtype=int) * int(L)
-        rows = _mode_index(offs, offs + shift[None, :], int(N))
-        keep = rows >= 0
-        H[rows[keep], cols[keep]] += c
-    # W: all pairwise couplings from the periodized coefficient table
-    cw = model.perturbation_supercell_coefficients(W, L, grid=grid)
-    if d == 1:
-        D = (offs[:, 0][:, None] - offs[:, 0][None, :]) % grid
-        H += cw.data[D]
-    else:
-        Dx = (offs[:, 0][:, None] - offs[:, 0][None, :]) % grid
-        Dy = (offs[:, 1][:, None] - offs[:, 1][None, :]) % grid
-        H += cw.data[Dx, Dy]
-    pencil = eigcore.SymmetricPencil(H)
-    pencil.info = {"n_planewaves": n, "grid": grid, "edge_ratio": cw.edge_ratio}
-    return pencil
+    grid = _coeff_grid(L, N)
+    table, edge_ratio = _fourier_table(V, W, L, N, grid)
+    H = _planewave_matrix(offs, 2.0 * np.pi / (L * V.lattice.b), table)
+    return H, {"n_planewaves": n, "grid": grid, "edge_ratio": edge_ratio}
 
 
 def _fiber_blocks(V, L, N):
     """Bloch fibers of the periodic part of a 1D supercell, eigendecomposed.
 
     V couples planewave m only to m + L p, so the modes m = r (mod L) form
-    one block per coset r, the Bloch fiber at quasimomentum 2 pi r/(L b).
-    Listed by ascending m, a coset holds consecutive multiples of L, and V's
-    coefficient at lattice wavevector p sits on its p-th subdiagonal.
-    Blocks of one size (there are at most two sizes) share one batched
-    eigh.  Returns [(rows, e, Q)] per size: rows[b] are the basis rows of
-    block b, e[b] its eigenvalues and Q[b] its eigenvectors.
+    one block per coset r, the Bloch fiber at quasimomentum 2 pi r/(L b),
+    read from V's Fourier table.  Blocks of one size (there are at most two
+    sizes) share one batched eigh.  Returns [(rows, e, Q)] per size: rows[b]
+    are the basis rows of block b, e[b] its eigenvalues and Q[b] its
+    eigenvectors.
     """
     L, N = int(L), int(N)
     kscale = 2.0 * np.pi / (L * V.lattice.b)
+    table, _ = _fourier_table(V, None, L, N, _coeff_grid(L, N))
     first = -N + (np.arange(L) + N) % L
     sizes = (N - first) // L + 1
-    coeffs = [(m[0], c) for m, c in V.fourier_coefficients().items() if c != 0]
     groups = []
     for size in np.unique(sizes):
         rows = (first[sizes == size] + N)[:, None] + L * np.arange(size)[None, :]
-        E = np.zeros((len(rows), size, size), dtype=complex)
-        diag = np.arange(size)
-        E[:, diag, diag] = (kscale * (rows - N)) ** 2
-        for p, c in coeffs:
-            i = np.arange(max(0, -p), size - max(0, p))
-            E[:, i + p, i] += c
-        e, Q = np.linalg.eigh(E)
+        e, Q = np.linalg.eigh(_planewave_matrix((rows - N)[..., None], kscale, table))
         groups.append((rows, e, Q))
     return groups
 
@@ -256,7 +249,7 @@ def _compress_perturbation(w, N, g):
 
     With x_p the g grid points of the cell and w_p = W(x_p), the W part of
     H on the planewaves |m| <= N is F diag(w) Fᴴ, F_mp = e^{-2 pi i m x_p/(Lb)}/sqrt(g)
-    (the table assemble_supercell reads, summed the other way).  Grid points
+    (W's part of the Fourier table, summed the other way).  Grid points
     with |w_p| <= SUPPORT_TOL max|w| are dropped.  On each sign's support
     S, B = F_S diag(sqrt|w_S|) has the real Gram matrix
     BᴴB = diag(sqrt|w|) D diag(sqrt|w|)/g with D the Dirichlet kernel of
@@ -362,16 +355,57 @@ def solve_real_form(H, lo, hi):
     return eigcore.solve_window(eigcore.SymmetricPencil(S), lo, hi, with_vectors=False)
 
 
+def _real_form_matvec(table, offs, kscale, L):
+    """Matrix-free real form of the 2D supercell operator.
+
+    H = diag(|k|^2) + table[m_i - m_j] on the planewaves offs, with the
+    convolution done by FFT on a G x G grid.  The table is truncated to its
+    bandwidth bw, the largest |Δ_a| of an entry above 1e-13 of its largest,
+    and G is the smallest power of two with G >= 2N + bw + 2 and G >= 8L, so
+    that no product of a mode with the table wraps around onto a mode.
+    Returns (matvec, G): matvec(x) = S x for a real x, with
+    S = Uᴴ H U = Re H + (K Im H - Im H K)/2 the real form solve_real_form
+    builds densely.
+    """
+    g = table.shape[0]
+    freq = np.rint(np.fft.fftfreq(g) * g).astype(int)
+    big = np.abs(table) > 1e-13 * np.max(np.abs(table), initial=0.0)
+    bw = max(int(np.max(np.abs(freq[idx]), initial=0)) for idx in np.nonzero(big))
+    N = int(np.max(np.abs(offs)))
+    G = 1
+    while G < 2 * N + bw + 2 or G < 8 * L:
+        G *= 2
+    band = np.flatnonzero(np.abs(freq) <= bw)
+    near = np.zeros((G, G), dtype=complex)
+    near[np.ix_(freq[band] % G, freq[band] % G)] = table[np.ix_(band, band)]
+    # the table is Hermitian, so the potential it convolves with is real
+    u = np.fft.ifft2(near).real * (G * G)
+    k = kscale * offs
+    k2 = np.sum(k * k, axis=1)
+    ix, iy = offs[:, 0] % G, offs[:, 1] % G
+
+    def matvec(x):
+        c = x + 1j * x[::-1]
+        F = np.zeros((G, G), dtype=complex)
+        F[ix, iy] = c
+        y = k2 * c + np.fft.fft2(u * np.fft.ifft2(F))[ix, iy]
+        return 0.5 * (y.real + y.imag[::-1])
+
+    return matvec, G
+
+
 def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planewaves=MAX_PLANEWAVES):
     """Matrix-free shift-invert Lanczos for the large 2D supercell.
 
-    The matvec scatters coefficients onto an FFT grid, multiplies by the
-    sampled potential in real space and gathers back; this realizes the same
-    periodized operator as the dense assembly up to a unitary rephasing of
-    the basis (which leaves eigenvalues unchanged).  The inner solves use
-    MINRES on the realified system with a kinetic preconditioner; if any of
-    them fails to converge the solve raises NotConverged, otherwise the
-    diagnostics report minres_nonconverged = 0.
+    The operator is the real form S of the dense route's H, applied by FFT
+    from the same Fourier table (_real_form_matvec).  scipy's eigsh runs
+    symmetric Lanczos on it, and each shift-invert step is a MINRES solve of
+    (S - sigma) z = r on real vectors of length n with the kinetic
+    preconditioner diag(1/(|k^2 - sigma| + 1/2)); |k|^2 is even in m, so
+    that diagonal commutes with U and is the same in the real form.  If any
+    inner solve fails to converge the solve raises NotConverged, otherwise
+    the diagnostics report minres_nonconverged = 0, with inner_solves and
+    inner_iterations the number of MINRES solves and their total iterations.
 
     eigsh returns the k values nearest the window centre sigma.  They hold
     every eigenvalue of the window only when the farthest of them lies at
@@ -381,79 +415,37 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
     certified the window (k_used) and window_complete.
     """
     spla = sys.modules[__name__].spla
-    lat = V.lattice
-    b = lat.b
     L = int(L)
     offs = supercell_wavevectors(2, L, N)
     n = len(offs)
     _check_budget(n, max_planewaves)
     alpha, beta = _window_pair(window)
     sigma = 0.5 * (alpha + beta)
-    # aliasing refusal and W bandwidth from the coefficient table
-    cw = model.perturbation_supercell_coefficients(W, L, grid=_coeff_grid(L, N))
-    mint = np.rint(np.fft.fftfreq(cw.grid) * cw.grid).astype(int)
-    bw_w = 0
-    for ax in (0, 1):
-        prof = np.max(np.abs(cw.data), axis=1 - ax)
-        sig = prof > 1e-13 * np.max(prof)
-        if np.any(sig):
-            bw_w = max(bw_w, int(np.max(np.abs(mint[sig]))))
-    bw_v = max(
-        (L * max(abs(c) for c in m) for m, cc in V.fourier_coefficients().items() if cc != 0),
-        default=0,
-    )
-    bw = max(bw_w, bw_v)
-    G = 1
-    while G < 2 * N + bw + 2 or G < 8 * L:
-        G *= 2
-    xg = -0.5 * L * b + L * b * np.arange(G) / G
-    X, Y = np.meshgrid(xg, xg, indexing="ij")
-    U = V(X, Y) + W(X, Y)
-    kscale = 2.0 * np.pi / (L * b)
-    k2 = kscale * kscale * np.sum(offs * offs, axis=1).astype(float)
-    ix = offs[:, 0] % G
-    iy = offs[:, 1] % G
-
-    def hmat(c):
-        F = np.zeros((G, G), dtype=complex)
-        F[ix, iy] = c
-        psi = np.fft.ifft2(F)
-        F2 = np.fft.fft2(U * psi)
-        return k2 * c + F2[ix, iy]
-
-    Hop = spla.LinearOperator((n, n), matvec=hmat, dtype=complex)
-
-    # (H - sigma) z = r solved by MINRES on the equivalent real symmetric
-    # 2n x 2n system [[Re, -Im], [Im, Re]]
+    kscale = 2.0 * np.pi / (L * V.lattice.b)
+    table, edge_ratio = _fourier_table(V, W, L, N, _coeff_grid(L, N))
+    matvec, G = _real_form_matvec(table, offs, kscale, L)
+    k2 = kscale * kscale * np.sum(offs * offs, axis=1)
     pinv = 1.0 / (np.abs(k2 - sigma) + 0.5)
+    Sop = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    Aop = spla.LinearOperator((n, n), matvec=lambda x: matvec(x) - sigma * x, dtype=float)
+    Pop = spla.LinearOperator((n, n), matvec=lambda x: pinv * x, dtype=float)
+    stats = {"inner_solves": 0, "inner_iterations": 0, "minres_nonconverged": 0}
 
-    def shifted_real(xr):
-        zc = xr[:n] + 1j * xr[n:]
-        yc = hmat(zc) - sigma * zc
-        return np.concatenate([yc.real, yc.imag])
+    def count(xk):
+        stats["inner_iterations"] += 1
 
-    Aop = spla.LinearOperator((2 * n, 2 * n), matvec=shifted_real, dtype=float)
-    Pop = spla.LinearOperator(
-        (2 * n, 2 * n), matvec=lambda xr: np.concatenate([pinv * xr[:n], pinv * xr[n:]]), dtype=float
-    )
-    inner_iters = [0]
-    inner_failures = [0]
+    def opinv(r):
+        sol, info = spla.minres(Aop, r, M=Pop, rtol=1e-10, maxiter=4000, callback=count)
+        stats["inner_solves"] += 1
+        stats["minres_nonconverged"] += int(info != 0)
+        return sol
 
-    def opinv(rc):
-        rc = np.asarray(rc, dtype=complex)
-        rhs = np.concatenate([rc.real, rc.imag])
-        sol, info = spla.minres(Aop, rhs, M=Pop, rtol=1e-10, maxiter=4000)
-        inner_iters[0] += 1
-        inner_failures[0] += int(info != 0)
-        return sol[:n] + 1j * sol[n:]
-
-    OPinv = spla.LinearOperator((n, n), matvec=opinv, dtype=complex)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    OPinv = spla.LinearOperator((n, n), matvec=opinv, dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(n)
     k_used = min(k, n - 1)
     while True:
         w = spla.eigsh(
-            Hop,
+            Sop,
             k=k_used,
             sigma=sigma,
             which="LM",
@@ -462,9 +454,10 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
             tol=tol,
             return_eigenvectors=False,
         )
-        if inner_failures[0]:
+        if stats["minres_nonconverged"]:
             raise NotConverged(
-                "%d of %d MINRES inner solves did not converge" % (inner_failures[0], inner_iters[0])
+                "%d of %d MINRES inner solves did not converge"
+                % (stats["minres_nonconverged"], stats["inner_solves"])
             )
         # the k_used values nearest sigma hold the whole window once the
         # farthest of them lies at or beyond the window's half-width
@@ -481,9 +474,8 @@ def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, seed=7, max_planew
         "n_planewaves": n,
         "fft_grid": G,
         "sigma": sigma,
-        "inner_solves": inner_iters[0],
-        "minres_nonconverged": inner_failures[0],
-        "edge_ratio": cw.edge_ratio,
+        **stats,
+        "edge_ratio": edge_ratio,
         "k": k,
         "k_used": k_used,
         "window_complete": True,
@@ -524,9 +516,8 @@ def supercell_spectrum(V, W, L, N, window, method="auto", k=10, max_planewaves=M
     if method == "auto":
         method = "dense" if n <= DENSE_LIMIT else "iterative"
     if method == "dense":
-        pencil = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
-        res = solve_real_form(pencil.A, alpha, beta)
-        diag = dict(pencil.info)
+        H, diag = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
+        res = solve_real_form(H, alpha, beta)
         diag.update({"method": "dense", "L": int(L), "N": int(N)})
         return SpectrumResult((alpha, beta), res.eigenvalues, diag)
     if lat.d != 2:
@@ -560,12 +551,8 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     _check_budget(n, max_planewaves)
     span = (L + t) * lat.b
     grid = _coeff_grid(int(np.ceil(L + t)), N)
-    data, edge_ratio = model.fourier_sample(lambda x: V(x) + W(x), 1, span, grid)
-    ms = np.arange(-N, N + 1)
-    kscale = 2.0 * np.pi / span
-    H = np.diag((kscale * ms) ** 2).astype(complex)
-    D = (ms[:, None] - ms[None, :]) % grid
-    H += data[D]
+    table, edge_ratio = model.fourier_sample(lambda x: V(x) + W(x), 1, span, grid)
+    H = _planewave_matrix(np.arange(-N, N + 1)[:, None], 2.0 * np.pi / span, table)
     res = solve_real_form(H, alpha, beta)
     diag = {
         "method": "dense-mismatched",

@@ -58,6 +58,11 @@ SMALL_CFG = {
 }
 
 
+# a small 2D supercell on the matrix-free route
+ITERATIVE_2D = {"window": [-0.361330513742, -0.005748116668], "L": 2, "ratio": 4,
+                "method": "iterative"}
+
+
 def read_cfg(path):
     with open(path) as f:
         return json.load(f)
@@ -186,6 +191,19 @@ def test_determinism(tmp_path):
     assert 0 < run["certificate"]["residual_bound"] <= 1e-10
     for key in ("rank_w", "support_points", "lanczos_steps"):
         assert sa["diagnostics"][key] > 0
+    # the 2D matrix-free run's diagnostics, MINRES iteration count included,
+    # are deterministic too
+    cfg2 = read_cfg(GOLDEN_2D)
+    cfg2["supercell"] = ITERATIVE_2D
+    cfg2 = write_cfg(tmp_path, cfg2, "two.json")
+    summaries = []
+    for name in ("c", "d"):
+        assert cli.main(["supercell", "--config", cfg2, "--out", str(tmp_path / name)]) == 0
+        summaries.append(read_summary(tmp_path / name))
+        summaries[-1].pop("wall_time_s")
+    assert summaries[0] == summaries[1]
+    diag = summaries[0]["diagnostics"]
+    assert diag["inner_iterations"] > diag["inner_solves"] > 0
 
 
 def test_determinism_structured_solves(tmp_path):
@@ -253,6 +271,11 @@ def test_schema_is_valid():
         lambda c: c["lattice"].update(d=3),
         lambda c: c["supercell"].update(L="five"),
         lambda c: c["perturbation"][0].update(sigma=-1.0),
+        # sizes that pass a bare integer check but cannot be run
+        lambda c: c["supercell"].update(L=0),
+        lambda c: c["galerkin"].update(n_half=1),
+        lambda c: c["augment"].update(L=2),
+        lambda c: c["augment"].update(L=[10, 15]),
     ],
 )
 def test_config_error_matches_jsonschema_validate(tmp_path, edit):
@@ -465,8 +488,7 @@ def test_perfbench_tracer_still_sees_supercell_layers(tmp_path):
     cfg1 = read_cfg(GOLDEN_1D)
     cfg1["supercell"]["window"] = [-1.1442549263927626, -0.6450826051490102]
     cfg2 = read_cfg(GOLDEN_2D)
-    cfg2["supercell"] = {"window": [-0.361330513742, -0.005748116668], "L": 2, "ratio": 4,
-                         "method": "iterative"}
+    cfg2["supercell"] = ITERATIVE_2D
     tracer = layers.Tracer()
     metrics = []
     for name, cfg in (("one", cfg1), ("two", cfg2)):
@@ -478,6 +500,10 @@ def test_perfbench_tracer_still_sees_supercell_layers(tmp_path):
         metrics.append(layers.run_metrics(spans, tracer.counters[run_id]))
     assert metrics[0]["eigcore.solve_window_calls"] == 3
     assert metrics[1]["supercell.minres_calls"] > 0
+    # the tracer chains the callback that counts the summary's iterations
+    diag = read_summary(tmp_path / "two")["diagnostics"]
+    assert diag["inner_solves"] == metrics[1]["supercell.minres_calls"]
+    assert diag["inner_iterations"] == metrics[1]["supercell.minres_iters"]
     assert [m["trace.coverage"] >= 0.98 for m in metrics] == [True, True], metrics
     import scipy.sparse.linalg
 

@@ -76,8 +76,7 @@ def test_free_particle_supercell_exact(lat1d, empty_w):
 def test_v_embedding_exact(V1d, empty_w):
     # V coefficients land exactly on supercell frequency L*m
     L, N = 5, 20
-    pencil = supercell.assemble_supercell(V1d, empty_w, L, N)
-    H = pencil.A
+    H, _ = supercell.assemble_supercell(V1d, empty_w, L, N)
     offs = supercell.supercell_wavevectors(1, L, N)[:, 0]
     c = V1d.fourier_coefficients()
     i = int(np.flatnonzero(offs == L)[0])
@@ -180,6 +179,55 @@ def test_iterative_window_retries_until_complete(V2d, W2d):
     assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-8
 
 
+@pytest.mark.parametrize("L, N", [(2, 8), (2, 18)])
+def test_real_form_matvec_matches_dense(V2d, W2d, monkeypatch, L, N):
+    # the matrix-free matvec applies the real form S that solve_real_form
+    # forms from the assembled H
+    seen = []
+    real_window = eigcore.solve_window
+
+    def spy(pencil, lo, hi, **kwargs):
+        seen.append(pencil.A)
+        return real_window(pencil, lo, hi, **kwargs)
+
+    monkeypatch.setattr(eigcore, "solve_window", spy)
+    H, info = supercell.assemble_supercell(V2d, W2d, L, N)
+    supercell.solve_real_form(H, *WIN_2D)
+    (S,) = seen
+    offs = supercell.supercell_wavevectors(2, L, N)
+    table, _ = supercell._fourier_table(V2d, W2d, L, N, info["grid"])
+    matvec, _ = supercell._real_form_matvec(table, offs, 2.0 * np.pi / (L * V2d.lattice.b), L)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = rng.standard_normal(len(offs))
+        want = S @ x
+        assert np.linalg.norm(matvec(x) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_iterative_operators_are_real(V2d, W2d, monkeypatch):
+    # eigsh gets a real operator (symmetric Lanczos, not complex Arnoldi)
+    # and MINRES a real system of the basis size n
+    real = supercell.spla
+    dtypes = []
+
+    def eigsh(A, *args, OPinv=None, **kwargs):
+        dtypes.append(("eigsh", A.dtype, OPinv.dtype, A.shape))
+        return real.eigsh(A, *args, OPinv=OPinv, **kwargs)
+
+    def minres(A, b, *args, M=None, **kwargs):
+        dtypes.append(("minres", A.dtype, M.dtype, A.shape, b.dtype))
+        return real.minres(A, b, *args, M=M, **kwargs)
+
+    spla = types.SimpleNamespace(**dict(vars(real), eigsh=eigsh, minres=minres))
+    monkeypatch.setattr(supercell, "spla", spla)
+    res = supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
+    n = res.diagnostics["n_planewaves"]
+    assert {rec[0] for rec in dtypes} == {"eigsh", "minres"}
+    for rec in dtypes:
+        assert all(t == np.float64 for t in rec[1:3] + rec[4:]), rec
+        assert rec[3] == (n, n), rec
+
+
 def test_iterative_window_uncertified_raises(V2d, W2d, monkeypatch):
     # an eigsh whose values never reach the window's half-width cannot
     # certify completeness, however large k grows
@@ -198,12 +246,20 @@ def test_iterative_window_uncertified_raises(V2d, W2d, monkeypatch):
     assert all(b == min(2 * a, n - 1) for a, b in zip(seen, seen[1:]))
 
 
-@pytest.mark.parametrize("d, L, N", [(1, 10, 160), (2, 2, 18)])
-def test_assemble_supercell_index_matches_lookup(V1d, W1d, V2d, W2d, d, L, N):
-    # H from the arithmetic mode index must equal, bit for bit, the one built
-    # with a dict lookup of every shifted offset
+@pytest.mark.parametrize(
+    "d, L, N, far",
+    [(1, 10, 160, None), (2, 2, 18, None), (1, 10, 160, 71)],
+    ids=["1-10-160", "2-2-18", "1-10-160-far-v"],
+)
+def test_assemble_supercell_index_matches_lookup(V1d, W1d, V2d, W2d, d, L, N, far):
+    # H from the Fourier table must equal, bit for bit, the one built with a
+    # dict lookup of every shifted offset.  A V wavevector far beyond the
+    # basis (L * 71 = 710 > 2N) reaches no mode pair; placed on the table's
+    # 1024-point grid it would alias onto the difference 710 - 1024 = -314
     V, W = (V1d, W1d) if d == 1 else (V2d, W2d)
-    got = supercell.assemble_supercell(V, W, L, N).A
+    if far is not None:
+        V = model.PeriodicPotential(V.lattice, V.terms + [(0.7, "cos", (far,), 0.3)])
+    got, _ = supercell.assemble_supercell(V, W, L, N)
     offs = supercell.supercell_wavevectors(d, L, N)
     n = len(offs)
     grid = supercell._coeff_grid(L, N)
@@ -350,7 +406,7 @@ def test_fiber_form_without_w_counts_fiber_values(V1d, empty_w):
     assert op.info["rank_w"] == 0 and op.info["support_points"] == 0
     res = supercell.supercell_spectrum(V1d, empty_w, 10, 160, (lo, hi))
     assert res.diagnostics["n_in_window"] == np.count_nonzero((op.e > lo) & (op.e < hi)) > 10
-    dense = np.linalg.eigvalsh(supercell.assemble_supercell(V1d, empty_w, 10, 160).A)
+    dense = np.linalg.eigvalsh(supercell.assemble_supercell(V1d, empty_w, 10, 160)[0])
     want = dense[(dense > lo) & (dense < hi)]
     assert len(res) == len(want)
     assert np.max(np.abs(res.eigenvalues - want)) <= 1e-12
