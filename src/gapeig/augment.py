@@ -20,6 +20,11 @@ Every form here comes from fem1d's one P1 kernel: the window circle uses
 its antiperiodic seam -1, the periodic fiber (fem_fiber) its quasiperiodic
 seam e^{iqb}, and the domain blocks are the circle forms restricted to the
 Dirichlet nodes.
+
+How close the FEM projector is to the exact one is measured by a2_estimate,
+the H1 operator norm of their difference on the domain's P1 functions.  The
+difference has rank at most 2*M_q*J, so the norm is computed exactly from
+one eigenproblem of that size, with no sampling.
 """
 
 import numpy as np
@@ -39,18 +44,8 @@ DEFAULT_TAU = 1e-10
 DEFAULT_SIGMA_TOL = 1e-8
 
 
-class FemFiber:
-    """Lowest bands of the periodic P1 Bloch fiber at quasimomentum q."""
-
-    def __init__(self, q, eigenvalues, vectors, n_c):
-        self.q = float(q)
-        self.eigenvalues = eigenvalues
-        self.vectors = vectors
-        self.n_c = n_c
-
-
 def fem_fiber(V, q, n_c, J):
-    """Solve the lowest J bands of the periodic FEM fiber at q.
+    """The lowest J bands of the periodic FEM fiber at q: (eigenvalues, vectors).
 
     Eigenvectors are mass-orthonormal, so each band function carries unit
     mass per period.
@@ -62,7 +57,7 @@ def fem_fiber(V, q, n_c, J):
     A, M = (fem1d.dense_form(f) for f in forms)
     pencil = eigcore.SymmetricPencil(A, M)
     res = eigcore.solve_lowest(pencil, J, with_vectors=True)
-    return FemFiber(q, res.eigenvalues, res.eigenvectors, n_c)
+    return res.eigenvalues, res.eigenvectors
 
 
 def _planewave_cell_vectors(V, q, n_c, J, M_pw):
@@ -80,9 +75,10 @@ class ProjectorKernel:
     """Rank M_q*J band projector on the M_q-period window circle.
 
     Stored in factored form K = M U U^T M with U mass-orthonormal, so the
-    projector P = U U^T M is idempotent by construction; diagnostics report
-    the measured orthonormality defect, trace, decay and translation
-    invariance.  dense() materializes K for small windows.
+    projector P = U U^T M is idempotent by construction; MU = M U is formed
+    once here and every method reads it.  diagnostics report the measured
+    orthonormality defect, trace, decay and translation invariance.
+    dense() materializes K for small windows.
     """
 
     def __init__(self, lattice, J, n_c, M_q, U, band_window, tau=DEFAULT_TAU):
@@ -97,6 +93,7 @@ class ProjectorKernel:
         self.band_window = band_window
         self.tau = tau
         self.mass_form = self.forms()[1]
+        self.MU = self.apply_mass(U)
         self.diagnostics = {}
 
     def forms(self, pot=None):
@@ -115,13 +112,11 @@ class ProjectorKernel:
         return fem1d.apply_form(self.mass_form, X)
 
     def project(self, x):
-        """Apply P = U U^T M to window coefficients."""
-        one = x.ndim == 1
-        Y = self.U @ (self.U.T @ self.apply_mass(x if not one else x[:, None]))
-        return Y[:, 0] if one else Y
+        """Apply P = U U^T M = U (MU)^T to window coefficients."""
+        return self.U @ (self.MU.T @ x)
 
     def gram_defect(self):
-        G = self.U.T @ self.apply_mass(self.U)
+        G = self.U.T @ self.MU
         return float(np.max(np.abs(G - np.eye(self.U.shape[1])))), float(np.trace(G))
 
     def idempotency_residual(self):
@@ -131,37 +126,33 @@ class ProjectorKernel:
         ||P^2 - P||_F^2 = tr(E (U^T U) E (MU)^T (MU)); no n_win x n_win
         matrix is formed.
         """
-        MU = self.apply_mass(self.U)
-        E = self.U.T @ MU
+        E = self.U.T @ self.MU
         E[np.diag_indices_from(E)] -= 1.0
-        sq = np.trace(E @ (self.U.T @ self.U) @ E @ (MU.T @ MU))
+        sq = np.trace(E @ (self.U.T @ self.U) @ E @ (self.MU.T @ self.MU))
         return float(np.sqrt(max(sq, 0.0)))
 
     def dense(self):
-        MU = self.apply_mass(self.U)
-        return MU @ MU.T
+        return self.MU @ self.MU.T
 
-    def _block(self, c1, c2, MU):
+    def _block(self, c1, c2):
         r1 = slice(c1 * self.n_c, (c1 + 1) * self.n_c)
         r2 = slice(c2 * self.n_c, (c2 + 1) * self.n_c)
-        return MU[r1] @ MU[r2].T
+        return self.MU[r1] @ self.MU[r2].T
 
     def decay_profile(self):
         """Max |K| entry per circular cell separation, relative to the overall max."""
-        MU = self.apply_mass(self.U)
         prof = np.zeros(self.M_q // 2 + 1)
         for c2 in range(self.M_q):
             sep = min(c2, self.M_q - c2)
-            prof[sep] = max(prof[sep], np.max(np.abs(self._block(0, c2, MU))))
+            prof[sep] = max(prof[sep], np.max(np.abs(self._block(0, c2))))
         return prof / prof[0]
 
     def translation_defect(self):
         """Max difference between kernel blocks related by one lattice translation."""
-        MU = self.apply_mass(self.U)
         worst = 0.0
         mid = self.M_q // 2
         for c1, c2 in ((mid - 4, mid - 4), (mid - 4, mid - 1), (mid - 6, mid - 3)):
-            d = self._block(c1, c2, MU) - self._block(c1 + 1, c2 + 1, MU)
+            d = self._block(c1, c2) - self._block(c1 + 1, c2 + 1)
             worst = max(worst, float(np.max(np.abs(d))))
         return worst
 
@@ -183,15 +174,14 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
         raise QGridAsymmetric("M_q must be an even integer >= 4 for a +-q symmetric grid")
     qs = bloch.midpoint_grid(lat, M_q)[M_q // 2:]
     n_win = M_q * n_c
-    cols = []
+    U = np.empty((n_win, 2 * J * len(qs)))
     lo_next = np.inf
     hi_band = -np.inf
     cell_phases = np.exp(1j * np.outer(qs, lat.b * (np.arange(M_q) - M_q // 2)))
     mass = fem1d.p1_forms(n_win, lat.b / n_c, -1.0)[1]
     for i, q in enumerate(qs):
         if source == "fem":
-            fib = fem_fiber(V, q, n_c, J + 1)
-            ev, vecs = fib.eigenvalues, fib.vectors
+            ev, vecs = fem_fiber(V, q, n_c, J + 1)
         elif source == "planewave":
             ev, vecs = _planewave_cell_vectors(V, q, n_c, J + 1, M_pw)
         else:
@@ -210,9 +200,8 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
                 # the frame but not exactly unit mass; fix the norms
                 re = re / np.sqrt(float(re @ fem1d.apply_form(mass, re)))
                 im = im / np.sqrt(float(im @ fem1d.apply_form(mass, im)))
-            cols.append(re)
-            cols.append(im)
-    U = np.column_stack(cols)
+            U[:, 2 * (i * J + j)] = re
+            U[:, 2 * (i * J + j) + 1] = im
     P = ProjectorKernel(lat, J, n_c, M_q, U, (hi_band, lo_next), tau)
     defect, trace = P.gram_defect()
     prof = P.decay_profile()
@@ -254,10 +243,6 @@ class AugmentedSpace:
         self.diagnostics = diagnostics
 
     @property
-    def n_fem(self):
-        return len(self.idx)
-
-    @property
     def n_aug(self):
         return self.U_keep.shape[1]
 
@@ -285,7 +270,7 @@ def augmented_space(projector, mesh, sigma_tol=DEFAULT_SIGMA_TOL, min_margin=1.0
             % (projector.M_q, margin_lo, margin_hi, min_margin)
         )
     idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + half
-    MU = projector.apply_mass(projector.U)
+    MU = projector.MU
     C = MU[idx, :].T
     Uq, s, _ = sla.svd(C, full_matrices=False)
     if s[0] == 0.0:
@@ -309,10 +294,8 @@ def augmented_space(projector, mesh, sigma_tol=DEFAULT_SIGMA_TOL, min_margin=1.0
     # (A1) cross block: the u_k are in ran(P), the (1-P)phi_i are mass
     # orthogonal to them; report the measured value
     if np.any(keep):
-        T1 = projector.apply_mass(U_keep)[idx]
-        G = projector.U.T @ projector.apply_mass(U_keep)
-        T2 = MU[idx] @ G
-        cross = float(np.max(np.abs(T1 - T2)))
+        MUk = projector.apply_mass(U_keep)
+        cross = float(np.max(np.abs(MUk[idx] - MU[idx] @ (projector.U.T @ MUk))))
     else:
         cross = 0.0
     diag = {
@@ -368,6 +351,31 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     return SpectrumResult((alpha, beta), res.eigenvalues, diagd, res.eigenvectors)
 
 
+def localization_masses(aug, coeffs):
+    """(mu_boundary, mu_compact) of an augmented eigenvector coeffs.
+
+    The eigenfunction, sum_i c_i phi_i + sum_k c_k u_k, lives on the window
+    circle (node i at (i - half_index)*h, the antiperiodic seam closing it);
+    mu_boundary is its mass on the domain's two end strips of width 2b,
+    mu_compact its mass on (-2b, 2b).
+    """
+    P = aug.projector
+    full = np.zeros(P.n_win)
+    nf = len(aug.idx)
+    full[aug.idx] = coeffs[:nf]
+    if aug.n_aug:
+        full += aug.U_keep @ coeffs[nf:]
+    line = fem1d.Mesh1D(P.lattice.b, P.n_c, -P.half_index, P.half_index)
+    vals = np.concatenate([full, [-full[0]]])
+
+    def mass(lo, hi):
+        return fem1d.interval_mass(line, vals, lo, hi, interior=False)
+
+    strip = 2 * P.lattice.b
+    x_lo, x_hi = aug.mesh.x_lo, aug.mesh.x_hi
+    return mass(x_lo, x_lo + strip) + mass(x_hi - strip, x_hi), mass(-strip, strip)
+
+
 def _banded(form, idx):
     """A form on the consecutive nodes idx (Dirichlet), in solveh_banded's upper storage."""
     d, o, _ = form
@@ -377,20 +385,25 @@ def _banded(form, idx):
     return ab
 
 
-def a2_estimate(
-    V, mesh, J=1, M_q=64, M_pw=32, n_samples=50, seed=0, method="random", ref_source="planewave",
-    projector=None,
-):
-    """Estimate sup over unit-H1 P1 functions of ||(P_ref - P_fem) phi||_H1.
+def a2_estimate(V, mesh, J=1, M_q=64, M_pw=32, ref_source="planewave", projector=None):
+    """A2 = sup over unit-H1 P1 functions phi on the domain of ||(P_ref - P_fem) phi||_H1.
 
     P_fem is the FEM-fiber projector at the mesh resolution, P_ref the
     planewave-fiber projector on the same nodes.  A FEM projector built
     already (build_projector with the same J, M_q and the mesh's n_c) can be
     passed as projector to skip rebuilding it; a mismatch raises ValueError.
-    method "random" maximizes over fixed-seed random samples; "power" runs a
-    deterministic power iteration on the same quantity.  Decreasing
-    estimates under mesh refinement are the practical certificate that the
-    augmentation converges.
+    Decreasing values under mesh refinement are the practical certificate
+    that the augmentation converges.
+
+    The value is exact, not sampled.  D = P_ref - P_fem maps domain
+    coefficients x to B K^T x with B = [U_ref, U_fem] and
+    K = [(M U_ref)[idx], -(M U_fem)[idx]], of rank at most 2r (r = M_q*J).
+    With G_dom = R_c^T R_c the banded Cholesky factor of the domain H1 Gram
+    and R the triangle of a thin QR of R_c^{-T} K, A2^2 is the top
+    eigenvalue of the 2r x 2r matrix F^T G_win F, F = B R^T.  F sums the two
+    projectors' terms before anything is squared, so identical projectors
+    give A2 at roundoff level.  F is formed one period of rows at a time
+    (fem1d.form_gram), never whole.
     """
     n_c = mesh.n_c
     if projector is None:
@@ -404,62 +417,34 @@ def a2_estimate(
             )
         P_fem = projector
     P_ref = build_projector(V, J=J, n_c=n_c, M_q=M_q, source=ref_source, M_pw=M_pw)
-    half = P_fem.half_index
-    idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + half
+    idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + P_fem.half_index
     if idx[0] < 0 or idx[-1] >= P_fem.n_win:
         raise WindowTooSmall("mesh does not fit inside the projector window")
-    stiff, mass = P_fem.forms()
-    # domain H1 Gram (Dirichlet): the window's stiffness + mass on the mesh interior
-    gram = _banded(tuple(k + m for k, m in zip(stiff, mass)), idx)
+    # H1 Gram of the window circle; on the mesh interior, the domain's (Dirichlet)
+    h1 = tuple(k + m for k, m in zip(*P_fem.forms()))
+    chol = sla.cholesky_banded(_banded(h1, idx))
+    # K = [(M U_ref)[idx], -(M U_fem)[idx]], whitened to R_c^{-T} K by a
+    # transposed solve with the upper banded factor (its diagonal is
+    # positive, so the solve cannot fail), then reduced to its R; both steps
+    # work in place, so the run's peak memory stays where the projector
+    # builds put it
+    r = P_fem.U.shape[1]
+    dom = slice(idx[0], idx[-1] + 1)
+    K = np.empty((len(idx), 2 * r), order="F")
+    K[:, :r] = P_ref.MU[dom]
+    np.negative(P_fem.MU[dom], out=K[:, r:])
+    K = sla.lapack.dtbtrs(chol, K, trans="T", overwrite_b=True)[0]
+    Rt = sla.qr(K, mode="r", overwrite_a=True)[0][: 2 * r].T
 
-    def apply_gram(x):
-        return fem1d.apply_form((gram[1], gram[0, 1:], 0.0), x)
+    def rows(lo, hi):
+        # rows of F = B R^T: the two projectors' terms cancel here, before
+        # anything is squared
+        return np.hstack([P_ref.U[lo:hi], P_fem.U[lo:hi]]) @ Rt
 
-    def h1_win(x):
-        return fem1d.apply_form(stiff, x) + fem1d.apply_form(mass, x)
-
-    def h1_norm_win(x):
-        return float(np.sqrt(x @ h1_win(x)))
-
-    def h1_normalize(x):
-        return x / np.sqrt(x @ apply_gram(x))
-
-    def apply_diff(x):
-        full = np.zeros(P_fem.n_win)
-        full[idx] = x
-        return P_ref.project(full) - P_fem.project(full)
-
-    rng = np.random.default_rng(seed)
-    if method == "random":
-        # isotropic nodal noise has almost no overlap with the low bands the
-        # projectors act on; sample inside the coupled subspace instead so
-        # the max over samples tracks the operator norm
-        U_all = np.column_stack([P_fem.U, P_ref.U])
-        best = 0.0
-        for _ in range(n_samples):
-            g = rng.standard_normal(U_all.shape[1])
-            x = h1_normalize((U_all @ g)[idx])
-            best = max(best, h1_norm_win(apply_diff(x)))
-        est = best
-    elif method == "power":
-        # power iteration on G_dom^{-1} D^T G_win D in the domain H1 metric
-        x = h1_normalize(rng.standard_normal(len(idx)))
-        est = 0.0
-        for _ in range(30):
-            x_new = sla.solveh_banded(gram, h1_win(apply_diff(x))[idx])
-            nrm = np.sqrt(abs(x_new @ apply_gram(x_new)))
-            if nrm == 0:
-                break
-            x = x_new / nrm
-            est = h1_norm_win(apply_diff(x))
-    else:
-        raise ValueError("method must be 'random' or 'power'")
+    top = np.linalg.eigvalsh(fem1d.form_gram(h1, rows, P_fem.n_c))[-1]
     return {
-        "estimate": float(est),
-        "method": method,
-        "n_samples": int(n_samples) if method == "random" else 30,
+        "estimate": float(np.sqrt(max(top, 0.0))),
         "n_c": int(n_c),
         "M_q": int(M_q),
         "M_pw": int(M_pw),
-        "seed": int(seed),
     }

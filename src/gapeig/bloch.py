@@ -174,10 +174,6 @@ class GapWindow:
     def gamma(self):
         return 0.5 * (self.alpha + self.beta)
 
-    @property
-    def width(self):
-        return self.beta - self.alpha
-
     def __repr__(self):
         return "GapWindow(J=%d, alpha=%.6f, beta=%.6f)" % (self.J, self.alpha, self.beta)
 

@@ -444,12 +444,23 @@ def _reference_values(ref, V, W, window):
     return res.interior()
 
 
+def _band_structure(V, p, threads):
+    """The band sweep of a bands or gap section p; ConfigError, before any
+    solve, when J_max exceeds the (2*M_pw + 1)^d planewaves of a fiber."""
+    d = V.lattice.d
+    M_pw = p.get("M_pw", bloch.DEFAULT_M_PW[d])
+    J_max = p.get("J_max", 4)
+    if J_max > (2 * M_pw + 1) ** d:
+        raise ConfigError(
+            "J_max = %d exceeds the %d planewaves of a %dD fiber with M_pw = %d"
+            % (J_max, (2 * M_pw + 1) ** d, d, M_pw)
+        )
+    return bloch.band_structure(V, M_pw=M_pw, M_q=p.get("M_q"), J_max=J_max, threads=threads)
+
+
 def run_bands(cfg, out_dir, threads):
     lat, V, _ = build_problem(cfg)
-    p = cfg.get("bands", {})
-    bs = bloch.band_structure(
-        V, M_pw=p.get("M_pw"), M_q=p.get("M_q"), J_max=p.get("J_max", 4), threads=threads
-    )
+    bs = _band_structure(V, cfg.get("bands", {}), threads)
     header = ["q1", "band", "epsilon"] if lat.d == 1 else ["q1", "q2", "band", "epsilon"]
     rows = []
     for i in range(len(bs.qpoints)):
@@ -468,9 +479,7 @@ def run_bands(cfg, out_dir, threads):
 def run_gap(cfg, out_dir, threads):
     _, V, _ = build_problem(cfg)
     p = cfg.get("gap", {})
-    bs = bloch.band_structure(
-        V, M_pw=p.get("M_pw"), M_q=p.get("M_q"), J_max=p.get("J_max", 4), threads=threads
-    )
+    bs = _band_structure(V, p, threads)
     gw = bloch.find_gap(bs, p.get("J", 1))
     out = {
         "J": gw.J,
@@ -518,6 +527,11 @@ def run_supercell(cfg, out_dir, threads):
         L = Ls[0]
         N = int(round(ratio * L))
         if t > 0:
+            if N < 4 * (L + t):
+                raise ConfigError(
+                    "supercell ratio %g gives N = %d < 4*(L + t) = %g at L = %d, t = %g; "
+                    "raise ratio" % (ratio, N, 4 * (L + t), L, t)
+                )
             res = supercell.mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=mp)
         else:
             res = supercell.supercell_spectrum(
@@ -650,21 +664,6 @@ def run_dislocation(cfg, out_dir, threads):
     return results, {"n_periods": n_periods, "n_c": n_c}, ["dislocation.csv"]
 
 
-def _window_line_mass(aug, coeffs, lo, hi):
-    """Mass of an augmented eigenfunction on [lo, hi] in window coordinates."""
-    from gapeig import fem1d
-
-    P = aug.projector
-    full = np.zeros(P.n_win)
-    nf = len(aug.idx)
-    full[aug.idx] = coeffs[:nf]
-    if aug.n_aug:
-        full += aug.U_keep @ coeffs[nf:]
-    line = fem1d.Mesh1D(P.lattice.b, P.n_c, -P.half_index, P.half_index)
-    vals = np.concatenate([full, [-full[0]]])
-    return fem1d.interval_mass(line, vals, lo, hi, interior=False)
-
-
 def run_augment(cfg, out_dir, threads):
     from gapeig import augment, fem1d
 
@@ -692,11 +691,7 @@ def run_augment(cfg, out_dir, threads):
             )
             res = augment.augmented_spectrum(V, W, aug, window, with_vectors=True)
             for i, ev in enumerate(res.eigenvalues):
-                c = res.eigenvectors[:, i]
-                mb = _window_line_mass(aug, c, mesh.x_lo, mesh.x_lo + 2 * lat.b) + _window_line_mass(
-                    aug, c, mesh.x_hi - 2 * lat.b, mesh.x_hi
-                )
-                mk = _window_line_mass(aug, c, -2 * lat.b, 2 * lat.b)
+                mb, mk = augment.localization_masses(aug, res.eigenvectors[:, i])
                 rows.append((L, t, n_c, M_q, ev, mb, mk, fem1d.mode_label(ev, res.window, ref)))
             results["runs"].append(
                 {

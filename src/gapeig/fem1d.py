@@ -147,6 +147,26 @@ def apply_form(form, X):
     return Y
 
 
+def form_gram(form, rows, block):
+    """X^T A X for a real form A = (diag, offdiag, seam) on n nodes.
+
+    X is real and never held whole: rows(lo, hi) returns its rows lo..hi-1,
+    and it is asked for block rows at a time (plus the one row that couples
+    a block to the next), so a tall X costs memory of one block.
+    """
+    d, o, s = form
+    n = len(d)
+    S = 0.0
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        X = rows(lo, min(hi + 1, n))
+        Xb = X[: hi - lo]
+        C = X[:-1].T @ (o[lo:lo + len(X) - 1, None] * X[1:])
+        S = S + Xb.T @ (d[lo:hi, None] * Xb) + C + C.T
+    first, last = rows(0, 1)[0], rows(n - 1, n)[0]
+    return S + s * np.outer(last, first) + np.conj(s) * np.outer(first, last)
+
+
 def dense_form(form):
     """A form (diag, offdiag, seam) as a dense Hermitian matrix."""
     d, o, s = form

@@ -203,10 +203,10 @@ def fourier_sample(func, d, span, grid):
     return data, edge / maxall
 
 
-def perturbation_supercell_coefficients(W, L, grid=None):
+def perturbation_supercell_coefficients(W, L, grid):
     """Fourier coefficients of W periodized over the supercell (-L*b/2, L*b/2]^d.
 
-    grid must be a power of two with grid >= 8*L (default: smallest such).
+    grid must be a power of two with grid >= 8*L.
     Raises ResolutionError when the relative aliasing estimate exceeds 1e-8,
     i.e. the grid cannot resolve W over this supercell.
     """
@@ -214,10 +214,6 @@ def perturbation_supercell_coefficients(W, L, grid=None):
     if not (int(L) == L and L >= 1):
         raise ValueError("supercell side L must be a positive integer")
     L = int(L)
-    if grid is None:
-        grid = 1
-        while grid < 8 * L:
-            grid *= 2
     grid = int(grid)
     if grid & (grid - 1) or grid < 8 * L:
         raise ValueError("grid must be a power of two with grid >= 8*L")

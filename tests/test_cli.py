@@ -349,6 +349,28 @@ def test_bad_window_order_exit2(tmp_path):
     assert cli.main(["supercell", "--config", p, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("method", ["gap", "bands"])
+def test_J_max_beyond_fiber_size_exit2(tmp_path, capsys, method):
+    # M_pw = 1 gives fibers of 3 planewaves, fewer than the J_max = 4 bands asked for
+    cfg = read_cfg(GOLDEN_1D)
+    cfg[method].update(M_pw=1, J_max=4)
+    out = tmp_path / "out"
+    assert cli.main([method, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert "J_max" in err and "M_pw" in err
+
+
+def test_mismatched_supercell_below_resolution_exit2(tmp_path, capsys):
+    # round(4 * 3) = 12 < 4 * (3 + 0.5): refused before any solve
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg["supercell"] = {"window": [-1.144, -0.645], "L": 3, "t": 0.5, "ratio": 4}
+    out = tmp_path / "out"
+    assert cli.main(["supercell", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert os.listdir(out) == []
+    assert "ratio" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     # exit code and stderr flow through the installed script path
     cfg = write_cfg(tmp_path, {"lattice": {"d": 1, "b": 6.283185307179586}})

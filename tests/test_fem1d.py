@@ -59,6 +59,20 @@ def test_laplacian_matches_closed_form():
     assert np.allclose(res.eigenvalues, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("block", [1, 7, 11, 24])
+def test_form_gram_matches_dense(V1d, block):
+    # X^T A X from blocks of rows, against the dense form; 23 rows split
+    # into blocks of every kind, including a last block of one row
+    n = 23
+    a = np.arange(n) * 0.3
+    X = np.random.default_rng(1).standard_normal((n, 5))
+    for seam in (-1.0, 0.0):
+        for form in fem1d.p1_forms(n, 0.3, seam, fem1d.element_integrals(a, a + 0.3, 0.3, V1d)):
+            want = X.T @ fem1d.dense_form(form) @ X
+            got = fem1d.form_gram(form, lambda lo, hi: X[lo:hi], block)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-12)
+
+
 def test_quadrature_self_refinement(V1d, W1d, lat1d):
     # halving h changes window eigenvalues at the expected O(h^2) rate
     win = WIN_1D
