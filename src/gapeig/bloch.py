@@ -8,6 +8,15 @@ q -> -q), and spectral gaps are located from the sampled band ranges with a
 finite-difference estimate of what the grid can actually resolve.  V is
 real, so eps_j(-q) = eps_j(q): the sweep solves the first half of the grid
 and mirrors it onto the second.
+
+A fiber is complex Hermitian in general.  When V is even about some point
+c, the potential translated there, V(c + .), has real Fourier coefficients,
+and then every fiber is real symmetric: assemble_fiber builds a float64
+matrix whenever all coefficients are real, which LAPACK solves in real
+arithmetic.  A translation does not change any fiber's spectrum, so the
+sweep runs on model.PeriodicPotential.centred() whenever V has an inversion
+centre (the shipped 2D potential does; the 1D one does not) and keeps the
+complex fibers otherwise.
 """
 
 import itertools
@@ -44,7 +53,11 @@ def _offset_index(offsets_matrix, M_pw, d):
 
 
 def assemble_fiber(V, q, M_pw):
-    """Fiber pencil at quasimomentum q: kinetic diagonal plus V Fourier couplings."""
+    """Fiber pencil at quasimomentum q: kinetic diagonal plus V Fourier couplings.
+
+    The matrix is real symmetric (float64) when every Fourier coefficient of
+    V is real, i.e. V is even about the origin, and complex Hermitian
+    otherwise."""
     lat = V.lattice
     d = lat.d
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -53,15 +66,17 @@ def assemble_fiber(V, q, M_pw):
     offs = fiber_offsets(d, M_pw)
     n = len(offs)
     k = q[None, :] + lat.reciprocal * offs
-    H = np.zeros((n, n), dtype=complex)
+    coeffs = V.fourier_coefficients()
+    real = all(c.imag == 0 for c in coeffs.values())
+    H = np.zeros((n, n), dtype=float if real else complex)
     H[np.diag_indices(n)] = np.sum(k * k, axis=1)
     cols = np.arange(n)
-    for m, c in V.fourier_coefficients().items():
+    for m, c in coeffs.items():
         if c == 0:
             continue
         rows = _offset_index(offs + np.asarray(m, dtype=int)[None, :], M_pw, d)
         keep = rows >= 0
-        H[rows[keep], cols[keep]] += c
+        H[rows[keep], cols[keep]] += c.real if real else c
     return eigcore.SymmetricPencil(H)
 
 
@@ -81,14 +96,21 @@ def midpoint_grid(lattice, M_q):
 
 
 class BandStructure:
-    """Sampled band functions: qpoints (N, d) and bands (N, J_max), plus grid shape."""
+    """Sampled band functions: qpoints (N, d) and bands (N, J_max), plus grid shape.
 
-    def __init__(self, lattice, M_pw, M_q, qpoints, bands):
+    fiber_form is "real" when the sweep solved real symmetric fibers and
+    "complex" otherwise; inversion_centre is the centre c of V they were
+    built about (None when V has none)."""
+
+    def __init__(self, lattice, M_pw, M_q, qpoints, bands, fiber_form="complex",
+                 inversion_centre=None):
         self.lattice = lattice
         self.M_pw = M_pw
         self.M_q = M_q
         self.qpoints = qpoints
         self.bands = bands
+        self.fiber_form = fiber_form
+        self.inversion_centre = inversion_centre
 
     @property
     def J_max(self):
@@ -112,6 +134,12 @@ def band_structure(V, M_pw=None, M_q=None, J_max=4, threads=1):
     -qpoints[p] exactly and none is its own mirror (M_q is even), so only
     the first N/2 fibers are solved: bands[N-1-p] = bands[p], since
     eps(-q) = eps(q) for real V.
+
+    When V has an inversion centre c the fibers are those of V(c + .), whose
+    Fourier coefficients are real, so each is a real symmetric matrix with
+    the spectrum of V's own complex Hermitian fiber; otherwise they are
+    V's complex fibers.  The result's fiber_form and inversion_centre say
+    which was used.
     """
     lat = V.lattice
     d = lat.d
@@ -122,17 +150,21 @@ def band_structure(V, M_pw=None, M_q=None, J_max=4, threads=1):
     axis = midpoint_grid(lat, M_q)
     qpoints = np.array(list(itertools.product(axis, repeat=d)))
     half = qpoints[: len(qpoints) // 2]
+    centred = V.centred()
+    sweep = V if centred is None else centred
     if threads > 1:
         # imported here: concurrent.futures brings logging into every process
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda q: fiber_bands(V, q, M_pw, J_max), half))
+            results = list(ex.map(lambda q: fiber_bands(sweep, q, M_pw, J_max), half))
     else:
-        results = [fiber_bands(V, q, M_pw, J_max) for q in half]
+        results = [fiber_bands(sweep, q, M_pw, J_max) for q in half]
     bands = np.array([r.eigenvalues for r in results])
     bands = np.concatenate((bands, bands[::-1]))
-    return BandStructure(lat, M_pw, M_q, qpoints, bands)
+    if centred is None:
+        return BandStructure(lat, M_pw, M_q, qpoints, bands)
+    return BandStructure(lat, M_pw, M_q, qpoints, bands, "real", list(centred.centre))
 
 
 def _resolution_estimate(grid, point):

@@ -458,6 +458,12 @@ def _band_structure(V, p, threads):
     return bloch.band_structure(V, M_pw=M_pw, M_q=p.get("M_q"), J_max=J_max, threads=threads)
 
 
+def _fiber_diagnostics(bs):
+    """Which fibers a band sweep solved: "real" ones about V's inversion
+    centre, or "complex" ones (inversion_centre None)."""
+    return {"fiber_form": bs.fiber_form, "inversion_centre": bs.inversion_centre}
+
+
 def run_bands(cfg, out_dir, threads):
     lat, V, _ = build_problem(cfg)
     bs = _band_structure(V, cfg.get("bands", {}), threads)
@@ -473,7 +479,7 @@ def run_bands(cfg, out_dir, threads):
         "J_max": bs.J_max,
         "band_ranges": [bs.band_range(j + 1) for j in range(bs.J_max)],
     }
-    return results, {"n_qpoints": len(bs.qpoints)}, ["bands.csv"]
+    return results, {"n_qpoints": len(bs.qpoints), **_fiber_diagnostics(bs)}, ["bands.csv"]
 
 
 def run_gap(cfg, out_dir, threads):
@@ -492,7 +498,8 @@ def run_gap(cfg, out_dir, threads):
     write_json(os.path.join(out_dir, "gap.json"), out)
     results = dict(out)
     results["component_bands"] = gw.info.get("component_bands")
-    return results, {"band_ranges": gw.info.get("band_ranges")}, ["gap.json"]
+    diag = {"band_ranges": gw.info.get("band_ranges"), **_fiber_diagnostics(bs)}
+    return results, diag, ["gap.json"]
 
 
 def run_supercell(cfg, out_dir, threads):
@@ -505,6 +512,11 @@ def run_supercell(cfg, out_dir, threads):
     Ls = _as_list(p["L"])
     ratio = p.get("ratio", 16)
     t = p.get("t", 0.0)
+    if len(Ls) > 1 and t > 0:
+        raise ConfigError(
+            "supercell t = %g applies to one cell only; the convergence scan over L = %s "
+            "runs commensurate cells" % (t, Ls)
+        )
     rows = []
     results = {"window": list(window), "runs": []}
     diag = {}

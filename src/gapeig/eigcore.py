@@ -4,8 +4,10 @@ Three operator types go through the same entry point solve_window, which
 dispatches on the type (solve_lowest takes the first two):
 
 - SymmetricPencil: dense Hermitian (A, B); a real A takes the real
-  symmetric drivers.  Bloch fibers are complex (a quasimomentum q != 0
-  breaks the conjugation symmetry).  Dense planewave supercells are solved
+  symmetric drivers.  Bloch fibers are real for a potential even about the
+  origin (bloch sweeps one translated to its inversion centre when it has
+  one) and complex otherwise (a quasimomentum q != 0 breaks the
+  conjugation symmetry).  Dense planewave supercells are solved
   in their real symmetric form, which supercell.solve_real_form builds from
   the complex exponential-basis matrix after checking that the operator is
   real (SYMMETRY_TOL bounds that reality defect as well).  The standard
@@ -56,11 +58,25 @@ SYMMETRY_TOL = 1e-12
 LANCZOS_TOL = 1e-13
 MAX_KRYLOV = 1000
 CHECK_EVERY = 8
-LANCZOS_SEED = 0
+# start vectors are runs of the Weyl sequence frac(j * WEYL_STEP) - 1/2
+# (weyl_vector), the golden ratio's conjugate as step
+WEYL_STEP = (np.sqrt(5.0) - 1.0) / 2.0
 # windowed solves take the end slices of END_SLICE times the width apart
 # when they hold eigenvalues, at most MAX_SLICE_DEPTH levels deep
 END_SLICE = 1.0 / 32
 MAX_SLICE_DEPTH = 12
+
+
+def weyl_vector(n, start=0):
+    """Terms start + 1 .. start + n of the Weyl sequence frac(j * WEYL_STEP) - 1/2.
+
+    A deterministic start vector for iterative eigensolvers: its entries
+    are equidistributed in [-1/2, 1/2), so it has no special alignment with
+    any eigenvector, and it takes numpy's core alone (numpy.random is a
+    sizeable import of its own).
+    """
+    j = np.arange(start + 1, start + n + 1, dtype=float)
+    return (j * WEYL_STEP) % 1.0 - 0.5
 
 
 def _max_abs(x):
@@ -480,10 +496,11 @@ def _lanczos(op, lo, hi, count):
 
     OP = (A - sigma M)^{-1} M is self-adjoint in the M inner product, so the
     Lanczos basis is kept M-orthonormal with one full reorthogonalization
-    per step.  The start vector comes from a fixed seed, so the result is
-    deterministic.  Returns the count converged Ritz vectors nearest sigma
-    with values inside, as columns, or None when fewer have converged once
-    the basis is full; and the number of steps taken.
+    per step.  The start vectors are runs of the Weyl sequence
+    (weyl_vector), so the result is deterministic.  Returns the count
+    converged Ritz vectors nearest sigma with values inside, as columns, or
+    None when fewer have converged once the basis is full; and the number
+    of steps taken.
     """
     n = op.n
     M = op.mass
@@ -499,7 +516,6 @@ def _lanczos(op, lo, hi, count):
     MQ = Q if M is None else np.empty((m_max, n), dtype=op.dtype)
     alpha = np.zeros(m_max)
     beta = np.zeros(m_max)
-    rng = np.random.default_rng(LANCZOS_SEED)
 
     def project_out(v, j):
         # v minus its M-orthogonal projection on the first j basis vectors;
@@ -507,7 +523,8 @@ def _lanczos(op, lo, hi, count):
         return v - Q[:j].T @ (MQ[:j] @ v.conj()).conj()
 
     def start(j):
-        v = rng.standard_normal(n).astype(op.dtype)
+        # each start (at a distinct basis size j) takes its own run
+        v = weyl_vector(n, j * n).astype(op.dtype)
         for _ in range(2):
             v = project_out(v, j)
         Mv = v if M is None else M @ v

@@ -7,8 +7,11 @@ evaluate pointwise and have closed-form or FFT-computable Fourier data, which
 is what the discretizations in the other modules consume.
 """
 
+import itertools
+
 import numpy as np
 
+from gapeig import eigcore
 from gapeig.errors import ResolutionError
 
 ALIASING_TOL = 1e-8
@@ -90,6 +93,54 @@ class PeriodicPotential:
             coeffs[m] = coeffs.get(m, 0.0) + cplus
             coeffs[mneg] = coeffs.get(mneg, 0.0) + np.conj(cplus)
         return coeffs
+
+    def centred(self):
+        """This potential translated to an inversion centre, or None when it has none.
+
+        With y = (2 pi/b) c, V is even about c exactly when every coefficient
+        of V(c + .), Vhat(m) e^{i m.y}, is real: arg Vhat(m) + m.y in pi Z for
+        every wavevector m of the support.  A maximal linearly independent
+        set B of support wavevectors (one of each +-m pair), completed by unit
+        vectors whose condition is y_a in pi Z (which loses no centre, since
+        the directions B leaves free can be shifted at will), fixes y modulo
+        2 pi up to 2^d |det B| candidates y = B^{-1}(theta + pi k).  Each is
+        tested against every coefficient, to eigcore.SYMMETRY_TOL relative to
+        the largest; the first that passes is taken.  The result is a sum of
+        "cos" terms with phase 0 and signed amplitudes, so its
+        fourier_coefficients() are exactly real, and its attribute centre
+        holds c: it equals V(c + x).  A potential without terms centres at 0.
+        """
+        d = self.lattice.d
+        coeffs = self.fourier_coefficients()
+        peak = max((abs(c) for c in coeffs.values()), default=0.0)
+        tol = eigcore.SYMMETRY_TOL * peak
+        # one wavevector of each +-m pair, the one whose first nonzero entry
+        # is positive, shortest first so that det B stays small
+        support = sorted((m for m in coeffs if m > (0,) * d and abs(coeffs[m]) > tol),
+                         key=lambda m: (np.abs(m).sum(), m))
+        units = [tuple(e) for e in np.eye(d, dtype=int)]
+        basis, theta = [], []
+        for m, phase in [(m, -np.angle(coeffs[m])) for m in support] + [(e, 0.0) for e in units]:
+            if np.linalg.matrix_rank(np.array(basis + [m])) > len(basis):
+                basis.append(m)
+                theta.append(phase % np.pi)
+        B = np.array(basis, dtype=float)
+        det = int(round(abs(np.linalg.det(B))))
+        k = np.array(list(itertools.product(range(2 * det), repeat=d)), dtype=float)
+        y = np.linalg.solve(B, (np.array(theta)[None, :] + np.pi * k).T).T
+        y -= 2.0 * np.pi * np.round(y / (2.0 * np.pi))
+        ms = np.array(list(coeffs), dtype=float).reshape(-1, d)
+        shifted = np.array(list(coeffs.values()), dtype=complex) * np.exp(1j * (y @ ms.T))
+        even = np.all(np.abs(shifted.imag) <= tol, axis=1)
+        if not np.any(even):
+            return None
+        i = int(np.argmax(even))
+        real = dict(zip(coeffs, shifted[i].real))
+        terms = [(real[m] if m == (0,) * d else 2.0 * real[m], "cos", m, 0.0)
+                 for m in sorted(coeffs) if m >= (0,) * d]
+        out = PeriodicPotential(self.lattice, terms)
+        out.centre = tuple(float(c) for c in y[i] / self.lattice.reciprocal)
+        return out
 
 
 class Perturbation:

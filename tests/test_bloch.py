@@ -58,6 +58,17 @@ def test_fiber_hermitian_exact(V1d, V2d):
     assert np.array_equal(H2, H2.conj().T)
 
 
+def test_fiber_real_only_for_centred_potential(V2d):
+    # V2d's translate to its inversion centre has real coefficients, so its
+    # fibers are real symmetric with V2d's fiber spectrum; V2d itself stays complex
+    q = np.array([0.21, -0.4])
+    real = bloch.assemble_fiber(V2d.centred(), q, 4)
+    cplx = bloch.assemble_fiber(V2d, q, 4)
+    assert real.A.dtype == np.float64
+    assert cplx.A.dtype == np.complex128
+    assert np.max(np.abs(np.linalg.eigvalsh(real.A) - np.linalg.eigvalsh(cplx.A))) <= 1e-12
+
+
 def test_fiber_entries(V1d):
     # off-diagonal entries are the potential coefficients at the offset difference
     H = bloch.assemble_fiber(V1d, np.array([0.1]), 4).A

@@ -371,6 +371,33 @@ def test_mismatched_supercell_below_resolution_exit2(tmp_path, capsys):
     assert "ratio" in capsys.readouterr().err
 
 
+def test_supercell_scan_with_offset_exit2(tmp_path, capsys):
+    # the convergence scan runs commensurate cells only, so a t would be
+    # ignored by the solves while summary.json echoed it: refused up front
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg["supercell"] = {"window": [-1.144, -0.645], "L": [10, 20], "t": 0.5, "ratio": 16}
+    out = tmp_path / "out"
+    assert cli.main(["supercell", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert os.listdir(out) == []
+    assert "t = 0.5" in capsys.readouterr().err
+
+
+def test_fiber_form_in_summary(tmp_path):
+    # the 1D potential has no inversion centre and keeps complex fibers; the
+    # 2D one is swept about its centre (0, (pi/2 - 1)/2) in real form
+    out = tmp_path / "one"
+    assert cli.main(["gap", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out)]) == 0
+    diag = read_summary(out)["diagnostics"]
+    assert diag["fiber_form"] == "complex" and diag["inversion_centre"] is None
+    cfg = read_cfg(GOLDEN_2D)
+    cfg["bands"] = {"M_pw": 3, "M_q": 4, "J_max": 3}
+    out = tmp_path / "two"
+    assert cli.main(["bands", "--config", write_cfg(tmp_path, cfg, "two.json"), "--out", str(out)]) == 0
+    diag = read_summary(out)["diagnostics"]
+    assert diag["fiber_form"] == "real"
+    assert diag["inversion_centre"] == pytest.approx([0.0, 0.5 * (np.pi / 2 - 1)], abs=1e-15)
+
+
 def test_console_entry_point(tmp_path):
     # exit code and stderr flow through the installed script path
     cfg = write_cfg(tmp_path, {"lattice": {"d": 1, "b": 6.283185307179586}})
@@ -413,6 +440,11 @@ def test_gap_loads_no_scipy(tmp_path):
 def test_supercell_1d_loads_no_scipy(tmp_path):
     # the 1D supercell solves its fiber form with numpy alone
     assert _loaded_after(tmp_path, ["gap", "supercell"], ("scipy", "concurrent")) == "[]"
+
+
+def test_supercell_1d_loads_no_numpy_random(tmp_path):
+    # the Lanczos start vectors are Weyl sequences, so numpy.random stays unloaded
+    assert "'numpy.random'" not in _loaded_after(tmp_path, ["gap", "supercell"], ("numpy",))
 
 
 def test_valid_config_loads_no_jsonschema():

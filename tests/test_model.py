@@ -143,3 +143,33 @@ def test_supercell_coefficients_2d(W2d):
     xx, yy = np.meshgrid(g, g, indexing="ij")
     mean = np.mean(W2d(xx, yy))
     assert cw.coeff((0, 0)) == pytest.approx(mean, abs=1e-9)
+
+
+def test_centred_2d_is_even_with_real_coefficients(V2d):
+    # cos x + 3 sin(2x + 2y + 1) is even about c = (0, (pi/2 - 1)/2)
+    Vc = V2d.centred()
+    c = np.asarray(Vc.centre)
+    x = np.array([0.0, 0.3, -1.7, 2.9, 5.5])
+    y = np.array([0.0, 2.2, 0.4, -3.1, 1.25])
+    assert np.max(np.abs(V2d(c[0] + x, c[1] + y) - V2d(c[0] - x, c[1] - y))) <= 1e-12
+    assert np.max(np.abs(Vc(x, y) - V2d(c[0] + x, c[1] + y))) <= 1e-12
+    coeffs = Vc.fourier_coefficients()
+    assert all(v.imag == 0.0 for v in coeffs.values())
+    assert set(coeffs) == set(V2d.fourier_coefficients())
+
+
+def test_centred_none_without_inversion_centre(V1d, lat2d):
+    # cos x is even about 0 and pi, 3 sin(2x + 1) about (pi/2 - 1)/2 + k pi/2
+    assert V1d.centred() is None
+    # each phase alone can be undone, the three together cannot
+    tilted = model.PeriodicPotential(
+        lat2d, [(1.0, "cos", (1, 0), 0.3), (1.0, "cos", (0, 1), 0.5), (1.0, "cos", (1, 1), 0.1)]
+    )
+    assert tilted.centred() is None
+
+
+def test_centred_empty_potential_at_origin(lat1d, lat2d):
+    for lat in (lat1d, lat2d):
+        Vc = model.PeriodicPotential(lat, []).centred()
+        assert Vc.centre == (0.0,) * lat.d
+        assert Vc.terms == []
