@@ -8,8 +8,8 @@ augmented finite element method (pollution-free), together with diagnostics
 that detect and classify spurious modes.
 
 Importing the package loads no module but errors: import the ones you use
-(from gapeig import bloch).  model, eigcore, bloch and the 1D supercell need
-numpy alone; fem1d, augment and the 2D supercell bring in scipy.
+(from gapeig import bloch).  model, eigcore, bloch and supercell need numpy
+alone; fem1d and augment bring in scipy.
 """
 
 from gapeig.errors import (

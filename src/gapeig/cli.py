@@ -12,9 +12,8 @@ errors (summary JSON written with the error name).
 
 Only model and bloch, which need numpy alone, are imported here; the runners
 import fem1d, augment and supercell in their own bodies.  fem1d and augment
-bring in scipy, supercell only for a 2D solve, so bands, gap and a 1D
-supercell run on numpy alone.  jsonschema is imported only to explain a
-config that load_config rejects.
+bring in scipy; bands, gap and supercell, 1D or 2D, run on numpy alone.
+jsonschema is imported only to explain a config that load_config rejects.
 """
 
 import argparse
@@ -149,7 +148,6 @@ SCHEMA = {
                 "ratio": {"type": "number", "minimum": 4},
                 "t": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "method": {"enum": ["auto", "dense", "iterative"]},
-                "k": {"type": "integer", "minimum": 1},
                 "max_planewaves": {"type": "integer", "minimum": 1},
             },
             "required": ["window", "L"],
@@ -512,16 +510,25 @@ def run_supercell(cfg, out_dir, threads):
     Ls = _as_list(p["L"])
     ratio = p.get("ratio", 16)
     t = p.get("t", 0.0)
+    method = p.get("method", "auto")
     if len(Ls) > 1 and t > 0:
         raise ConfigError(
             "supercell t = %g applies to one cell only; the convergence scan over L = %s "
             "runs commensurate cells" % (t, Ls)
         )
+    if t > 0 and method != "auto":
+        raise ConfigError(
+            "supercell t = %g solves the mismatched cell densely; method %r does not apply"
+            % (t, method)
+        )
+    if method == "iterative" and V.lattice.d != 2:
+        raise ConfigError("supercell method 'iterative' is the matrix-free 2D solve; d = %d"
+                          % V.lattice.d)
     rows = []
     results = {"window": list(window), "runs": []}
     diag = {}
     if len(Ls) > 1:
-        scan = supercell.convergence_scan(V, W, Ls, ratio, window, max_planewaves=mp)
+        scan = supercell.convergence_scan(V, W, Ls, ratio, window, method=method, max_planewaves=mp)
         for row in scan:
             for ev in row["eigenvalues"]:
                 cls = "interior" if ev in row["interior"] else "edge"
@@ -546,10 +553,7 @@ def run_supercell(cfg, out_dir, threads):
                 )
             res = supercell.mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=mp)
         else:
-            res = supercell.supercell_spectrum(
-                V, W, L, N, window, method=p.get("method", "auto"), k=p.get("k", 10),
-                max_planewaves=mp,
-            )
+            res = supercell.supercell_spectrum(V, W, L, N, window, method=method, max_planewaves=mp)
         interior = res.interior()
         for ev in res.eigenvalues:
             cls = "interior" if ev in interior else "edge"

@@ -1,6 +1,6 @@
 """Hermitian eigenvalue solves with validated inputs and checked outputs.
 
-Three operator types go through the same entry point solve_window, which
+Four operator types go through the same entry point solve_window, which
 dispatches on the type (solve_lowest takes the first two):
 
 - SymmetricPencil: dense Hermitian (A, B); a real A takes the real
@@ -30,22 +30,33 @@ dispatches on the type (solve_lowest takes the first two):
   shift in O(nk) per vector, and its count is certified against the
   distance tol to the operator it stands for (ResolutionError otherwise).
 
-The last two share one certified shift-invert Lanczos: the window is
-sliced by inertia counts where values hug its ends, each piece is solved by
-a Lanczos run at its centre with one full reorthogonalization per step,
-and a Rayleigh-Ritz step polishes the values.  The count certifies them: a
-solve that cannot return exactly that many eigenvalues raises NotConverged.
+- MatrixFree: a real symmetric operator known by its matvec, with a
+  preconditioner for its shifts: the large 2D supercell.  Shifts are
+  inverted by preconditioned MINRES (minres, Paige-Saunders, on numpy
+  alone).  There is no inertia count, so its window is found by a block
+  shift-invert Lanczos whose completeness rule (a converged value at or
+  beyond the window's half-width) stands in for one.
+
+TridiagonalPencil and DiagonalLowRank share one certified shift-invert
+Lanczos: the window is sliced by inertia counts where values hug its ends,
+each piece is solved by a Lanczos run at its centre with one full
+reorthogonalization per step.  The count certifies them: a solve that
+cannot return exactly that many eigenvalues raises NotConverged.  Every
+Lanczos route, MatrixFree's included, closes with one Rayleigh-Ritz step
+with the true operator, which polishes the values and bounds their
+residuals.
 
 Every solve returns ascending eigenvalues and, on request, B-orthonormal
 eigenvectors with a residual bound; structured solves always carry their
-residual bound, inertia count and Lanczos steps.
+residual bound, inertia count and Lanczos steps, and MatrixFree ones their
+residual bound and basis size.
 
 scipy is imported inside the functions that use it (the generalized dense
 solve and TridiagonalPencil's factorizations), never at module level: a
-Bloch sweep and a DiagonalLowRank solve need only numpy, and importing
-scipy.linalg (which loads its own copy of numpy's namespace) takes longer
-than a whole 1D gap sweep, so a process that only locates a gap would spend
-most of its time importing.
+Bloch sweep and a DiagonalLowRank or MatrixFree solve need only numpy, and
+importing scipy.linalg (which loads its own copy of numpy's namespace) takes
+longer than a whole 1D gap sweep, so a process that only locates a gap
+would spend most of its time importing.
 """
 
 import numpy as np
@@ -65,6 +76,15 @@ WEYL_STEP = (np.sqrt(5.0) - 1.0) / 2.0
 # when they hold eigenvalues, at most MAX_SLICE_DEPTH levels deep
 END_SLICE = 1.0 / 32
 MAX_SLICE_DEPTH = 12
+# MatrixFree: MINRES inner solves stop at relative residual MINRES_RTOL and
+# fail after MINRES_MAXITER iterations; the block Lanczos takes blocks of
+# LANCZOS_BLOCK vectors, and its Ritz pairs count as converged at residual
+# estimates below INEXACT_TOL * |theta| (the inner solves' accuracy bounds
+# how far below that the estimates can be trusted)
+MINRES_RTOL = 1e-10
+MINRES_MAXITER = 4000
+LANCZOS_BLOCK = 2
+INEXACT_TOL = 1e-10
 
 
 def weyl_vector(n, start=0):
@@ -416,6 +436,116 @@ class DiagonalLowRank:
         return solve
 
 
+def minres(apply, b, precondition, rtol, maxiter):
+    """Solution x of A x = b for a real symmetric A by preconditioned MINRES
+    (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975), and the number of
+    iterations taken.
+
+    apply(v) = A v and precondition(v) = M⁻¹ v for a symmetric positive
+    definite M.  The iteration stops, as the reference implementation does,
+    when the residual estimate in the M⁻¹ norm falls below rtol ||A|| ||x||,
+    or the estimate of ||A r|| below rtol ||A|| ||r|| (norms of the
+    preconditioned operator, estimated along the way), or at the limits
+    roundoff sets: x then lies at machine precision or on an eigenvector of
+    a numerically singular A.  NotConverged when maxiter iterations do not
+    suffice.
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = precondition(b)
+    beta1 = float(b @ y)
+    if beta1 < 0.0:
+        raise InvalidMatrix("MINRES preconditioner is not positive definite")
+    if beta1 == 0.0:
+        return x, 0
+    beta1 = np.sqrt(beta1)
+    beta, oldb, dbar, epsln, phibar, tnorm2 = beta1, 0.0, 0.0, 0.0, beta1, 0.0
+    cs, sn, gmax, gmin = -1.0, 0.0, 0.0, np.inf
+    w = w2 = np.zeros_like(b)
+    for itn in range(1, maxiter + 1):
+        # one Lanczos step of the preconditioned operator
+        v = y / beta
+        y = apply(v)
+        if itn > 1:
+            y -= (beta / oldb) * r1
+        alfa = float(v @ y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        oldb, beta = beta, float(r2 @ y)
+        if beta < 0.0:
+            raise InvalidMatrix("MINRES preconditioner is not positive definite")
+        beta = np.sqrt(beta)
+        tnorm2 += alfa * alfa + oldb * oldb + beta * beta
+        exact = itn == 1 and beta <= 10 * eps * beta1
+        # the previous plane rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.hypot(gbar, dbar)
+        gamma = max(np.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        a_norm = np.sqrt(tnorm2)
+        x_norm = float(np.linalg.norm(x))
+        test1 = phibar / (a_norm * x_norm) if a_norm * x_norm else np.inf
+        test2 = root / a_norm if a_norm else np.inf
+        if (exact or test1 <= max(rtol, eps) or test2 <= max(rtol, eps)
+                or gmax / gmin >= 0.1 / eps or a_norm * x_norm * eps >= beta1):
+            return x, itn
+    raise NotConverged("MINRES did not reach rtol %.1e in %d iterations" % (rtol, maxiter))
+
+
+class MatrixFree:
+    """Real symmetric operator A of size n known by its action alone, with
+    a preconditioner for its shifts.
+
+    matvec(x) = A x for a real vector x, and precondition(sigma) returns a
+    function applying a symmetric positive definite approximation of
+    |A - sigma|⁻¹.  Shifts are inverted by preconditioned MINRES (minres),
+    to MINRES_RTOL; inner_solves and inner_iterations count the solves and
+    their iterations, and a solve that fails raises NotConverged.  With no
+    inertia count, solve_window finds its window by block shift-invert
+    Lanczos (_block_lanczos), whose completeness rule stands in for one.
+    """
+
+    mass = None
+    dtype = float
+
+    def __init__(self, n, matvec, precondition):
+        self.n = int(n)
+        self.matvec = matvec
+        self.precondition = precondition
+        self.inner_solves = 0
+        self.inner_iterations = 0
+
+    def apply(self, X):
+        """A X for a block of columns X."""
+        return np.column_stack([self.matvec(x) for x in X.T])
+
+    def shift_inverse(self, sigma):
+        """Solver of (A - sigma) x = y by MINRES, preconditioned by precondition(sigma)."""
+        M = self.precondition(sigma)
+
+        def shifted(v):
+            return self.matvec(v) - sigma * v
+
+        def solve(y):
+            x, iterations = minres(shifted, y, M, MINRES_RTOL, MINRES_MAXITER)
+            self.inner_solves += 1
+            self.inner_iterations += iterations
+            return x
+
+        return solve
+
+
 class EigResult:
     """Eigenvalues in ascending order plus optional eigenvectors and diagnostics.
 
@@ -423,7 +553,8 @@ class EigResult:
     is ||V^H B V - I||_max; dense value-only solves leave both None.  count
     is the inertia count that certifies a structured solve and
     lanczos_steps the Lanczos steps it took over all window slices (both
-    None for dense solves).
+    None for dense solves; a MatrixFree solve has no count, and its
+    lanczos_steps is its basis size).
     """
 
     def __init__(self, eigenvalues, eigenvectors=None, residual_bound=None, orthonormality=None,
@@ -616,9 +747,20 @@ def _solve_structured(op, lo, hi, count, with_vectors):
         V = np.zeros((op.n, 0), dtype=op.dtype) if with_vectors else None
         return EigResult(np.zeros(0), V, 0.0, 0.0, 0, 0)
     X, steps = _window_vectors(op, lo, hi, count)
-    # Rayleigh-Ritz on the converged vectors polishes the values and makes
-    # the vectors exactly M-orthonormal (vectors from different slices are
-    # orthogonal only to the accuracy of their convergence)
+    w, V, resid, ortho = _rayleigh_ritz(op, X, lo, hi)
+    return EigResult(w, V if with_vectors else None, resid, ortho, count, steps)
+
+
+def _rayleigh_ritz(op, X, lo, hi):
+    """Rayleigh-Ritz of op on the span of the columns of X, which must hold
+    eigenvalues in (lo, hi) only: (w, V, resid, ortho).
+
+    It polishes the values with the true operator and makes the vectors
+    exactly M-orthonormal (vectors from different slices, or from inexact
+    inner solves, are orthogonal only to the accuracy of their
+    convergence).  resid is max ||A v - w M v|| and ortho ||Vᴴ M V - I||_max;
+    NotConverged when a value leaves the window.
+    """
     AX = op.apply(X)
     MX = X if op.mass is None else op.mass @ X
     Hs = X.conj().T @ AX
@@ -629,14 +771,100 @@ def _solve_structured(op, lo, hi, count, with_vectors):
     if not np.all((w > lo) & (w < hi)):
         raise NotConverged(
             "%d eigenvalues certified in (%.17g, %.17g) but the solve returned %s"
-            % (count, lo, hi, np.array2string(w, precision=17))
+            % (len(w), lo, hi, np.array2string(w, precision=17))
         )
     Y = Li.conj().T @ Z
     V = X @ Y
     MV = MX @ Y
     resid = float(np.max(np.linalg.norm(AX @ Y - MV * w[None, :], axis=0)))
-    ortho = float(np.max(np.abs(V.conj().T @ MV - np.eye(count))))
-    return EigResult(w, V if with_vectors else None, resid, ortho, count, steps)
+    ortho = float(np.max(np.abs(V.conj().T @ MV - np.eye(len(w)))))
+    return w, V, resid, ortho
+
+
+def _orthonormal_rows(X, Q):
+    """The rows of X made orthonormal and orthogonal to the orthonormal rows
+    of Q: two projections, then a QR."""
+    for _ in range(2):
+        X = X - (X @ Q.T) @ Q
+    return np.linalg.qr(X.T)[0].T
+
+
+def _weyl_rows(n, runs):
+    return np.array([weyl_vector(n, run * n) for run in runs])
+
+
+def _block_lanczos(op, lo, hi):
+    """Block shift-invert Lanczos for a MatrixFree op at the centre sigma of
+    (lo, hi): Ritz vectors of the eigenvalues in the window, as columns,
+    and the basis size.
+
+    The basis grows by blocks of LANCZOS_BLOCK vectors from as many runs of
+    the Weyl sequence, with two full reorthogonalizations per block; a
+    block of two finds a double eigenvalue, which a single start vector
+    sees as one (a value of higher multiplicity is found as a double one).
+    The projected operator is block tridiagonal.  The window
+    is complete once the Ritz values nearest sigma have converged up to and
+    including the first one at or beyond the window's half-width from
+    sigma; those before it are the window's values.  NotConverged when the
+    basis (at most MAX_KRYLOV vectors) fills first.
+    """
+    n = op.n
+    sigma = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    solve = op.shift_inverse(sigma)
+    p = min(LANCZOS_BLOCK, n)
+    m_max = p * (min(n, MAX_KRYLOV) // p)
+    Q = np.zeros((m_max, n))
+    T = np.zeros((m_max, m_max))
+    Q[:p] = _orthonormal_rows(_weyl_rows(n, range(p)), Q[:0])
+    for j in range(0, m_max, p):
+        m = j + p
+        W = np.array([solve(q) for q in Q[j:m]])
+        A = W @ Q[j:m].T
+        T[j:m, j:m] = 0.5 * (A + A.T)
+        for _ in range(2):
+            W -= (W @ Q[:m].T) @ Q[:m]
+        # what is left is Bᵀ times the next block: W = (U diag(s) Vt)ᵀ
+        U, s, Vt = np.linalg.svd(W.T, full_matrices=False)
+        B = s[:, None] * Vt
+        theta, S = np.linalg.eigh(T[:m, :m])
+        with np.errstate(divide="ignore"):
+            lam = sigma + 1.0 / theta
+        near = np.argsort(-np.abs(theta), kind="stable")
+        beyond = np.flatnonzero(np.abs(lam[near] - sigma) >= half)
+        if len(beyond):
+            need = near[: beyond[0] + 1]
+            resid = np.linalg.norm(B @ S[j:m, need], axis=0)
+            if np.all(resid <= INEXACT_TOL * np.abs(theta[need])):
+                return Q[:m].T @ S[:, need[:-1]], m
+        if m == m_max:
+            break
+        lost = s <= 1e-12 * np.max(np.abs(theta))
+        if np.any(lost):
+            # an invariant subspace: continue from fresh directions
+            B[lost] = 0.0
+            U[:, lost] = _orthonormal_rows(
+                _weyl_rows(n, m + np.flatnonzero(lost)), np.vstack([Q[:m], U[:, ~lost].T])
+            ).T
+        Q[m : m + p] = U.T
+        T[m : m + p, j:m] = B
+        T[j:m, m : m + p] = B.T
+    raise NotConverged(
+        "block shift-invert Lanczos filled its basis of %d vectors before a converged Ritz "
+        "value reached the half-width of (%.17g, %.17g): the window's completeness cannot "
+        "be certified" % (m_max, lo, hi)
+    )
+
+
+def _solve_matrix_free(op, lo, hi, with_vectors):
+    """Eigenpairs of a MatrixFree op in (lo, hi): block Lanczos, then
+    Rayleigh-Ritz with the true matvec, whose residual bound it carries."""
+    X, steps = _block_lanczos(op, lo, hi)
+    if X.shape[1] == 0:
+        V = np.zeros((op.n, 0)) if with_vectors else None
+        return EigResult(np.zeros(0), V, 0.0, 0.0, None, steps)
+    w, V, resid, ortho = _rayleigh_ritz(op, X, lo, hi)
+    return EigResult(w, V if with_vectors else None, resid, ortho, None, steps)
 
 
 def solve_window(pencil, lo, hi, with_vectors=True):
@@ -645,6 +873,8 @@ def solve_window(pencil, lo, hi, with_vectors=True):
         raise ValueError("window requires lo < hi")
     if isinstance(pencil, SymmetricPencil):
         return _solve_dense(pencil, with_vectors, by_value=(lo, hi))
+    if isinstance(pencil, MatrixFree):
+        return _solve_matrix_free(pencil, lo, hi, with_vectors)
     return _solve_structured(pencil, lo, hi, pencil.count(lo, hi), with_vectors)
 
 

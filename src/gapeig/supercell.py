@@ -25,31 +25,35 @@ exactly by Haynsworth inertia, certified against the dropped part of W,
 and its values come from eigcore's shift-invert Lanczos with an O(nk)
 Woodbury inverse.  This path needs numpy alone.
 
-2D supercells are solved densely when small and, when large, by a
-matrix-free shift-invert Lanczos whose matvec convolves with the same
-table, truncated to its bandwidth, by FFT (_real_form_matvec; MINRES inner
-solves through scipy, loaded on first use as supercell.spla).
+2D supercells are solved densely when small and, when large, matrix-free
+(_iterative_window_2d), on numpy alone: an eigcore.MatrixFree whose matvec
+convolves with the same table, truncated to its bandwidth, by FFT
+(_real_form_matvec), solved by block shift-invert Lanczos with MINRES inner
+solves.  The Bloch fibers of the periodic part precondition those solves
+(_fiber_preconditioner): with the same cosets as the 1D fiber form, paired
+with their opposites, |P - sigma|⁻¹ for P = -Laplacian + V is exact on
+the periodic part and block diagonal, which cuts MINRES from 155 to 31
+iterations per solve at L=4, N=32.
 
 V and W are real, so H commutes with complex conjugation, which maps the
 planewave of mode m to that of mode -m.  The wavevector lists are centrally
 symmetric in lexicographic order, so index i and index n-1-i are the modes m
 and -m, and with K the reversal permutation U = (I + iK)/sqrt(2) turns the
 complex Hermitian H into the real symmetric Uᴴ H U with the same spectrum.
-Both the dense and the matrix-free solves work on that real form.  Dense
-ones (method "dense", the 2D route at small sizes and the mismatched cell)
-form it by solve_real_form and hand LAPACK a real matrix of half the bytes
-of H; the matrix-free one applies it by _real_form_matvec, so scipy's eigsh
-runs symmetric Lanczos and its MINRES inner solves work on real vectors of
-length n.  The same symmetry makes the grid functions that matvec
-convolves real, so its FFTs are real ones on half the grid.
+Both the dense and the matrix-free solves work on that real form
+(real_form).  Dense ones (method "dense", the 2D route at small sizes and
+the mismatched cell) form it by solve_real_form and hand LAPACK a real
+matrix of half the bytes of H; the matrix-free one applies it by
+_real_form_matvec, so its Lanczos is symmetric and its MINRES inner solves
+work on real vectors of length n.  The same symmetry makes the grid
+functions that matvec convolves real, so its FFTs are real ones on half
+the grid.
 """
-
-import sys
 
 import numpy as np
 
 from gapeig import eigcore, model
-from gapeig.errors import BasisTooLarge, InvalidMatrix, NotConverged
+from gapeig.errors import BasisTooLarge, InvalidMatrix
 
 MAX_PLANEWAVES = 20000
 DEFAULT_EDGE_GUARD = 0.004
@@ -60,18 +64,14 @@ DENSE_LIMIT = 4200
 SUPPORT_TOL = 1e-13
 RANK_TOL = 1e-13
 ROUNDOFF = 64 * np.finfo(float).eps
-# the 2D eigsh start vector is terms V0_RUN*n + 1 .. (V0_RUN + 1)*n of the
-# Weyl sequence: on the defect cell L=2, N=18 with W jittered over ten seeds
-# the second run took 43 MINRES solves on every seed, the first 49 on seven
-V0_RUN = 1
 
 
 def __getattr__(name):
     """supercell.spla, scipy.sparse.linalg, is imported on first use (PEP 562).
 
-    Only the matrix-free 2D path needs it, so a 1D supercell runs on numpy
-    alone.  _iterative_window_2d reads it as a module attribute, so an
-    assignment to supercell.spla (a test's or a tracer's) takes effect.
+    No solve here calls it any more; the attribute stays for tools that
+    wrap its solvers by swapping it (a tracer), and loading it lazily keeps
+    every supercell process free of scipy.
     """
     if name != "spla":
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
@@ -217,25 +217,34 @@ def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
     return H, {"n_planewaves": n, "grid": grid, "edge_ratio": edge_ratio}
 
 
-def _fiber_blocks(V, L, N):
-    """Bloch fibers of the periodic part of a 1D supercell, eigendecomposed.
+def _fiber_blocks(V, L, N, paired=False):
+    """Bloch fibers of the periodic part of a supercell, eigendecomposed.
 
     V couples planewave m only to m + L p, so the modes m = r (mod L) form
-    one block per coset r, the Bloch fiber at quasimomentum 2 pi r/(L b),
-    read from V's Fourier table.  Blocks of one size (there are at most two
-    sizes) share one batched eigh.  Returns [(rows, e, Q)] per size: rows[b]
-    are the basis rows of block b, e[b] its eigenvalues and Q[b] its
-    eigenvectors.
+    one block per coset r in (Z/L)^d, the Bloch fiber at quasimomentum
+    2 pi r/(L b), read from V's Fourier table.  With paired, each coset is
+    joined with its opposite -r (mod L): the joined modes are centrally
+    symmetric, so the block has a real form (real_form), and that is what
+    is eigendecomposed.  Blocks of one size share one batched eigh.
+    Returns [(rows, e, Q)] per size, sizes ascending and blocks by coset:
+    rows[b] are the basis rows of block b, ascending, e[b] its eigenvalues
+    and Q[b] its eigenvectors.
     """
     L, N = int(L), int(N)
+    modes = supercell_wavevectors(V.lattice.d, L, N)
     kscale = 2.0 * np.pi / (L * V.lattice.b)
     table, _ = _fourier_table(V, None, L, N, _coeff_grid(L, N))
-    first = -N + (np.arange(L) + N) % L
-    sizes = (N - first) // L + 1
+    digits = L ** np.arange(modes.shape[1])
+    coset = (modes % L) @ digits
+    if paired:
+        coset = np.minimum(coset, (-modes % L) @ digits)
+    order = np.argsort(coset, kind="stable")
+    _, starts, sizes = np.unique(coset[order], return_index=True, return_counts=True)
     groups = []
     for size in np.unique(sizes):
-        rows = (first[sizes == size] + N)[:, None] + L * np.arange(size)[None, :]
-        e, Q = np.linalg.eigh(_planewave_matrix((rows - N)[..., None], kscale, table))
+        rows = order[starts[sizes == size][:, None] + np.arange(size)[None, :]]
+        H = _planewave_matrix(modes[rows], kscale, table)
+        e, Q = np.linalg.eigh(real_form(H) if paired else H)
         groups.append((rows, e, Q))
     return groups
 
@@ -328,8 +337,9 @@ def assemble_fiber_form(V, W, L, N):
     return op
 
 
-def solve_real_form(H, lo, hi):
-    """Eigenvalues in (lo, hi) of a planewave supercell matrix H, from its real form.
+def real_form(H):
+    """The real form of a planewave supercell matrix H, or of a stack of
+    them (the last two axes).
 
     H must satisfy K H K = conj(H) with K the index reversal, i.e. commute
     with complex conjugation in a centrally symmetric basis listed so that
@@ -338,26 +348,35 @@ def solve_real_form(H, lo, hi):
         S = Uᴴ H U = Re H + (K Im H - Im H K) / 2,   U = (I + iK)/sqrt(2),
 
     is real symmetric with the spectrum of H; it is formed from views of H
-    with no complex temporaries and solved by a real windowed LAPACK call.
-    Raises InvalidMatrix when the reality defect, the larger of
-    max|K Re H - Re H K| and max|K Im H + Im H K|, exceeds SYMMETRY_TOL
-    times the largest entry of H (the real form would then drop part of H),
-    or when S is not symmetric.  Together the two checks also certify that
-    H is Hermitian, since S is unitarily similar to it.
+    with no complex temporaries.  Raises InvalidMatrix when the reality
+    defect, the larger of max|K Re H - Re H K| and max|K Im H + Im H K|,
+    exceeds SYMMETRY_TOL times the largest entry of H (the real form would
+    then drop part of H).
     """
     R, J = H.real, H.imag
     max_abs = eigcore._max_abs
     scale = max(1.0, max_abs(R), max_abs(J))
-    defect = max(max_abs(R[::-1, :] - R[:, ::-1]), max_abs(J[::-1, :] + J[:, ::-1]))
+    defect = max(max_abs(R[..., ::-1, :] - R[..., :, ::-1]), max_abs(J[..., ::-1, :] + J[..., :, ::-1]))
     if not defect <= eigcore.SYMMETRY_TOL * scale:
         raise InvalidMatrix(
             "supercell matrix does not commute with conjugation in its reversed basis: "
             "reality defect %.3e exceeds %.0e * scale" % (defect, eigcore.SYMMETRY_TOL)
         )
-    S = J[::-1, :] - J[:, ::-1]
+    S = J[..., ::-1, :] - J[..., :, ::-1]
     S *= 0.5
     S += R
-    return eigcore.solve_window(eigcore.SymmetricPencil(S), lo, hi, with_vectors=False)
+    return S
+
+
+def solve_real_form(H, lo, hi):
+    """Eigenvalues in (lo, hi) of a planewave supercell matrix H, from its
+    real form (real_form) by a real windowed LAPACK call.
+
+    Raises InvalidMatrix when H is not real in its reversed basis, or when
+    its real form is not symmetric.  Together the two checks also certify
+    that H is Hermitian, since the real form is unitarily similar to it.
+    """
+    return eigcore.solve_window(eigcore.SymmetricPencil(real_form(H)), lo, hi, with_vectors=False)
 
 
 def _real_form_matvec(table, offs, kscale, L):
@@ -414,102 +433,82 @@ def _real_form_matvec(table, offs, kscale, L):
     return matvec, G
 
 
-def _iterative_window_2d(V, W, L, N, window, k=10, tol=1e-10, max_planewaves=MAX_PLANEWAVES):
-    """Matrix-free shift-invert Lanczos for the large 2D supercell.
+def _fiber_preconditioner(V, L, N):
+    """precondition(sigma): |P - sigma|⁻¹ in the real form, for the periodic
+    part P = -Laplacian + V of a supercell.
+
+    P is block diagonal over the Bloch fibers, and the real form keeps it
+    so over the pairs of opposite fibers: the reversal K maps each pair's
+    modes onto themselves, so U restricts to each pair's own U.  Each pair's
+    real form is eigendecomposed once (_fiber_blocks, paired), P = Q diag(e) Qᵀ,
+    and precondition(sigma) applies Q diag(1/|e - sigma|) Qᵀ pair by pair:
+    real, symmetric positive definite, and exactly |S - sigma|⁻¹ when W = 0.
+    """
+    # one (rows, Q, e) per pair: a BLAS matvec per pair is faster than
+    # numpy's batched matmul of a stack with vectors
+    pairs = [fiber for rows, e, Q in _fiber_blocks(V, L, N, paired=True) for fiber in zip(rows, Q, e)]
+
+    def precondition(sigma):
+        weighted = [(rows, Q, 1.0 / np.abs(e - sigma)) for rows, Q, e in pairs]
+
+        def apply(x):
+            y = np.empty_like(x)
+            for rows, Q, weight in weighted:
+                y[rows] = Q @ ((x[rows] @ Q) * weight)
+            return y
+
+        return apply
+
+    return precondition
+
+
+def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
+    """Matrix-free shift-invert solve of the large 2D supercell, on numpy alone.
 
     The operator is the real form S of the dense route's H, applied by FFT
-    from the same Fourier table (_real_form_matvec).  scipy's eigsh runs
-    symmetric Lanczos on it, and each shift-invert step is a MINRES solve of
-    (S - sigma) z = r on real vectors of length n with the kinetic
-    preconditioner diag(1/(|k^2 - sigma| + 1/2)); |k|^2 is even in m, so
-    that diagonal commutes with U and is the same in the real form.  If any
-    inner solve fails to converge the solve raises NotConverged, otherwise
-    the diagnostics report minres_nonconverged = 0, with inner_solves and
-    inner_iterations the number of MINRES solves and their total iterations.
-    eigsh starts from run V0_RUN of the Weyl sequence (eigcore.weyl_vector).
-
-    eigsh returns the k values nearest the window centre sigma.  They hold
-    every eigenvalue of the window only when the farthest of them lies at
-    least the window's half-width from sigma; until it does, k is doubled
-    (capped at n - 1) and the solve repeated, and NotConverged is raised
-    when the cap is reached uncertified.  The diagnostics report the k that
-    certified the window (k_used) and window_complete.
+    from the same Fourier table (_real_form_matvec), as an
+    eigcore.MatrixFree: block shift-invert Lanczos at the window centre
+    sigma, with MINRES inner solves of (S - sigma) z = r on real vectors of
+    length n, preconditioned by the Bloch fibers of V (_fiber_preconditioner).
+    A failed inner solve raises NotConverged, so minres_nonconverged is 0
+    whenever values are returned; inner_solves and inner_iterations count
+    the MINRES solves and their iterations.  The window is complete by the
+    Lanczos rule (a converged value at or beyond its half-width from
+    sigma); residual_bound bounds ||S v - lambda v|| after the closing
+    Rayleigh-Ritz step with the true matvec.
     """
-    spla = sys.modules[__name__].spla
     L = int(L)
     offs = supercell_wavevectors(2, L, N)
     n = len(offs)
     _check_budget(n, max_planewaves)
     alpha, beta = _window_pair(window)
-    sigma = 0.5 * (alpha + beta)
     kscale = 2.0 * np.pi / (L * V.lattice.b)
     table, edge_ratio = _fourier_table(V, W, L, N, _coeff_grid(L, N))
     matvec, G = _real_form_matvec(table, offs, kscale, L)
-    k2 = kscale * kscale * np.sum(offs * offs, axis=1)
-    pinv = 1.0 / (np.abs(k2 - sigma) + 0.5)
-    Sop = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    Aop = spla.LinearOperator((n, n), matvec=lambda x: matvec(x) - sigma * x, dtype=float)
-    Pop = spla.LinearOperator((n, n), matvec=lambda x: pinv * x, dtype=float)
-    stats = {"inner_solves": 0, "inner_iterations": 0, "minres_nonconverged": 0}
-
-    def count(xk):
-        stats["inner_iterations"] += 1
-
-    def opinv(r):
-        sol, info = spla.minres(Aop, r, M=Pop, rtol=1e-10, maxiter=4000, callback=count)
-        stats["inner_solves"] += 1
-        stats["minres_nonconverged"] += int(info != 0)
-        return sol
-
-    OPinv = spla.LinearOperator((n, n), matvec=opinv, dtype=float)
-    v0 = eigcore.weyl_vector(n, V0_RUN * n)
-    k_used = min(k, n - 1)
-    while True:
-        w = spla.eigsh(
-            Sop,
-            k=k_used,
-            sigma=sigma,
-            which="LM",
-            OPinv=OPinv,
-            v0=v0,
-            tol=tol,
-            return_eigenvectors=False,
-        )
-        if stats["minres_nonconverged"]:
-            raise NotConverged(
-                "%d of %d MINRES inner solves did not converge"
-                % (stats["minres_nonconverged"], stats["inner_solves"])
-            )
-        # the k_used values nearest sigma hold the whole window once the
-        # farthest of them lies at or beyond the window's half-width
-        if np.max(np.abs(w - sigma)) >= 0.5 * (beta - alpha):
-            break
-        if k_used == n - 1:
-            raise NotConverged(
-                "all %d eigenvalues nearest the window centre lie inside the window; "
-                "its completeness cannot be certified" % k_used
-            )
-        k_used = min(2 * k_used, n - 1)
+    op = eigcore.MatrixFree(n, matvec, _fiber_preconditioner(V, L, N))
+    res = eigcore.solve_window(op, alpha, beta, with_vectors=False)
     diag = {
         "method": "shift-invert",
         "n_planewaves": n,
         "fft_grid": G,
-        "sigma": sigma,
-        **stats,
+        "sigma": 0.5 * (alpha + beta),
+        "inner_solves": op.inner_solves,
+        "inner_iterations": op.inner_iterations,
+        "minres_nonconverged": 0,
         "edge_ratio": edge_ratio,
-        "k": k,
-        "k_used": k_used,
         "window_complete": True,
+        "residual_bound": res.residual_bound,
     }
-    return np.sort(w), diag
+    return res.eigenvalues, diag
 
 
-def supercell_spectrum(V, W, L, N, window, method="auto", k=10, max_planewaves=MAX_PLANEWAVES):
+def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLANEWAVES):
     """Gap eigenvalues of the supercell operator inside the window.
 
     method "dense" solves the real form of the assembled matrix with a
     windowed LAPACK call (solve_real_form); "iterative" (2D only) uses the
-    matrix-free path.  "auto" takes, in 1D, the fiber form
+    matrix-free path (_iterative_window_2d), whose diagnostics carry its
+    MINRES counts and residual_bound.  "auto" takes, in 1D, the fiber form
     (assemble_fiber_form) with its inertia-certified count and Woodbury
     shift-invert Lanczos, whose diagnostics carry the certificate
     n_in_window and residual_bound (a bound on ||H v - lambda v|| for the
@@ -543,9 +542,7 @@ def supercell_spectrum(V, W, L, N, window, method="auto", k=10, max_planewaves=M
         return SpectrumResult((alpha, beta), res.eigenvalues, diag)
     if lat.d != 2:
         raise ValueError("iterative path is for d=2")
-    w, diag = _iterative_window_2d(
-        V, W, L, N, (alpha, beta), k=k, max_planewaves=max_planewaves
-    )
+    w, diag = _iterative_window_2d(V, W, L, N, (alpha, beta), max_planewaves=max_planewaves)
     diag.update({"L": int(L), "N": int(N)})
     return SpectrumResult((alpha, beta), w, diag)
 
@@ -586,8 +583,9 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     return SpectrumResult((alpha, beta), res.eigenvalues, diag)
 
 
-def convergence_scan(V, W, L_values, ratio, window, max_planewaves=MAX_PLANEWAVES):
-    """Supercell spectra for increasing L at fixed N/L, with Hausdorff deltas.
+def convergence_scan(V, W, L_values, ratio, window, method="auto", max_planewaves=MAX_PLANEWAVES):
+    """Supercell spectra for increasing L at fixed N/L, each by
+    supercell_spectrum with the given method, with Hausdorff deltas.
 
     Returns a list of rows {L, N, eigenvalues, interior, delta_prev};
     delta_prev is the Hausdorff distance between consecutive interior gap
@@ -601,7 +599,7 @@ def convergence_scan(V, W, L_values, ratio, window, max_planewaves=MAX_PLANEWAVE
     prev = None
     for L in L_values:
         N = int(round(ratio * L))
-        res = supercell_spectrum(V, W, L, N, window, max_planewaves=max_planewaves)
+        res = supercell_spectrum(V, W, L, N, window, method=method, max_planewaves=max_planewaves)
         interior = res.interior()
         delta = None if prev is None else hausdorff(prev, interior)
         rows.append(

@@ -258,6 +258,48 @@ def test_unknown_key_exit2(tmp_path):
     assert cli.main(["gap", "--config", p, "--out", str(tmp_path / "out")]) == 2
 
 
+def _supercell_exit(tmp_path, section, d=1):
+    """Exit code of gapeig supercell on the 1D or 2D benchmark problem with
+    the given supercell section, and whether it wrote anything."""
+    cfg = read_cfg(GOLDEN_1D if d == 1 else GOLDEN_2D)
+    cfg["supercell"] = section
+    out = tmp_path / "out"
+    code = cli.main(["supercell", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    return code, os.path.exists(out) and bool(os.listdir(out))
+
+
+WIN_1D = [-1.1442549263927626, -0.6450826051490102]
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"window": WIN_1D, "L": 10, "method": "iterative"},
+        {"window": WIN_1D, "L": [10, 20], "method": "iterative"},
+        {"window": WIN_1D, "L": 10, "t": 0.5, "method": "dense"},
+        {"window": WIN_1D, "L": 10, "t": 0.5, "method": "iterative"},
+        {"window": WIN_1D, "L": 10, "k": 10},
+    ],
+    ids=["iterative-1d", "iterative-1d-scan", "dense-mismatched", "iterative-mismatched", "k-key"],
+)
+def test_supercell_method_never_ignored(tmp_path, capsys, section):
+    # a method the run would not use is a config error (exit 2, nothing
+    # written), not a crash or a silently different solve; k is gone
+    assert _supercell_exit(tmp_path, section) == (2, False)
+    assert "config error" in capsys.readouterr().err
+
+
+def test_supercell_scan_takes_method(tmp_path):
+    # the convergence scan runs the method asked for, in 1D and in 2D
+    assert _supercell_exit(tmp_path, {"window": WIN_1D, "L": [10, 20], "method": "dense"}) == (0, True)
+    assert read_summary(tmp_path / "out")["diagnostics"]["method"] == "dense"
+    section = dict(ITERATIVE_2D, L=[2, 3])
+    assert _supercell_exit(tmp_path, section, d=2) == (0, True)
+    s = read_summary(tmp_path / "out")
+    assert s["diagnostics"]["method"] == "shift-invert"
+    assert [run["L"] for run in s["results"]["runs"]] == [2, 3]
+
+
 def test_schema_is_valid():
     # load_config builds its validator once without checking SCHEMA itself
     jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
@@ -410,10 +452,10 @@ def test_console_entry_point(tmp_path):
     assert "NoGap" in proc.stderr
 
 
-def _loaded_after(tmp_path, methods, prefixes):
+def _loaded_after(tmp_path, methods, prefixes, cfg=SMALL_CFG):
     """Modules under the given package names loaded by a fresh process that
-    runs the subcommands on SMALL_CFG."""
-    cfg = write_cfg(tmp_path, SMALL_CFG)
+    runs the subcommands on cfg."""
+    cfg = write_cfg(tmp_path, cfg)
     script = (
         "import sys\n"
         "from gapeig import cli\n"
@@ -440,6 +482,13 @@ def test_gap_loads_no_scipy(tmp_path):
 def test_supercell_1d_loads_no_scipy(tmp_path):
     # the 1D supercell solves its fiber form with numpy alone
     assert _loaded_after(tmp_path, ["gap", "supercell"], ("scipy", "concurrent")) == "[]"
+
+
+def test_supercell_2d_loads_no_scipy(tmp_path):
+    # the matrix-free 2D supercell runs its MINRES and block Lanczos on numpy alone
+    cfg = read_cfg(GOLDEN_2D)
+    cfg["supercell"] = ITERATIVE_2D
+    assert _loaded_after(tmp_path, ["supercell"], ("scipy", "concurrent"), cfg) == "[]"
 
 
 def test_supercell_1d_loads_no_numpy_random(tmp_path):
@@ -533,9 +582,9 @@ def _load_layers():
 
 
 def test_perfbench_tracer_still_sees_supercell_layers(tmp_path):
-    # the tracer swaps supercell.spla, which is now imported lazily; the 2D
-    # MINRES calls must still go through the swapped namespace, and the
-    # 1D fiber-form solve must stay inside traced layers
+    # the tracer swaps supercell.spla, which is imported lazily and no
+    # longer called; both the 1D fiber-form and the 2D matrix-free solves
+    # must stay inside traced layers
     from gapeig import supercell
 
     layers = _load_layers()
@@ -553,11 +602,8 @@ def test_perfbench_tracer_still_sees_supercell_layers(tmp_path):
         spans = [sp for sp in tracer.spans if sp[5] == run_id]
         metrics.append(layers.run_metrics(spans, tracer.counters[run_id]))
     assert metrics[0]["eigcore.solve_window_calls"] == 3
-    assert metrics[1]["supercell.minres_calls"] > 0
-    # the tracer chains the callback that counts the summary's iterations
-    diag = read_summary(tmp_path / "two")["diagnostics"]
-    assert diag["inner_solves"] == metrics[1]["supercell.minres_calls"]
-    assert diag["inner_iterations"] == metrics[1]["supercell.minres_iters"]
+    assert metrics[1]["eigcore.solve_window_calls"] == 1
+    assert read_summary(tmp_path / "two")["diagnostics"]["inner_solves"] > 0
     assert [m["trace.coverage"] >= 0.98 for m in metrics] == [True, True], metrics
     import scipy.sparse.linalg
 

@@ -1,13 +1,13 @@
 """Eigensolver wrappers against a self-contained Jacobi rotation oracle, and the
-inertia-certified tridiagonal pencil and diagonal-plus-low-rank operator
-against dense LAPACK."""
+inertia-certified tridiagonal pencil, the diagonal-plus-low-rank operator and
+the matrix-free operator (MINRES, block Lanczos) against dense LAPACK."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from gapeig import eigcore
-from gapeig.errors import InvalidMatrix, PencilNotDefinite, ResolutionError
+from gapeig.errors import InvalidMatrix, NotConverged, PencilNotDefinite, ResolutionError
 
 
 def jacobi_eigenvalues(A, sweeps=60, tol=1e-14):
@@ -386,3 +386,61 @@ def test_diagonal_low_rank_rejects_malformed():
         eigcore.DiagonalLowRank(np.ones(3), np.ones((3, 1)), [0.5])
     with pytest.raises(InvalidMatrix):
         eigcore.DiagonalLowRank(np.ones(3), np.full((3, 1), np.nan), [1.0])
+
+
+def random_matrix_free(rng, n, spectrum):
+    """A MatrixFree operator Q diag(spectrum) Qᵀ with a random orthogonal Q,
+    preconditioned by |diag(H) - sigma|⁻¹ (positive definite, and far from
+    exact); also returns the dense H."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    H = (Q * spectrum) @ Q.T
+    H = 0.5 * (H + H.T)
+    d = np.diag(H).copy()
+
+    def precondition(sigma):
+        weight = 1.0 / (np.abs(d - sigma) + 0.1)
+        return lambda x: weight * x
+
+    return eigcore.MatrixFree(n, lambda x: H @ x, precondition), H
+
+
+def test_minres_matches_direct_solve():
+    # an indefinite system with a diagonal preconditioner
+    rng = np.random.default_rng(41)
+    op, H = random_matrix_free(rng, 60, np.linspace(-3.0, 5.0, 60))
+    b = rng.standard_normal(60)
+    A = H - 0.37 * np.eye(60)
+    x, iterations = eigcore.minres(lambda v: A @ v, b, op.precondition(0.37), 1e-12, 500)
+    assert 0 < iterations <= 500
+    assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
+    with pytest.raises(NotConverged, match="MINRES"):
+        eigcore.minres(lambda v: A @ v, b, op.precondition(0.37), 1e-12, 3)
+
+
+def test_matrix_free_window_matches_dense_with_double_value():
+    # a double eigenvalue in the window is found twice: the block Lanczos
+    # starts from two vectors; values are polished by Rayleigh-Ritz
+    rng = np.random.default_rng(42)
+    spectrum = np.concatenate([np.linspace(-4.0, -1.0, 40), [0.2, 0.2, 0.5], np.linspace(1.5, 6.0, 37)])
+    op, H = random_matrix_free(rng, 80, spectrum)
+    res = eigcore.solve_window(op, -0.5, 1.0)
+    assert len(res) == 3
+    assert np.max(np.abs(res.eigenvalues - [0.2, 0.2, 0.5])) <= 1e-12
+    assert res.residual_bound <= 1e-8
+    assert np.max(np.abs(H @ res.eigenvectors - res.eigenvectors * res.eigenvalues)) <= 1e-8
+    assert op.inner_iterations > op.inner_solves == res.lanczos_steps > 0
+    # a window with no value in it is found empty
+    assert len(eigcore.solve_window(op, -0.9, 0.1)) == 0
+
+
+@pytest.mark.parametrize("spectrum", [np.linspace(-1.0, 1.0, 20), np.repeat([-1.0, 0.3, 1.0], [7, 7, 6])],
+                         ids=["distinct", "three-values"])
+def test_matrix_free_whole_spectrum_is_uncertified(spectrum):
+    # no value lies at or beyond the half-width of a window holding them
+    # all; with three distinct values the Krylov space of two start vectors
+    # is exhausted at 6 vectors, and the basis goes on from fresh ones
+    rng = np.random.default_rng(43)
+    op, _ = random_matrix_free(rng, 20, spectrum)
+    with pytest.raises(NotConverged, match="completeness"):
+        eigcore.solve_window(op, -10.0, 10.0)
+    assert op.inner_solves == 20

@@ -1,8 +1,6 @@
 """Supercell discretization: exact embeddings, free-particle oracle,
 dense/iterative agreement, commensurability breaking, set utilities."""
 
-import types
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -150,33 +148,37 @@ def test_dense_vs_iterative_2d(V2d, W2d):
     assert iter_.diagnostics["minres_nonconverged"] == 0
 
 
+def test_iterative_finds_double_values(V2d, lat2d):
+    # with W = 0 the +-q fibers give double eigenvalues; a block of two start
+    # vectors finds both copies, where a single start vector finds one
+    empty = model.Perturbation(lat2d, [])
+    dense = supercell.supercell_spectrum(V2d, empty, 4, 32, WIN_2D, method="dense")
+    res = supercell.supercell_spectrum(V2d, empty, 4, 32, WIN_2D, method="iterative")
+    assert len(res) == len(dense) == 5
+    assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-12
+    assert np.count_nonzero(np.abs(res.eigenvalues + 0.361034179731) <= 1e-11) == 2
+    # the preconditioner is exactly |S - sigma|^-1 here, so MINRES needs
+    # next to no iterations
+    assert res.diagnostics["inner_iterations"] <= 3 * res.diagnostics["inner_solves"]
+
+
 def test_iterative_minres_failure_raises(V2d, W2d, monkeypatch):
-    # an inner solve that reports non-convergence must not pass silently
-    real = supercell.spla.minres
-    calls = [0]
-
-    def minres(*args, **kwargs):
-        sol, info = real(*args, **kwargs)
-        calls[0] += 1
-        return sol, (1 if calls[0] == 3 else info)
-
-    spla = types.SimpleNamespace(**dict(vars(supercell.spla), minres=minres))
-    monkeypatch.setattr(supercell, "spla", spla)
-    win = WIN_2D
-    with pytest.raises(NotConverged, match="1 of"):
-        supercell.supercell_spectrum(V2d, W2d, 2, 8, win, method="iterative")
+    # an inner solve that does not converge must not pass silently
+    monkeypatch.setattr(eigcore, "MINRES_MAXITER", 3)
+    with pytest.raises(NotConverged, match="MINRES"):
+        supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
 
 
 def test_iterative_window_retries_until_complete(V2d, W2d):
-    # with k=2 the farthest value found lies inside the window's half-width,
-    # so the window is not yet proven complete and k must grow
+    # the window is complete once a converged value lies at or beyond its
+    # half-width from the centre; the values are the dense ones, and the
+    # closing Rayleigh-Ritz step bounds their residual
     dense = supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="dense")
-    res = supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="iterative", k=2)
-    assert res.diagnostics["k"] == 2
-    assert res.diagnostics["k_used"] > 2
+    res = supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="iterative")
     assert res.diagnostics["window_complete"] is True
     assert len(res) == len(dense) == 2
     assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-8
+    assert 0 < res.diagnostics["residual_bound"] <= 1e-8
 
 
 @pytest.mark.parametrize("L, N", [(2, 8), (2, 18)])
@@ -205,45 +207,36 @@ def test_real_form_matvec_matches_dense(V2d, W2d, monkeypatch, L, N):
 
 
 def test_iterative_operators_are_real(V2d, W2d, monkeypatch):
-    # eigsh gets a real operator (symmetric Lanczos, not complex Arnoldi)
-    # and MINRES a real system of the basis size n
-    real = supercell.spla
-    dtypes = []
-
-    def eigsh(A, *args, OPinv=None, **kwargs):
-        dtypes.append(("eigsh", A.dtype, OPinv.dtype, A.shape))
-        return real.eigsh(A, *args, OPinv=OPinv, **kwargs)
-
-    def minres(A, b, *args, M=None, **kwargs):
-        dtypes.append(("minres", A.dtype, M.dtype, A.shape, b.dtype))
-        return real.minres(A, b, *args, M=M, **kwargs)
-
-    spla = types.SimpleNamespace(**dict(vars(real), eigsh=eigsh, minres=minres))
-    monkeypatch.setattr(supercell, "spla", spla)
-    res = supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
-    n = res.diagnostics["n_planewaves"]
-    assert {rec[0] for rec in dtypes} == {"eigsh", "minres"}
-    for rec in dtypes:
-        assert all(t == np.float64 for t in rec[1:3] + rec[4:]), rec
-        assert rec[3] == (n, n), rec
-
-
-def test_iterative_window_uncertified_raises(V2d, W2d, monkeypatch):
-    # an eigsh whose values never reach the window's half-width cannot
-    # certify completeness, however large k grows
+    # the Lanczos and MINRES vectors, the matvec and the preconditioner are
+    # all real, of the basis size n (the real form, not 2n real unknowns)
+    real = eigcore.minres
     seen = []
 
-    def eigsh(A, k, sigma, **kwargs):
-        seen.append(k)
-        return np.full(k, sigma)
+    def minres(apply, b, precondition, *args):
+        seen.append(("rhs", b.dtype, b.shape))
+        for name, f in (("matvec", apply), ("preconditioner", precondition)):
+            y = f(b)
+            seen.append((name, y.dtype, y.shape))
+        x, iterations = real(apply, b, precondition, *args)
+        seen.append(("solution", x.dtype, x.shape))
+        return x, iterations
 
-    spla = types.SimpleNamespace(**dict(vars(supercell.spla), eigsh=eigsh))
-    monkeypatch.setattr(supercell, "spla", spla)
-    with pytest.raises(NotConverged, match="completeness"):
-        supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
+    monkeypatch.setattr(eigcore, "minres", minres)
+    res = supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
+    n = res.diagnostics["n_planewaves"]
+    assert {rec[0] for rec in seen} == {"rhs", "matvec", "preconditioner", "solution"}
+    assert len(seen) == 4 * res.diagnostics["inner_solves"]
+    for rec in seen:
+        assert rec[1:] == (np.float64, (n,)), rec
+
+
+def test_iterative_window_uncertified_raises(V2d, W2d):
+    # a window holding the whole spectrum has no value at or beyond its
+    # half-width, so its completeness cannot be certified
     n = len(supercell.supercell_wavevectors(2, 2, 8))
-    assert seen[0] == 10 and seen[-1] == n - 1
-    assert all(b == min(2 * a, n - 1) for a, b in zip(seen, seen[1:]))
+    with pytest.raises(NotConverged, match="completeness"):
+        supercell.supercell_spectrum(V2d, W2d, 2, 8, (-500.0, 500.0), method="iterative")
+    assert n < eigcore.MAX_KRYLOV
 
 
 @pytest.mark.parametrize(
