@@ -285,7 +285,9 @@ def augmented_space(projector, mesh, sigma_tol=DEFAULT_SIGMA_TOL, min_margin=1.0
     # residual of each coupled direction against the P1 space, in the mass
     # inner product: R = I - Y^T M_dom^{-1} Y with Y the domain mass moments
     Y = projector.apply_mass(Uc)[idx]
-    Z = sla.solveh_banded(_banded(projector.mass_form, idx), Y)
+    # the mass form on the domain nodes (Dirichlet), in solveh_banded's upper storage
+    d, o, _ = projector.mass_form
+    Z = sla.solveh_banded(eigcore._banded(d[idx], o[idx[:-1]])[:2], Y)
     R = np.eye(rank) - Y.T @ Z
     R = 0.5 * (R + R.T)
     lam, E = sla.eigh(R)
@@ -376,15 +378,6 @@ def localization_masses(aug, coeffs):
     return mass(x_lo, x_lo + strip) + mass(x_hi - strip, x_hi), mass(-strip, strip)
 
 
-def _banded(form, idx):
-    """A form on the consecutive nodes idx (Dirichlet), in solveh_banded's upper storage."""
-    d, o, _ = form
-    ab = np.zeros((2, len(idx)))
-    ab[0, 1:] = o[idx[:-1]]
-    ab[1] = d[idx]
-    return ab
-
-
 def a2_estimate(V, mesh, J=1, M_q=64, M_pw=32, ref_source="planewave", projector=None):
     """A2 = sup over unit-H1 P1 functions phi on the domain of ||(P_ref - P_fem) phi||_H1.
 
@@ -422,7 +415,8 @@ def a2_estimate(V, mesh, J=1, M_q=64, M_pw=32, ref_source="planewave", projector
         raise WindowTooSmall("mesh does not fit inside the projector window")
     # H1 Gram of the window circle; on the mesh interior, the domain's (Dirichlet)
     h1 = tuple(k + m for k, m in zip(*P_fem.forms()))
-    chol = sla.cholesky_banded(_banded(h1, idx))
+    d, o, _ = h1
+    chol = sla.cholesky_banded(eigcore._banded(d[idx], o[idx[:-1]])[:2])
     # K = [(M U_ref)[idx], -(M U_fem)[idx]], whitened to R_c^{-T} K by a
     # transposed solve with the upper banded factor (its diagonal is
     # positive, so the solve cannot fail), then reduced to its R; both steps

@@ -368,24 +368,42 @@ def build_problem(cfg):
 
 
 def resolve_window(entry, out_dir):
-    """Explicit [alpha, beta] or the path of a gap JSON written previously."""
+    """Explicit [alpha, beta] or the path of a gap JSON written previously.
+
+    ConfigError when the file cannot be read or parsed, or unless the
+    window is two finite numbers alpha < beta.
+    """
     if isinstance(entry, (list, tuple)):
-        a, b = float(entry[0]), float(entry[1])
-        if not a < b:
-            raise ConfigError("window must satisfy alpha < beta")
-        return a, b
-    path = entry if os.path.isabs(entry) else os.path.join(out_dir, entry)
-    if not os.path.exists(path):
-        raise ConfigError(
-            "window file %s not found; run the gap subcommand first or give an explicit window"
-            % path
-        )
-    with open(path) as f:
-        g = json.load(f)
+        ends, source = entry, "window"
+    else:
+        path = entry if os.path.isabs(entry) else os.path.join(out_dir, entry)
+        if not os.path.exists(path):
+            raise ConfigError(
+                "window file %s not found; run the gap subcommand first or give an explicit window"
+                % path
+            )
+        source = "window file %s" % path
+        try:
+            with open(path) as f:
+                g = json.load(f)
+        except OSError as e:
+            raise ConfigError("cannot read %s: %s" % (source, e)) from None
+        except ValueError as e:  # malformed JSON, or bytes that are not text
+            raise ConfigError("malformed JSON in %s: %s" % (source, e)) from None
+        try:
+            ends = g["alpha"], g["beta"]
+        except (KeyError, TypeError):
+            raise ConfigError("%s lacks alpha/beta fields" % source) from None
+    numbers = [x for x in ends if isinstance(x, (int, float)) and not isinstance(x, bool)]
     try:
-        return float(g["alpha"]), float(g["beta"])
-    except (KeyError, TypeError):
-        raise ConfigError("window file %s lacks alpha/beta fields" % path) from None
+        a, b = (float(x) for x in numbers)
+    except (ValueError, OverflowError):  # a missing end, or an int beyond float range
+        raise ConfigError("%s: alpha and beta must be numbers" % source) from None
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ConfigError("%s: alpha and beta must be finite" % source)
+    if not a < b:
+        raise ConfigError("%s must satisfy alpha < beta" % source)
+    return a, b
 
 
 def _jsonable(x):

@@ -24,11 +24,12 @@ dispatches on the type (solve_lowest takes the first two):
   border, the inertia of the k x k Schur complement (Haynsworth additivity;
   Parlett, The Symmetric Eigenvalue Problem).  Shifts are inverted by one
   sparse LU factorization each.
-- DiagonalLowRank: diag(e) - Y diag(sign) Yᴴ with Y of rank k, the form of a
-  1D supercell in its Bloch fiber eigenbasis.  Haynsworth inertia of a
-  k x k matrix counts its eigenvalues below a shift, Woodbury inverts the
-  shift in O(nk) per vector, and its count is certified against the
-  distance tol to the operator it stands for (ResolutionError otherwise).
+- DiagonalLowRank: diag(e) - Y diag(sign) Yᵀ with a real Y of rank k, the
+  form of a 1D supercell in its real Bloch fiber eigenbasis.  Haynsworth
+  inertia of a k x k matrix counts its eigenvalues below a shift, Woodbury
+  inverts the shift in O(nk) per vector, and its count is certified
+  against the distance tol to the operator it stands for (ResolutionError
+  otherwise).
 
 - MatrixFree: a real symmetric operator known by its matvec, with a
   preconditioner for its shifts: the large 2D supercell.  Shifts are
@@ -49,7 +50,10 @@ residuals.
 Every solve returns ascending eigenvalues and, on request, B-orthonormal
 eigenvectors with a residual bound; structured solves always carry their
 residual bound, inertia count and Lanczos steps, and MatrixFree ones their
-residual bound and basis size.
+residual bound and basis size.  TridiagonalPencil, DiagonalLowRank and
+MatrixFree are real symmetric, so every Lanczos route runs in real
+arithmetic; only a dense SymmetricPencil (a complex Bloch fiber) is ever
+complex.
 
 scipy is imported inside the functions that use it (the generalized dense
 solve and TridiagonalPencil's factorizations), never at module level: a
@@ -264,8 +268,6 @@ class TridiagonalPencil:
         self.A_sparse = _assemble(self.a, self.a_off, self.A_border)
         self.M_sparse = _assemble(self.m, self.m_off, self.M_border)
 
-    dtype = float
-
     @property
     def mass(self):
         return self.M_sparse
@@ -335,19 +337,20 @@ class TridiagonalPencil:
 
 
 class DiagonalLowRank:
-    """Hermitian H = diag(e) - Y diag(sign) Yᴴ: a real diagonal plus a
-    rank-k term with signature sign (entries +1 or -1), Y of shape (n, k).
+    """Real symmetric H = diag(e) - Y diag(sign) Yᵀ: a diagonal plus a
+    rank-k term with signature sign (entries +1 or -1), Y real of shape
+    (n, k); InvalidMatrix for a complex Y.
 
-    A supercell in its Bloch fiber eigenbasis has this form (e the fiber
-    eigenvalues, Y the compressed perturbation).  Nothing n x n is formed.
-    With D = diag(e) - s, the bordered matrix [[D, Y], [Yᴴ, diag(sign)]] has
-    the Schur complements H - s and C(s) = diag(sign) - Yᴴ D⁻¹ Y, so
+    A supercell in its real Bloch fiber eigenbasis has this form (e the
+    fiber eigenvalues, Y the compressed perturbation).  Nothing n x n is
+    formed.  With D = diag(e) - s, the bordered matrix [[D, Y], [Yᵀ, diag(sign)]]
+    has the Schur complements H - s and C(s) = diag(sign) - Yᵀ D⁻¹ Y, so
     Haynsworth inertia additivity (Parlett, The Symmetric Eigenvalue
     Problem) counts the eigenvalues below s as
 
         nu(H - s) = nu(D) + nu(C(s)) - #{sign = -1}
 
-    in O(n k^2), and Woodbury applies (H - s)⁻¹ = D⁻¹ + D⁻¹ Y C(s)⁻¹ Yᴴ D⁻¹
+    in O(n k^2), and Woodbury applies (H - s)⁻¹ = D⁻¹ + D⁻¹ Y C(s)⁻¹ Yᵀ D⁻¹
     in O(n k) once C(s) is factored.
 
     tol bounds the distance in norm from H to the operator it stands for
@@ -362,11 +365,9 @@ class DiagonalLowRank:
         self.e = _real_array(e, "diagonal", np.shape(e))
         if self.e.ndim != 1:
             raise InvalidMatrix("diagonal must be a vector")
-        self.Y = np.asarray(Y)
-        if self.Y.ndim != 2 or self.Y.shape[0] != len(self.e):
-            raise InvalidMatrix("Y must have shape (%d, k), got %s" % (len(self.e), self.Y.shape))
-        if not np.all(np.isfinite(self.Y)):
-            raise InvalidMatrix("Y contains non-finite entries")
+        if np.ndim(Y) != 2:
+            raise InvalidMatrix("Y must be a matrix, got shape %s" % (np.shape(Y),))
+        self.Y = _real_array(Y, "Y", (len(self.e), np.shape(Y)[1]))
         self.sign = _real_array(sign, "signature", (self.Y.shape[1],))
         if not np.all(np.abs(self.sign) == 1.0):
             raise InvalidMatrix("signature entries must be +1 or -1")
@@ -374,13 +375,11 @@ class DiagonalLowRank:
             raise ValueError("tol must be nonnegative")
         self.tol = float(tol)
         self.n, self.k = self.Y.shape
-        self.dtype = np.result_type(self.Y.dtype, float)
-        self._Yh = self.Y.conj().T
         self._n_minus = int(np.count_nonzero(self.sign < 0))
 
     def _schur(self, d):
-        """C(s) = diag(sign) - Yᴴ D⁻¹ Y for D = diag(d)."""
-        return np.diag(self.sign) - (self._Yh / d) @ self.Y
+        """C(s) = diag(sign) - Yᵀ D⁻¹ Y for D = diag(d)."""
+        return np.diag(self.sign) - (self.Y.T / d) @ self.Y
 
     def negative_count(self, s):
         """Number of eigenvalues below s, by Haynsworth inertia."""
@@ -413,7 +412,7 @@ class DiagonalLowRank:
 
     def apply(self, X):
         """H X for a block of columns X."""
-        return self.e[:, None] * X - self.Y @ (self.sign[:, None] * (self._Yh @ X))
+        return self.e[:, None] * X - self.Y @ (self.sign[:, None] * (self.Y.T @ X))
 
     def shift_inverse(self, sigma):
         """Solver of (H - sigma) x = y by Woodbury, O(n k) per vector after
@@ -428,10 +427,9 @@ class DiagonalLowRank:
         if not np.all(c):
             raise np.linalg.LinAlgError("H - sigma is exactly singular")
         Z = (self.Y / d[:, None]) @ P
-        Zh = Z.conj().T
 
         def solve(y):
-            return y / d + Z @ ((Zh @ y) / c)
+            return y / d + Z @ ((Z.T @ y) / c)
 
         return solve
 
@@ -517,7 +515,6 @@ class MatrixFree:
     """
 
     mass = None
-    dtype = float
 
     def __init__(self, n, matvec, precondition):
         self.n = int(n)
@@ -643,23 +640,22 @@ def _lanczos(op, lo, hi, count):
         sigma += 1e-6 * (hi - lo)
         solve = op.shift_inverse(sigma)
     m_max = min(n, MAX_KRYLOV)
-    Q = np.empty((m_max, n), dtype=op.dtype)
-    MQ = Q if M is None else np.empty((m_max, n), dtype=op.dtype)
+    Q = np.empty((m_max, n))
+    MQ = Q if M is None else np.empty((m_max, n))
     alpha = np.zeros(m_max)
     beta = np.zeros(m_max)
 
     def project_out(v, j):
-        # v minus its M-orthogonal projection on the first j basis vectors;
-        # the coefficients MQ^H v are formed with conjugated vectors only
-        return v - Q[:j].T @ (MQ[:j] @ v.conj()).conj()
+        # v minus its M-orthogonal projection on the first j basis vectors
+        return v - Q[:j].T @ (MQ[:j] @ v)
 
     def start(j):
         # each start (at a distinct basis size j) takes its own run
-        v = weyl_vector(n, j * n).astype(op.dtype)
+        v = weyl_vector(n, j * n)
         for _ in range(2):
             v = project_out(v, j)
         Mv = v if M is None else M @ v
-        nrm = np.sqrt(np.vdot(v, Mv).real)
+        nrm = np.sqrt(v @ Mv)
         return v / nrm, Mv / nrm
 
     q, Mq = start(0)
@@ -669,11 +665,11 @@ def _lanczos(op, lo, hi, count):
         w = solve(Mq)
         if j:
             w -= beta[j - 1] * Q[j - 1]
-        alpha[j] = np.vdot(Mq, w).real
+        alpha[j] = Mq @ w
         w -= alpha[j] * q
         w = project_out(w, j + 1)
         Mw = w if M is None else M @ w
-        beta[j] = np.sqrt(max(np.vdot(w, Mw).real, 0.0))
+        beta[j] = np.sqrt(max(w @ Mw, 0.0))
         m = j + 1
         if m >= check_at or m == m_max:
             check_at = m + CHECK_EVERY
@@ -739,12 +735,12 @@ def _window_vectors(op, lo, hi, count):
 def _solve_structured(op, lo, hi, count, with_vectors):
     """Eigenpairs of a structured operator in (lo, hi), given the exact count there.
 
-    op is a TridiagonalPencil or a DiagonalLowRank: it provides n, dtype,
-    mass (M, or None for the identity), apply (A X), shift_inverse and
+    op is a TridiagonalPencil or a DiagonalLowRank: it provides n, mass
+    (M, or None for the identity), apply (A X), shift_inverse and
     negative_count.
     """
     if count == 0:
-        V = np.zeros((op.n, 0), dtype=op.dtype) if with_vectors else None
+        V = np.zeros((op.n, 0)) if with_vectors else None
         return EigResult(np.zeros(0), V, 0.0, 0.0, 0, 0)
     X, steps = _window_vectors(op, lo, hi, count)
     w, V, resid, ortho = _rayleigh_ritz(op, X, lo, hi)
@@ -758,26 +754,26 @@ def _rayleigh_ritz(op, X, lo, hi):
     It polishes the values with the true operator and makes the vectors
     exactly M-orthonormal (vectors from different slices, or from inexact
     inner solves, are orthogonal only to the accuracy of their
-    convergence).  resid is max ||A v - w M v|| and ortho ||Vᴴ M V - I||_max;
+    convergence).  resid is max ||A v - w M v|| and ortho ||Vᵀ M V - I||_max;
     NotConverged when a value leaves the window.
     """
     AX = op.apply(X)
     MX = X if op.mass is None else op.mass @ X
-    Hs = X.conj().T @ AX
-    Ms = X.conj().T @ MX
-    Li = np.linalg.inv(np.linalg.cholesky(0.5 * (Ms + Ms.conj().T)))
-    R = Li @ Hs @ Li.conj().T
-    w, Z = np.linalg.eigh(0.5 * (R + R.conj().T))
+    Hs = X.T @ AX
+    Ms = X.T @ MX
+    Li = np.linalg.inv(np.linalg.cholesky(0.5 * (Ms + Ms.T)))
+    R = Li @ Hs @ Li.T
+    w, Z = np.linalg.eigh(0.5 * (R + R.T))
     if not np.all((w > lo) & (w < hi)):
         raise NotConverged(
             "%d eigenvalues certified in (%.17g, %.17g) but the solve returned %s"
             % (len(w), lo, hi, np.array2string(w, precision=17))
         )
-    Y = Li.conj().T @ Z
+    Y = Li.T @ Z
     V = X @ Y
     MV = MX @ Y
     resid = float(np.max(np.linalg.norm(AX @ Y - MV * w[None, :], axis=0)))
-    ortho = float(np.max(np.abs(V.conj().T @ MV - np.eye(len(w)))))
+    ortho = float(np.max(np.abs(V.T @ MV - np.eye(len(w)))))
     return w, V, resid, ortho
 
 

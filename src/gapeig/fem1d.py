@@ -213,38 +213,35 @@ def galerkin_spectrum(V, W, mesh, window, with_vectors=True):
 def interval_mass(mesh, coeffs, lo, hi, interior=True):
     """Exact integral of |psi|^2 over [lo, hi] for a P1 function.
 
-    coeffs are interior-node coefficients when interior=True (Dirichlet) or
-    all-node coefficients otherwise.  Partial elements are integrated exactly
-    (the integrand is piecewise quadratic).
+    coeffs are real interior-node coefficients when interior=True
+    (Dirichlet) or all-node coefficients otherwise; ValueError for complex
+    ones.  Partial elements are integrated exactly (the integrand is
+    piecewise quadratic).
     """
+    coeffs = np.asarray(coeffs)
+    if np.iscomplexobj(coeffs):
+        raise ValueError("interval_mass takes real coefficients")
     if interior:
         full = np.zeros(mesh.n_nodes)
-        full[1:-1] = np.real(coeffs)
-        fi = np.zeros(mesh.n_nodes)
-        fi[1:-1] = np.imag(coeffs) if np.iscomplexobj(coeffs) else 0.0
+        full[1:-1] = coeffs
     else:
-        full = np.real(np.asarray(coeffs))
-        fi = np.imag(np.asarray(coeffs)) if np.iscomplexobj(coeffs) else np.zeros(mesh.n_nodes)
+        full = coeffs
     lo = max(lo, mesh.x_lo)
     hi = min(hi, mesh.x_hi)
     if hi <= lo:
         return 0.0
     h = mesh.h
     nodes = mesh.nodes
-    total = 0.0
-    for c0, c1 in ((full[:-1], full[1:]), (fi[:-1], fi[1:])):
-        if not np.any(c0) and not np.any(c1):
-            continue
-        u0 = np.clip((lo - nodes[:-1]) / h, 0.0, 1.0)
-        u1 = np.clip((hi - nodes[:-1]) / h, 0.0, 1.0)
-        dc = c1 - c0
-        seg = h * (
-            c0 * c0 * (u1 - u0)
-            + c0 * dc * (u1 * u1 - u0 * u0)
-            + dc * dc * (u1**3 - u0**3) / 3.0
-        )
-        total += float(np.sum(seg))
-    return total
+    c0, c1 = full[:-1], full[1:]
+    u0 = np.clip((lo - nodes[:-1]) / h, 0.0, 1.0)
+    u1 = np.clip((hi - nodes[:-1]) / h, 0.0, 1.0)
+    dc = c1 - c0
+    seg = h * (
+        c0 * c0 * (u1 - u0)
+        + c0 * dc * (u1 * u1 - u0 * u0)
+        + dc * dc * (u1**3 - u0**3) / 3.0
+    )
+    return float(np.sum(seg))
 
 
 def boundary_mass(mesh, coeffs, R=None):

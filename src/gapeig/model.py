@@ -189,27 +189,6 @@ class Perturbation:
         return out
 
 
-class SupercellCoefficients:
-    """Fourier coefficients of a function periodized over the cell (-span/2, span/2]^d.
-
-    data is the full FFT table (grid points per axis); coeff(m) reads the
-    coefficient of e^{2*pi*i*m.x/span} for integer m, indexing modulo grid.
-    """
-
-    def __init__(self, d, span, grid, data, edge_ratio):
-        self.d = d
-        self.span = float(span)
-        self.grid = int(grid)
-        self.data = data
-        self.edge_ratio = float(edge_ratio)
-
-    def coeff(self, m):
-        if np.isscalar(m):
-            m = (m,)
-        idx = tuple(int(c) % self.grid for c in m)
-        return complex(self.data[idx])
-
-
 def cell_points(span, grid):
     """The grid sample points along one axis of the cell centered at the
     origin: x_p = -span/2 + p * span/grid, p = 0 .. grid-1."""
@@ -255,7 +234,9 @@ def fourier_sample(func, d, span, grid):
 
 
 def perturbation_supercell_coefficients(W, L, grid):
-    """Fourier coefficients of W periodized over the supercell (-L*b/2, L*b/2]^d.
+    """Fourier coefficients of W periodized over the supercell (-L*b/2, L*b/2]^d,
+    as fourier_sample's (data, edge_ratio): data[m % grid] is the
+    coefficient of e^{2*pi*i*m.x/(L*b)} for integer m.
 
     grid must be a power of two with grid >= 8*L.
     Raises ResolutionError when the relative aliasing estimate exceeds 1e-8,
@@ -268,11 +249,10 @@ def perturbation_supercell_coefficients(W, L, grid):
     grid = int(grid)
     if grid & (grid - 1) or grid < 8 * L:
         raise ValueError("grid must be a power of two with grid >= 8*L")
-    span = L * lat.b
-    data, edge_ratio = fourier_sample(W, lat.d, span, grid)
+    data, edge_ratio = fourier_sample(W, lat.d, L * lat.b, grid)
     if edge_ratio > ALIASING_TOL:
         raise ResolutionError(
             "aliasing estimate %.3e exceeds %.0e: grid %d too coarse for L=%d"
             % (edge_ratio, ALIASING_TOL, grid, L)
         )
-    return SupercellCoefficients(lat.d, span, grid, data, edge_ratio)
+    return data, edge_ratio

@@ -14,36 +14,38 @@ plus V's exact coefficients, which land on the supercell frequencies L*m
 
 A 1D supercell is solved in its fiber form (assemble_fiber_form), which
 never forms an n x n matrix.  V couples mode m only to the modes m + L p,
-so the periodic part splits into L Bloch fibers, one per coset m mod L,
-eigendecomposed by one batched eigh.  W is sampled on the FFT grid, where
-its part of H is F diag(w) Fᴴ; on the grid points where W is not
-negligible that factor has a real Gram matrix (a Dirichlet kernel), whose
-eigendecomposition compresses W to rank k (63 for the benchmark W at every
-L, against n = 32L + 1 planewaves).  In the fiber eigenbasis H is then
-diag(e) - Y diag(sign) Yᴴ, an eigcore.DiagonalLowRank: the window is counted
-exactly by Haynsworth inertia, certified against the dropped part of W,
-and its values come from eigcore's shift-invert Lanczos with an O(nk)
-Woodbury inverse.  This path needs numpy alone.
+so the periodic part splits into Bloch fibers, one per coset m mod L;
+each is joined with its opposite coset and eigendecomposed in real form
+(_fiber_blocks), blocks of one size by one batched eigh.  W is sampled on
+the FFT grid, where its part of H is F diag(w) Fᴴ; on the grid points
+where W is not negligible that factor has a real Gram matrix (a Dirichlet
+kernel), whose eigendecomposition compresses W to rank k (63 for the
+benchmark W at every L, against n = 32L + 1 planewaves).  In the fibers'
+real eigenbasis H is then diag(e) - Y diag(sign) Yᵀ with Y real, an
+eigcore.DiagonalLowRank: the window is counted exactly by Haynsworth
+inertia, certified against the dropped part of W, and its values come
+from eigcore's shift-invert Lanczos with an O(nk) Woodbury inverse.  This
+path needs numpy alone.
 
 2D supercells are solved densely when small and, when large, matrix-free
 (_iterative_window_2d), on numpy alone: an eigcore.MatrixFree whose matvec
 convolves with the same table, truncated to its bandwidth, by FFT
 (_real_form_matvec), solved by block shift-invert Lanczos with MINRES inner
-solves.  The Bloch fibers of the periodic part precondition those solves
-(_fiber_preconditioner): with the same cosets as the 1D fiber form, paired
-with their opposites, |P - sigma|⁻¹ for P = -Laplacian + V is exact on
-the periodic part and block diagonal, which cuts MINRES from 155 to 31
-iterations per solve at L=4, N=32.
+solves.  The same real Bloch fibers as the 1D fiber form precondition
+those solves (_fiber_preconditioner): |P - sigma|⁻¹ for
+P = -Laplacian + V is exact on the periodic part and block diagonal,
+which cuts MINRES from 155 to 31 iterations per solve at L=4, N=32.
 
 V and W are real, so H commutes with complex conjugation, which maps the
 planewave of mode m to that of mode -m.  The wavevector lists are centrally
 symmetric in lexicographic order, so index i and index n-1-i are the modes m
 and -m, and with K the reversal permutation U = (I + iK)/sqrt(2) turns the
 complex Hermitian H into the real symmetric Uᴴ H U with the same spectrum.
-Both the dense and the matrix-free solves work on that real form
-(real_form).  Dense ones (method "dense", the 2D route at small sizes and
-the mismatched cell) form it by solve_real_form and hand LAPACK a real
-matrix of half the bytes of H; the matrix-free one applies it by
+Every route works on that real form (real_form), so every supercell is
+solved in real arithmetic.  Dense solves (method "dense", the 2D route at
+small sizes and the mismatched cell) form it by solve_real_form and hand
+LAPACK a real matrix of half the bytes of H; the fiber form takes its
+fibers and its W factor in it; the matrix-free solve applies it by
 _real_form_matvec, so its Lanczos is symmetric and its MINRES inner solves
 work on real vectors of length n.  The same symmetry makes the grid
 functions that matvec convolves real, so its FFTs are real ones on half
@@ -184,8 +186,8 @@ def _fourier_table(V, W, L, N, grid):
             table[tuple(shift % grid)] += c
     if W is None:
         return table, None
-    cw = model.perturbation_supercell_coefficients(W, L, grid=grid)
-    return cw.data + table, cw.edge_ratio
+    data, edge_ratio = model.perturbation_supercell_coefficients(W, L, grid=grid)
+    return data + table, edge_ratio
 
 
 def _planewave_matrix(modes, kscale, table):
@@ -217,34 +219,36 @@ def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
     return H, {"n_planewaves": n, "grid": grid, "edge_ratio": edge_ratio}
 
 
-def _fiber_blocks(V, L, N, paired=False):
-    """Bloch fibers of the periodic part of a supercell, eigendecomposed.
+def _fiber_blocks(V, L, N):
+    """Bloch fibers of the periodic part of a supercell, eigendecomposed in
+    real form.
 
     V couples planewave m only to m + L p, so the modes m = r (mod L) form
     one block per coset r in (Z/L)^d, the Bloch fiber at quasimomentum
-    2 pi r/(L b), read from V's Fourier table.  With paired, each coset is
-    joined with its opposite -r (mod L): the joined modes are centrally
-    symmetric, so the block has a real form (real_form), and that is what
-    is eigendecomposed.  Blocks of one size share one batched eigh.
-    Returns [(rows, e, Q)] per size, sizes ascending and blocks by coset:
-    rows[b] are the basis rows of block b, ascending, e[b] its eigenvalues
-    and Q[b] its eigenvectors.
+    2 pi r/(L b), read from V's Fourier table.  Each coset is joined with
+    its opposite -r (mod L): the joined modes are centrally symmetric, so
+    the block has a real form (real_form), and that is what is
+    eigendecomposed.  The reversal K maps each block's modes onto
+    themselves, so the U of the whole operator's real form restricts to
+    each block's own: the blocks are those of the real form of the periodic
+    part.  Blocks of one size share one batched eigh.  Returns
+    [(rows, e, Q)] per size, sizes ascending and blocks by coset: rows[b]
+    are the basis rows of block b, ascending, e[b] its eigenvalues and Q[b]
+    its real orthonormal eigenvectors.
     """
     L, N = int(L), int(N)
     modes = supercell_wavevectors(V.lattice.d, L, N)
     kscale = 2.0 * np.pi / (L * V.lattice.b)
     table, _ = _fourier_table(V, None, L, N, _coeff_grid(L, N))
     digits = L ** np.arange(modes.shape[1])
-    coset = (modes % L) @ digits
-    if paired:
-        coset = np.minimum(coset, (-modes % L) @ digits)
+    coset = np.minimum((modes % L) @ digits, (-modes % L) @ digits)
     order = np.argsort(coset, kind="stable")
     _, starts, sizes = np.unique(coset[order], return_index=True, return_counts=True)
     groups = []
     for size in np.unique(sizes):
         rows = order[starts[sizes == size][:, None] + np.arange(size)[None, :]]
         H = _planewave_matrix(modes[rows], kscale, table)
-        e, Q = np.linalg.eigh(real_form(H) if paired else H)
+        e, Q = np.linalg.eigh(real_form(H))
         groups.append((rows, e, Q))
     return groups
 
@@ -269,10 +273,13 @@ def _compress_perturbation(w, N, g):
     BᴴB = diag(sqrt|w|) D diag(sqrt|w|)/g with D the Dirichlet kernel of
     p - q, so its eigendecomposition BᴴB = U diag(s^2) Uᴴ gives BBᴴ ~ Z Zᴴ,
     Z = B U_k, keeping the s^2 above RANK_TOL of the largest; each column
-    of Z is one FFT.  Returns (Z, sign, support, dropped): W ~ -Z diag(sign) Zᴴ,
-    support the number of grid points kept and dropped a bound on the
-    spectral norm of what was left out (F Fᴴ = I, so a dropped point moves
-    W by at most its |w_p|).
+    of Z is one FFT.  Every column is the transform of a real grid
+    function, so K Z = conj(Z) (K maps mode m to -m), and in the real form
+    (real_form) Uᴴ Z = e^{-i pi/4} R with R = Re Z - Im Z real.  Returns
+    (R, sign, support, dropped): Uᴴ W U ~ -R diag(sign) Rᵀ, support the
+    number of grid points kept and dropped a bound on the spectral norm of
+    what was left out (F Fᴴ = I, so a dropped point moves W by at most its
+    |w_p|).
     """
     ms = np.arange(-N, N + 1)
     peak = float(np.max(np.abs(w), initial=0.0))
@@ -296,33 +303,35 @@ def _compress_perturbation(w, N, g):
         # F_mp = (-1)^m e^{-2 pi i m p/g}/sqrt(g): the cell starts at -Lb/2
         cols.append(np.fft.fft(full, axis=0)[ms % g] * phase[:, None])
         sign += [-w_sign] * full.shape[1]
-    return np.hstack(cols), np.array(sign), int(np.count_nonzero(kept)), dropped
+    Z = np.hstack(cols)
+    return Z.real - Z.imag, np.array(sign), int(np.count_nonzero(kept)), dropped
 
 
 def assemble_fiber_form(V, W, L, N):
-    """The 1D supercell operator as Bloch fibers plus a low-rank W:
-    an eigcore.DiagonalLowRank, H ~ diag(e) - Y diag(sign) Yᴴ.
+    """The 1D supercell operator as Bloch fibers plus a low-rank W: a real
+    eigcore.DiagonalLowRank, H ~ diag(e) - Y diag(sign) Yᵀ.
 
-    e are the eigenvalues of the L fibers of the periodic part
-    (_fiber_blocks), and Y = Qᴴ Z is the compressed W
-    (_compress_perturbation) in the fibers' eigenbasis Q.  The operator is
-    unitarily similar to assemble_supercell's H up to the dropped part of
-    W; its tol adds to that bound a roundoff allowance, so its window
-    counts hold for the assembled H.  Nothing n x n is formed.  info holds
+    e are the eigenvalues of the fibers of the periodic part in real form
+    (_fiber_blocks), and Y = Qᵀ R is the compressed W in real form
+    (_compress_perturbation) in the fibers' real eigenbasis Q.  The
+    operator is orthogonally similar to the real form of
+    assemble_supercell's H up to the dropped part of W; its tol adds to
+    that bound a roundoff allowance, so its window counts hold for the
+    assembled H.  Nothing n x n is formed.  info holds
     n_planewaves, grid, edge_ratio, rank_w (the rank k of Y) and
     support_points (the grid points of W kept).
     """
     L, N = int(L), int(N)
     grid = _coeff_grid(L, N)
     # the aliasing refusal of the dense assembly, and its edge ratio
-    cw = model.perturbation_supercell_coefficients(W, L, grid=grid)
+    _, edge_ratio = model.perturbation_supercell_coefficients(W, L, grid=grid)
     x = model.cell_points(L * V.lattice.b, grid)
     w = W(x) + np.zeros_like(x)  # a W without terms evaluates to the scalar 0
-    Z, sign, support, dropped = _compress_perturbation(w, N, grid)
+    R, sign, support, dropped = _compress_perturbation(w, N, grid)
     es, Ys = [], []
     for rows, e, Q in _fiber_blocks(V, L, N):
         es.append(e.ravel())
-        Ys.append(np.matmul(Q.conj().transpose(0, 2, 1), Z[rows]).reshape(e.size, Z.shape[1]))
+        Ys.append(np.matmul(Q.transpose(0, 2, 1), R[rows]).reshape(e.size, R.shape[1]))
     e = np.concatenate(es)
     Y = np.concatenate(Ys)
     scale = float(np.max(np.abs(e))) + float(np.sum(np.linalg.norm(Y, axis=0) ** 2, initial=0.0))
@@ -330,7 +339,7 @@ def assemble_fiber_form(V, W, L, N):
     op.info = {
         "n_planewaves": len(e),
         "grid": grid,
-        "edge_ratio": cw.edge_ratio,
+        "edge_ratio": edge_ratio,
         "rank_w": Y.shape[1],
         "support_points": support,
     }
@@ -437,16 +446,14 @@ def _fiber_preconditioner(V, L, N):
     """precondition(sigma): |P - sigma|⁻¹ in the real form, for the periodic
     part P = -Laplacian + V of a supercell.
 
-    P is block diagonal over the Bloch fibers, and the real form keeps it
-    so over the pairs of opposite fibers: the reversal K maps each pair's
-    modes onto themselves, so U restricts to each pair's own U.  Each pair's
-    real form is eigendecomposed once (_fiber_blocks, paired), P = Q diag(e) Qᵀ,
+    P's real form is block diagonal over the pairs of opposite Bloch
+    fibers, each eigendecomposed once (_fiber_blocks), P = Q diag(e) Qᵀ,
     and precondition(sigma) applies Q diag(1/|e - sigma|) Qᵀ pair by pair:
     real, symmetric positive definite, and exactly |S - sigma|⁻¹ when W = 0.
     """
     # one (rows, Q, e) per pair: a BLAS matvec per pair is faster than
     # numpy's batched matmul of a stack with vectors
-    pairs = [fiber for rows, e, Q in _fiber_blocks(V, L, N, paired=True) for fiber in zip(rows, Q, e)]
+    pairs = [fiber for rows, e, Q in _fiber_blocks(V, L, N) for fiber in zip(rows, Q, e)]
 
     def precondition(sigma):
         weighted = [(rows, Q, 1.0 / np.abs(e - sigma)) for rows, Q, e in pairs]

@@ -391,6 +391,37 @@ def test_bad_window_order_exit2(tmp_path):
     assert cli.main(["supercell", "--config", p, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize(
+    "window, gap_file",
+    [
+        ("gap.json", b'{"alpha": -0.6, "beta": -1.1}'),
+        ("gap.json", b'{"alpha": "x", "beta": -0.6}'),
+        ("gap.json", b'{"alpha": NaN, "beta": -0.6}'),
+        ("gap.json", b'{"alpha": -1.1, "be'),
+        ("gap.json", b'[-1.1, -0.6]'),
+        ("gap.json", b'{"alpha": 1' + b"0" * 400 + b', "beta": -0.6}'),
+        ("gap.json", b"\xff\xfe not text"),
+        ([float("-inf"), -0.6], None),
+        ([-1.1, float("inf")], None),
+    ],
+    ids=["reversed", "non-numeric", "nan", "truncated", "no-fields", "huge-int", "not-text",
+         "explicit-inf", "explicit-inf-beta"],
+)
+def test_bad_window_exit2_writes_nothing(tmp_path, capsys, window, gap_file):
+    # a window file is checked as an explicit window is: two finite numbers
+    # alpha < beta, or a config error before anything is written
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg["supercell"]["window"] = window
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    if gap_file is not None:
+        (out / "gap.json").write_bytes(gap_file)
+    assert cli.main(["supercell", "--config", p, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ([] if gap_file is None else ["gap.json"])
+
+
 @pytest.mark.parametrize("method", ["gap", "bands"])
 def test_J_max_beyond_fiber_size_exit2(tmp_path, capsys, method):
     # M_pw = 1 gives fibers of 3 planewaves, fewer than the J_max = 4 bands asked for

@@ -267,9 +267,9 @@ def test_assemble_supercell_index_matches_lookup(V1d, W1d, V2d, W2d, d, L, N, fa
         rows = np.array([index.get(tuple(row), -1) for row in offs + shift[None, :]])
         keep = rows >= 0
         H[rows[keep], np.arange(n)[keep]] += c
-    cw = model.perturbation_supercell_coefficients(W, L, grid=grid)
+    data, _ = model.perturbation_supercell_coefficients(W, L, grid=grid)
     D = [(offs[:, a][:, None] - offs[:, a][None, :]) % grid for a in range(d)]
-    H += cw.data[tuple(D)]
+    H += data[tuple(D)]
     assert np.array_equal(got, H)
 
 
@@ -385,6 +385,8 @@ def test_fiber_form_mixed_sign_w(V1d, lat1d, window1d):
     )
     op = supercell.assemble_fiber_form(V1d, W, 20, 320)
     assert set(op.sign) == {-1.0, 1.0}
+    # the fibers and W are taken in real form: the operator is real
+    assert op.e.dtype == op.Y.dtype == np.float64
     fibers = supercell.supercell_spectrum(V1d, W, 20, 320, window1d)
     dense = supercell.supercell_spectrum(V1d, W, 20, 320, window1d, method="dense")
     assert fibers.diagnostics["n_in_window"] == len(fibers) == len(dense) > 0
