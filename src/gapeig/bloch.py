@@ -17,6 +17,17 @@ arithmetic.  A translation does not change any fiber's spectrum, so the
 sweep runs on model.PeriodicPotential.centred() whenever V has an inversion
 centre (the shipped 2D potential does; the 1D one does not) and keeps the
 complex fibers otherwise.
+
+A fiber couples mode G only to G + s for s in V's Fourier support S, so
+it is block diagonal over the classes of modes those steps connect
+(mode_classes): the cosets of the lattice S generates, as far as the
+truncated basis keeps them connected.  The 1D benchmark's support
+{+-1, +-2} generates Z, one class; the 2D one's {+-(1,0), +-(2,2)}
+generates a lattice of index 2 (that V also has period pi in y), so each
+361-mode fiber is two blocks of 171 and 190.  The sweep assembles V's
+couplings once and solves each class over stacks of quasimomenta, where
+only the kinetic diagonal changes.  supercell uses the same classes, with
+steps L*S, for the Bloch fibers of a supercell.
 """
 
 import itertools
@@ -30,6 +41,8 @@ GAP_TOL = 1e-6
 DEGENERACY_TOL = 1e-10
 DEFAULT_M_PW = {1: 32, 2: 9}
 DEFAULT_M_Q = {1: 64, 2: 32}
+# quasimomenta per stacked eigvalsh call of the band sweep
+SWEEP_CHUNK = 2
 
 
 def fiber_offsets(d, M_pw):
@@ -52,31 +65,96 @@ def _offset_index(offsets_matrix, M_pw, d):
     return lin
 
 
-def assemble_fiber(V, q, M_pw):
-    """Fiber pencil at quasimomentum q: kinetic diagonal plus V Fourier couplings.
+def coupling_steps(V):
+    """V's Fourier support without 0, as an (s, d) integer array: the steps
+    m -> m + s by which V couples planewave modes."""
+    d = V.lattice.d
+    steps = [m for m, c in V.fourier_coefficients().items() if c != 0 and any(m)]
+    return np.array(steps, dtype=int).reshape(-1, d)
 
-    The matrix is real symmetric (float64) when every Fourier coefficient of
-    V is real, i.e. V is even about the origin, and complex Hermitian
-    otherwise."""
-    lat = V.lattice
-    d = lat.d
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape != (d,):
-        raise ValueError("q must have %d components" % d)
+
+def mode_classes(modes, steps, opposite=False):
+    """The classes of planewave modes that the coupling steps connect.
+
+    modes is an (n, d) integer array and steps an (s, d) one closed under
+    negation (V's support, or L times it in a supercell).  A matrix that
+    couples mode m only to the modes m + s is block diagonal over the
+    connected components of this coupling graph, which are found by
+    min-label propagation with pointer jumping over precomputed neighbour
+    indices.  With opposite set, mode m is also joined with -m (which must
+    be among the modes), so every class is closed under m -> -m, as a real
+    form needs.  Returns one (k, s) array per class size s, sizes
+    ascending: row b holds the mode indices of one class, ascending, and
+    classes of one size are ordered by their smallest index.
+    """
+    modes = np.asarray(modes, dtype=int)
+    n = len(modes)
+    lo = modes.min(axis=0)
+    ext = modes.max(axis=0) - lo + 1
+    lookup = np.full(int(np.prod(ext)), -1)
+    lookup[np.ravel_multi_index((modes - lo).T, ext)] = np.arange(n)
+    targets = [modes[:, None, :] + np.asarray(steps, dtype=int)[None, :, :]]
+    if opposite:
+        targets.append(-modes[:, None, :])
+    rel = np.concatenate(targets, axis=1) - lo
+    inside = np.all((rel >= 0) & (rel < ext), axis=-1)
+    nbr = np.full(inside.shape, -1)
+    nbr[inside] = lookup[np.ravel_multi_index(tuple(rel[inside].T), ext)]
+    # a step that leaves the modes links a mode to itself
+    nbr = np.where(nbr >= 0, nbr, np.arange(n)[:, None])
+    label = np.arange(n)
+    while True:
+        new = np.minimum(label, label[nbr].min(axis=1, initial=n))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == size][:, None] + np.arange(size)[None, :]]
+            for size in np.unique(sizes)]
+
+
+def _coupling_matrix(V, M_pw):
+    """The fiber offsets and V's part of every fiber on them: C[i, j] is
+    V's Fourier coefficient at offs[i] - offs[j].
+
+    C is float64 when every coefficient of V is real and complex otherwise;
+    a fiber is C plus its kinetic diagonal."""
+    d = V.lattice.d
     offs = fiber_offsets(d, M_pw)
     n = len(offs)
-    k = q[None, :] + lat.reciprocal * offs
     coeffs = V.fourier_coefficients()
     real = all(c.imag == 0 for c in coeffs.values())
-    H = np.zeros((n, n), dtype=float if real else complex)
-    H[np.diag_indices(n)] = np.sum(k * k, axis=1)
+    C = np.zeros((n, n), dtype=float if real else complex)
     cols = np.arange(n)
     for m, c in coeffs.items():
         if c == 0:
             continue
         rows = _offset_index(offs + np.asarray(m, dtype=int)[None, :], M_pw, d)
         keep = rows >= 0
-        H[rows[keep], cols[keep]] += c.real if real else c
+        C[rows[keep], cols[keep]] += c.real if real else c
+    return offs, C
+
+
+def _kinetic(lattice, q, offs):
+    """|q + G|^2 for each quasimomentum row of q (..., d) and offset of offs."""
+    k = q[..., None, :] + lattice.reciprocal * offs
+    return np.sum(k * k, axis=-1)
+
+
+def assemble_fiber(V, q, M_pw):
+    """Fiber pencil at quasimomentum q: kinetic diagonal plus V Fourier couplings.
+
+    The matrix is real symmetric (float64) when every Fourier coefficient of
+    V is real, i.e. V is even about the origin, and complex Hermitian
+    otherwise."""
+    d = V.lattice.d
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if q.shape != (d,):
+        raise ValueError("q must have %d components" % d)
+    offs, H = _coupling_matrix(V, M_pw)
+    H[np.diag_indices(len(offs))] += _kinetic(V.lattice, q, offs)
     return eigcore.SymmetricPencil(H)
 
 
@@ -100,10 +178,11 @@ class BandStructure:
 
     fiber_form is "real" when the sweep solved real symmetric fibers and
     "complex" otherwise; inversion_centre is the centre c of V they were
-    built about (None when V has none)."""
+    built about (None when V has none); fiber_classes are the sorted sizes
+    of the mode classes each fiber splits into (mode_classes)."""
 
     def __init__(self, lattice, M_pw, M_q, qpoints, bands, fiber_form="complex",
-                 inversion_centre=None):
+                 inversion_centre=None, fiber_classes=None):
         self.lattice = lattice
         self.M_pw = M_pw
         self.M_q = M_q
@@ -111,6 +190,7 @@ class BandStructure:
         self.bands = bands
         self.fiber_form = fiber_form
         self.inversion_centre = inversion_centre
+        self.fiber_classes = fiber_classes
 
     @property
     def J_max(self):
@@ -140,6 +220,15 @@ def band_structure(V, M_pw=None, M_q=None, J_max=4, threads=1):
     the spectrum of V's own complex Hermitian fiber; otherwise they are
     V's complex fibers.  The result's fiber_form and inversion_centre say
     which was used.
+
+    Only the kinetic diagonal of a fiber depends on q.  V's part is
+    assembled and validated (eigcore.SymmetricPencil) once; a real diagonal
+    keeps it Hermitian.  Every fiber is block diagonal over the mode
+    classes V couples (mode_classes), so each class is solved on its own,
+    classes of one size as one stack of eigvalsh calls over SWEEP_CHUNK
+    quasimomenta at a time (bounded memory, and results that do not depend
+    on threads, which only spreads the chunks), and the lowest J_max values
+    of all classes are merged.
     """
     lat = V.lattice
     d = lat.d
@@ -152,19 +241,37 @@ def band_structure(V, M_pw=None, M_q=None, J_max=4, threads=1):
     half = qpoints[: len(qpoints) // 2]
     centred = V.centred()
     sweep = V if centred is None else centred
+    offs, C = _coupling_matrix(sweep, M_pw)
+    if not 1 <= J_max <= len(offs):
+        raise ValueError("J_max must be between 1 and the fiber size %d" % len(offs))
+    eigcore.SymmetricPencil(C)
+    classes = [(C[rows[:, :, None], rows[:, None, :]], offs[rows])
+               for rows in mode_classes(offs, coupling_steps(sweep))]
+
+    def solve(qs):
+        parts = []
+        for blocks, block_offs in classes:
+            H = np.repeat(blocks[None], len(qs), axis=0)
+            i = np.arange(blocks.shape[-1])
+            H[..., i, i] += _kinetic(lat, qs[:, None, :], block_offs)
+            parts.append(np.linalg.eigvalsh(H)[..., :J_max].reshape(len(qs), -1))
+        return np.sort(np.concatenate(parts, axis=1), axis=1)[:, :J_max]
+
+    chunks = [half[i : i + SWEEP_CHUNK] for i in range(0, len(half), SWEEP_CHUNK)]
     if threads > 1:
         # imported here: concurrent.futures brings logging into every process
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda q: fiber_bands(sweep, q, M_pw, J_max), half))
+            results = list(ex.map(solve, chunks))
     else:
-        results = [fiber_bands(sweep, q, M_pw, J_max) for q in half]
-    bands = np.array([r.eigenvalues for r in results])
+        results = [solve(qs) for qs in chunks]
+    bands = np.concatenate(results)
     bands = np.concatenate((bands, bands[::-1]))
+    sizes = sorted(len(block) for blocks, _ in classes for block in blocks)
     if centred is None:
-        return BandStructure(lat, M_pw, M_q, qpoints, bands)
-    return BandStructure(lat, M_pw, M_q, qpoints, bands, "real", list(centred.centre))
+        return BandStructure(lat, M_pw, M_q, qpoints, bands, fiber_classes=sizes)
+    return BandStructure(lat, M_pw, M_q, qpoints, bands, "real", list(centred.centre), sizes)
 
 
 def _resolution_estimate(grid, point):

@@ -331,7 +331,7 @@ def load_config(path):
             cfg = json.load(f)
     except OSError as e:
         raise ConfigError("cannot read config: %s" % e) from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON, or bytes that are not text
         raise ConfigError("malformed JSON in %s: %s" % (path, e)) from None
     try:
         valid = _conforms(cfg, SCHEMA)
@@ -476,8 +476,10 @@ def _band_structure(V, p, threads):
 
 def _fiber_diagnostics(bs):
     """Which fibers a band sweep solved: "real" ones about V's inversion
-    centre, or "complex" ones (inversion_centre None)."""
-    return {"fiber_form": bs.fiber_form, "inversion_centre": bs.inversion_centre}
+    centre, or "complex" ones (inversion_centre None), and the sizes of the
+    mode classes each splits into."""
+    return {"fiber_form": bs.fiber_form, "inversion_centre": bs.inversion_centre,
+            "fiber_classes": bs.fiber_classes}
 
 
 def run_bands(cfg, out_dir, threads):

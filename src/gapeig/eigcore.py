@@ -31,12 +31,13 @@ dispatches on the type (solve_lowest takes the first two):
   against the distance tol to the operator it stands for (ResolutionError
   otherwise).
 
-- MatrixFree: a real symmetric operator known by its matvec, with a
-  preconditioner for its shifts: the large 2D supercell.  Shifts are
-  inverted by preconditioned MINRES (minres, Paige-Saunders, on numpy
-  alone).  There is no inertia count, so its window is found by a block
-  shift-invert Lanczos whose completeness rule (a converged value at or
-  beyond the window's half-width) stands in for one.
+- MatrixFree: a real symmetric operator known by its action on blocks of
+  columns, with a preconditioner for its shifts: the large 2D supercell.
+  Shifts are inverted by preconditioned block MINRES (minres,
+  Paige-Saunders with per-column scalars, on numpy alone), one call per
+  Lanczos block.  There is no inertia count, so its window is found by a
+  block shift-invert Lanczos whose completeness rule (a converged value at
+  or beyond the window's half-width) stands in for one.
 
 TridiagonalPencil and DiagonalLowRank share one certified shift-invert
 Lanczos: the window is sliced by inertia counts where values hug its ends,
@@ -434,49 +435,65 @@ class DiagonalLowRank:
         return solve
 
 
-def minres(apply, b, precondition, rtol, maxiter):
-    """Solution x of A x = b for a real symmetric A by preconditioned MINRES
-    (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975), and the number of
-    iterations taken.
+def _column_dots(X, Y):
+    """The dot products of corresponding columns of X and Y."""
+    return np.einsum("ij,ij->j", X, Y)
 
-    apply(v) = A v and precondition(v) = M⁻¹ v for a symmetric positive
-    definite M.  The iteration stops, as the reference implementation does,
-    when the residual estimate in the M⁻¹ norm falls below rtol ||A|| ||x||,
-    or the estimate of ||A r|| below rtol ||A|| ||r|| (norms of the
-    preconditioned operator, estimated along the way), or at the limits
-    roundoff sets: x then lies at machine precision or on an eigenvector of
-    a numerically singular A.  NotConverged when maxiter iterations do not
-    suffice.
+
+def minres(apply, B, precondition, rtol, maxiter):
+    """Solutions X of A X = B for a real symmetric A and a block B (n, p) of
+    right-hand sides by preconditioned MINRES (Paige and Saunders, SIAM J.
+    Numer. Anal. 12, 1975), and the number of iterations each column took.
+
+    apply(V) = A V and precondition(V) = M⁻¹ V act on blocks of columns,
+    with M symmetric positive definite.  The columns run one MINRES each,
+    in lockstep: every scalar of the recurrence is kept per column, and a
+    column leaves the active block when its own stop test fires.  The test
+    is the reference implementation's: the residual estimate in the M⁻¹
+    norm below rtol ||A|| ||x||, or the estimate of ||A r|| below
+    rtol ||A|| ||r|| (norms of the preconditioned operator, estimated along
+    the way), or the limits roundoff sets: x then lies at machine precision
+    or on an eigenvector of a numerically singular A.  NotConverged when
+    maxiter iterations do not suffice for every column.
     """
     eps = np.finfo(float).eps
-    x = np.zeros_like(b)
-    r1 = r2 = b
-    y = precondition(b)
-    beta1 = float(b @ y)
-    if beta1 < 0.0:
+    tol = max(rtol, eps)
+    n, p = B.shape
+    X = np.zeros((n, p))
+    iterations = np.zeros(p, dtype=int)
+    y = precondition(B)
+    beta1 = _column_dots(B, y)
+    if np.any(beta1 < 0.0):
         raise InvalidMatrix("MINRES preconditioner is not positive definite")
-    if beta1 == 0.0:
-        return x, 0
-    beta1 = np.sqrt(beta1)
-    beta, oldb, dbar, epsln, phibar, tnorm2 = beta1, 0.0, 0.0, 0.0, beta1, 0.0
-    cs, sn, gmax, gmin = -1.0, 0.0, 0.0, np.inf
-    w = w2 = np.zeros_like(b)
-    for itn in range(1, maxiter + 1):
+    # a zero right-hand side is solved by x = 0 in no iterations
+    act = np.flatnonzero(beta1 > 0.0)
+    beta1 = np.sqrt(beta1[act])
+    r1 = r2 = B[:, act]
+    y = y[:, act]
+    x = w = w2 = np.zeros((n, len(act)))
+    beta, phibar = beta1, beta1
+    oldb = dbar = epsln = tnorm2 = gmax = sn = np.zeros(len(act))
+    cs, gmin = np.full(len(act), -1.0), np.full(len(act), np.inf)
+    itn = 0
+    while len(act):
+        itn += 1
+        if itn > maxiter:
+            raise NotConverged("MINRES did not reach rtol %.1e in %d iterations" % (rtol, maxiter))
         # one Lanczos step of the preconditioned operator
         v = y / beta
         y = apply(v)
         if itn > 1:
             y -= (beta / oldb) * r1
-        alfa = float(v @ y)
+        alfa = _column_dots(v, y)
         y -= (alfa / beta) * r2
         r1, r2 = r2, y
         y = precondition(r2)
-        oldb, beta = beta, float(r2 @ y)
-        if beta < 0.0:
+        oldb, beta = beta, _column_dots(r2, y)
+        if np.any(beta < 0.0):
             raise InvalidMatrix("MINRES preconditioner is not positive definite")
         beta = np.sqrt(beta)
-        tnorm2 += alfa * alfa + oldb * oldb + beta * beta
-        exact = itn == 1 and beta <= 10 * eps * beta1
+        tnorm2 = tnorm2 + alfa * alfa + oldb * oldb + beta * beta
+        exact = (itn == 1) & (beta <= 10 * eps * beta1)
         # the previous plane rotation, then the next one
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -484,31 +501,41 @@ def minres(apply, b, precondition, rtol, maxiter):
         epsln = sn * beta
         dbar = -cs * beta
         root = np.hypot(gbar, dbar)
-        gamma = max(np.hypot(gbar, beta), eps)
+        gamma = np.maximum(np.hypot(gbar, beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
         w1, w2 = w2, w
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + phi * w
-        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
         a_norm = np.sqrt(tnorm2)
-        x_norm = float(np.linalg.norm(x))
-        test1 = phibar / (a_norm * x_norm) if a_norm * x_norm else np.inf
-        test2 = root / a_norm if a_norm else np.inf
-        if (exact or test1 <= max(rtol, eps) or test2 <= max(rtol, eps)
-                or gmax / gmin >= 0.1 / eps or a_norm * x_norm * eps >= beta1):
-            return x, itn
-    raise NotConverged("MINRES did not reach rtol %.1e in %d iterations" % (rtol, maxiter))
+        ax_norm = a_norm * np.linalg.norm(x, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            test1 = np.where(ax_norm > 0.0, phibar / ax_norm, np.inf)
+            test2 = np.where(a_norm > 0.0, root / a_norm, np.inf)
+        done = (exact | (test1 <= tol) | (test2 <= tol) | (gmax / gmin >= 0.1 / eps)
+                | (ax_norm * eps >= beta1))
+        if np.any(done):
+            X[:, act[done]] = x[:, done]
+            iterations[act[done]] = itn
+            keep = ~done
+            act = act[keep]
+            x, w, w2, r1, r2, y = (a[:, keep] for a in (x, w, w2, r1, r2, y))
+            beta1, beta, oldb, phibar, dbar, epsln, tnorm2, cs, sn, gmax, gmin = (
+                a[keep]
+                for a in (beta1, beta, oldb, phibar, dbar, epsln, tnorm2, cs, sn, gmax, gmin))
+    return X, iterations
 
 
 class MatrixFree:
     """Real symmetric operator A of size n known by its action alone, with
     a preconditioner for its shifts.
 
-    matvec(x) = A x for a real vector x, and precondition(sigma) returns a
-    function applying a symmetric positive definite approximation of
-    |A - sigma|⁻¹.  Shifts are inverted by preconditioned MINRES (minres),
-    to MINRES_RTOL; inner_solves and inner_iterations count the solves and
+    matvec(X) = A X for a real block of columns X (n, p), and
+    precondition(sigma) returns a function applying a symmetric positive
+    definite approximation of |A - sigma|⁻¹ to such a block.  Shifts are
+    inverted by preconditioned block MINRES (minres), to MINRES_RTOL;
+    inner_solves and inner_iterations count the right-hand sides solved and
     their iterations, and a solve that fails raises NotConverged.  With no
     inertia count, solve_window finds its window by block shift-invert
     Lanczos (_block_lanczos), whose completeness rule stands in for one.
@@ -525,20 +552,21 @@ class MatrixFree:
 
     def apply(self, X):
         """A X for a block of columns X."""
-        return np.column_stack([self.matvec(x) for x in X.T])
+        return self.matvec(X)
 
     def shift_inverse(self, sigma):
-        """Solver of (A - sigma) x = y by MINRES, preconditioned by precondition(sigma)."""
+        """Solver of (A - sigma) X = Y for a block Y by block MINRES,
+        preconditioned by precondition(sigma)."""
         M = self.precondition(sigma)
 
-        def shifted(v):
-            return self.matvec(v) - sigma * v
+        def shifted(V):
+            return self.matvec(V) - sigma * V
 
-        def solve(y):
-            x, iterations = minres(shifted, y, M, MINRES_RTOL, MINRES_MAXITER)
-            self.inner_solves += 1
-            self.inner_iterations += iterations
-            return x
+        def solve(Y):
+            X, iterations = minres(shifted, Y, M, MINRES_RTOL, MINRES_MAXITER)
+            self.inner_solves += Y.shape[1]
+            self.inner_iterations += int(np.sum(iterations))
+            return X
 
         return solve
 
@@ -815,7 +843,7 @@ def _block_lanczos(op, lo, hi):
     Q[:p] = _orthonormal_rows(_weyl_rows(n, range(p)), Q[:0])
     for j in range(0, m_max, p):
         m = j + p
-        W = np.array([solve(q) for q in Q[j:m]])
+        W = solve(Q[j:m].T).T
         A = W @ Q[j:m].T
         T[j:m, j:m] = 0.5 * (A + A.T)
         for _ in range(2):

@@ -13,10 +13,13 @@ plus V's exact coefficients, which land on the supercell frequencies L*m
 (_planewave_matrix).
 
 A 1D supercell is solved in its fiber form (assemble_fiber_form), which
-never forms an n x n matrix.  V couples mode m only to the modes m + L p,
-so the periodic part splits into Bloch fibers, one per coset m mod L;
-each is joined with its opposite coset and eigendecomposed in real form
-(_fiber_blocks), blocks of one size by one batched eigh.  W is sampled on
+never forms an n x n matrix.  V couples mode m only to the modes m + L s,
+s in V's Fourier support, so the periodic part is block diagonal over the
+classes of modes those steps connect (bloch.mode_classes): the Bloch
+fibers, one per coset m mod L, split further where V's support generates
+a coarser lattice than Z^d.  Each class is joined with its opposite modes
+and eigendecomposed in real form (_fiber_blocks), blocks of one size by
+one batched eigh.  In 1D the classes are the fibers.  W is sampled on
 the FFT grid, where its part of H is F diag(w) Fᴴ; on the grid points
 where W is not negligible that factor has a real Gram matrix (a Dirichlet
 kernel), whose eigendecomposition compresses W to rank k (63 for the
@@ -30,11 +33,15 @@ path needs numpy alone.
 2D supercells are solved densely when small and, when large, matrix-free
 (_iterative_window_2d), on numpy alone: an eigcore.MatrixFree whose matvec
 convolves with the same table, truncated to its bandwidth, by FFT
-(_real_form_matvec), solved by block shift-invert Lanczos with MINRES inner
-solves.  The same real Bloch fibers as the 1D fiber form precondition
-those solves (_fiber_preconditioner): |P - sigma|⁻¹ for
-P = -Laplacian + V is exact on the periodic part and block diagonal,
-which cuts MINRES from 155 to 31 iterations per solve at L=4, N=32.
+(_real_form_matvec), solved by block shift-invert Lanczos with block
+MINRES inner solves, one per Lanczos block.  The same real blocks as the
+1D fiber form precondition those solves (_fiber_preconditioner):
+|P - sigma|⁻¹ for P = -Laplacian + V is exact on the periodic part and
+block diagonal, formed once per shift and applied by one matrix product
+per block, which cuts MINRES from 155 to 32 iterations per solve at L=4,
+N=32.  For the 2D benchmark V the blocks are about half the size of the
+paired fibers (6 blocks of 120-256 modes at L=2, N=18, against 4 of about
+252).
 
 V and W are real, so H commutes with complex conjugation, which maps the
 planewave of mode m to that of mode -m.  The wavevector lists are centrally
@@ -47,14 +54,14 @@ small sizes and the mismatched cell) form it by solve_real_form and hand
 LAPACK a real matrix of half the bytes of H; the fiber form takes its
 fibers and its W factor in it; the matrix-free solve applies it by
 _real_form_matvec, so its Lanczos is symmetric and its MINRES inner solves
-work on real vectors of length n.  The same symmetry makes the grid
+work on real blocks of n rows.  The same symmetry makes the grid
 functions that matvec convolves real, so its FFTs are real ones on half
 the grid.
 """
 
 import numpy as np
 
-from gapeig import eigcore, model
+from gapeig import bloch, eigcore, model
 from gapeig.errors import BasisTooLarge, InvalidMatrix
 
 MAX_PLANEWAVES = 20000
@@ -220,33 +227,30 @@ def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
 
 
 def _fiber_blocks(V, L, N):
-    """Bloch fibers of the periodic part of a supercell, eigendecomposed in
-    real form.
+    """The periodic part of a supercell in real form, block diagonal over
+    the mode classes V couples, each block eigendecomposed.
 
-    V couples planewave m only to m + L p, so the modes m = r (mod L) form
-    one block per coset r in (Z/L)^d, the Bloch fiber at quasimomentum
-    2 pi r/(L b), read from V's Fourier table.  Each coset is joined with
-    its opposite -r (mod L): the joined modes are centrally symmetric, so
-    the block has a real form (real_form), and that is what is
-    eigendecomposed.  The reversal K maps each block's modes onto
-    themselves, so the U of the whole operator's real form restricts to
-    each block's own: the blocks are those of the real form of the periodic
-    part.  Blocks of one size share one batched eigh.  Returns
-    [(rows, e, Q)] per size, sizes ascending and blocks by coset: rows[b]
-    are the basis rows of block b, ascending, e[b] its eigenvalues and Q[b]
-    its real orthonormal eigenvectors.
+    V couples planewave m only to m + L s for s in its Fourier support, so
+    the periodic part is block diagonal over the classes of modes those
+    steps connect (bloch.mode_classes): the Bloch fibers at the
+    quasimomenta 2 pi r/(L b), r in (Z/L)^d, split further into the cosets
+    of the lattice V's support generates.  Each class is joined with its
+    opposite modes: the joined modes are centrally symmetric, so the block
+    has a real form (real_form), and that is what is eigendecomposed.  The
+    reversal K maps each block's modes onto themselves, so the U of the
+    whole operator's real form restricts to each block's own: the blocks
+    are those of the real form of the periodic part.  Blocks of one size
+    share one batched eigh.  Returns [(rows, e, Q)] per size, sizes
+    ascending and blocks by smallest mode index: rows[b] are the basis
+    rows of block b, ascending, e[b] its eigenvalues and Q[b] its real
+    orthonormal eigenvectors.
     """
     L, N = int(L), int(N)
     modes = supercell_wavevectors(V.lattice.d, L, N)
     kscale = 2.0 * np.pi / (L * V.lattice.b)
     table, _ = _fourier_table(V, None, L, N, _coeff_grid(L, N))
-    digits = L ** np.arange(modes.shape[1])
-    coset = np.minimum((modes % L) @ digits, (-modes % L) @ digits)
-    order = np.argsort(coset, kind="stable")
-    _, starts, sizes = np.unique(coset[order], return_index=True, return_counts=True)
     groups = []
-    for size in np.unique(sizes):
-        rows = order[starts[sizes == size][:, None] + np.arange(size)[None, :]]
+    for rows in bloch.mode_classes(modes, L * bloch.coupling_steps(V), opposite=True):
         H = _planewave_matrix(modes[rows], kscale, table)
         e, Q = np.linalg.eigh(real_form(H))
         groups.append((rows, e, Q))
@@ -396,7 +400,7 @@ def _real_form_matvec(table, offs, kscale, L):
     bandwidth bw, the largest |Δ_a| of an entry above 1e-13 of its largest,
     and G is the smallest power of two with G >= 2N + bw + 2 and G >= 8L, so
     that no product of a mode with the table wraps around onto a mode.
-    Returns (matvec, G): matvec(x) = S x for a real x, with
+    Returns (matvec, G): matvec(X) = S X for a real block X (n, p), with
     S = Uᴴ H U = Re H + (K Im H - Im H K)/2 the real form solve_real_form
     builds densely.
 
@@ -406,6 +410,11 @@ def _real_form_matvec(table, offs, kscale, L):
     real potential.  Both transforms are therefore real FFTs on the
     G x (G/2 + 1) half grid, m_y >= 0 (no mode reaches the Nyquist column
     G/2); a mode with m_y < 0 is read as the conjugate of its mirror -m.
+    The transforms run axis by axis, the one along x over the N + 1
+    half-grid columns that hold modes only, and the p columns of a block
+    as one stack.  With sqrt(2) a = (x + Kx) + i (Kx - x) convolved into
+    r + i t, and |k|^2 symmetric under K,
+    S x = |k|^2 x + ((r - t) + K (r + t))/4.
     """
     g = table.shape[0]
     freq = np.rint(np.fft.fftfreq(g) * g).astype(int)
@@ -418,55 +427,59 @@ def _real_form_matvec(table, offs, kscale, L):
     band = np.flatnonzero(np.abs(freq) <= bw)
     near = np.zeros((G, G), dtype=complex)
     near[np.ix_(freq[band] % G, freq[band] % G)] = table[np.ix_(band, band)]
-    # the table is Hermitian, so the potential it convolves with is real
-    u = np.fft.ifft2(near).real * (G * G)
+    # the table is Hermitian, so the potential it convolves with is real;
+    # the 1/4 of the real form is folded into it
+    u = np.fft.ifft2(near).real * (G * G / 4)
     k = kscale * offs
     k2 = np.sum(k * k, axis=1)
     upper = offs[:, 1] >= 0
-    ix, iy = offs[upper, 0] % G, offs[upper, 1]
+    put = (offs[upper, 0] % G) * (N + 1) + offs[upper, 1]
     # every mode read from the half grid: m itself, or -m conjugated
     flip = np.where(upper, 1, -1)
-    rx, ry = (flip * offs[:, 0]) % G, flip * offs[:, 1]
-    lower = ~upper
-    turn = np.exp(-0.25j * np.pi)
+    get = ((flip * offs[:, 0]) % G) * (N + 1) + flip * offs[:, 1]
 
-    def matvec(x):
-        c = x + 1j * x[::-1]
-        F = np.zeros((G, G // 2 + 1), dtype=complex)
-        F[ix, iy] = turn * c[upper]
-        conv = np.fft.rfft2(u * np.fft.irfft2(F, s=(G, G)))[rx, ry]
-        conv[lower] = conv[lower].conj()
-        y = k2 * c + conv / turn
-        return 0.5 * (y.real + y.imag[::-1])
+    def matvec(X):
+        # one row per column: the reversal K then runs along rows
+        x = np.ascontiguousarray(X.T)
+        p = len(x)
+        F = np.zeros((p, G * (N + 1)), dtype=complex)
+        F[:, put] = ((x + x[:, ::-1]) + 1j * (x[:, ::-1] - x))[:, upper]
+        grid = np.fft.irfft(np.fft.ifft(F.reshape(p, G, N + 1), axis=1), n=G, axis=2)
+        conv = np.fft.fft(np.fft.rfft(u * grid, axis=2)[..., : N + 1], axis=1)
+        conv = conv.reshape(p, -1)[:, get]
+        r, t = conv.real, flip * conv.imag
+        return np.ascontiguousarray((k2 * x + (r - t) + (r + t)[:, ::-1]).T)
 
     return matvec, G
 
 
 def _fiber_preconditioner(V, L, N):
     """precondition(sigma): |P - sigma|⁻¹ in the real form, for the periodic
-    part P = -Laplacian + V of a supercell.
+    part P = -Laplacian + V of a supercell, and the sorted sizes of its
+    blocks.
 
-    P's real form is block diagonal over the pairs of opposite Bloch
-    fibers, each eigendecomposed once (_fiber_blocks), P = Q diag(e) Qᵀ,
-    and precondition(sigma) applies Q diag(1/|e - sigma|) Qᵀ pair by pair:
-    real, symmetric positive definite, and exactly |S - sigma|⁻¹ when W = 0.
+    P's real form is block diagonal over the mode classes V couples, each
+    eigendecomposed once (_fiber_blocks), P = Q diag(e) Qᵀ.
+    precondition(sigma) forms Q diag(1/|e - sigma|) Qᵀ block by block once,
+    and applies it to a block of columns with one matrix product per
+    block: real, symmetric positive definite, and exactly |S - sigma|⁻¹
+    when W = 0.
     """
-    # one (rows, Q, e) per pair: a BLAS matvec per pair is faster than
-    # numpy's batched matmul of a stack with vectors
-    pairs = [fiber for rows, e, Q in _fiber_blocks(V, L, N) for fiber in zip(rows, Q, e)]
+    groups = _fiber_blocks(V, L, N)
 
     def precondition(sigma):
-        weighted = [(rows, Q, 1.0 / np.abs(e - sigma)) for rows, Q, e in pairs]
+        weighted = [(rows, (Q / np.abs(e - sigma)[:, None, :]) @ Q.transpose(0, 2, 1))
+                    for rows, e, Q in groups]
 
-        def apply(x):
-            y = np.empty_like(x)
-            for rows, Q, weight in weighted:
-                y[rows] = Q @ ((x[rows] @ Q) * weight)
-            return y
+        def apply(X):
+            Y = np.empty_like(X)
+            for rows, P in weighted:
+                Y[rows] = P @ X[rows]
+            return Y
 
         return apply
 
-    return precondition
+    return precondition, sorted(rows.shape[1] for rows, _, _ in groups for _ in rows)
 
 
 def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
@@ -475,14 +488,15 @@ def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
     The operator is the real form S of the dense route's H, applied by FFT
     from the same Fourier table (_real_form_matvec), as an
     eigcore.MatrixFree: block shift-invert Lanczos at the window centre
-    sigma, with MINRES inner solves of (S - sigma) z = r on real vectors of
-    length n, preconditioned by the Bloch fibers of V (_fiber_preconditioner).
+    sigma, with block MINRES inner solves of (S - sigma) Z = R on real
+    blocks of n rows, preconditioned by the Bloch fiber blocks of V
+    (_fiber_preconditioner), whose sizes preconditioner_blocks lists.
     A failed inner solve raises NotConverged, so minres_nonconverged is 0
     whenever values are returned; inner_solves and inner_iterations count
-    the MINRES solves and their iterations.  The window is complete by the
-    Lanczos rule (a converged value at or beyond its half-width from
-    sigma); residual_bound bounds ||S v - lambda v|| after the closing
-    Rayleigh-Ritz step with the true matvec.
+    the right-hand sides solved and their iterations.  The window is
+    complete by the Lanczos rule (a converged value at or beyond its
+    half-width from sigma); residual_bound bounds ||S v - lambda v|| after
+    the closing Rayleigh-Ritz step with the true matvec.
     """
     L = int(L)
     offs = supercell_wavevectors(2, L, N)
@@ -492,12 +506,14 @@ def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
     kscale = 2.0 * np.pi / (L * V.lattice.b)
     table, edge_ratio = _fourier_table(V, W, L, N, _coeff_grid(L, N))
     matvec, G = _real_form_matvec(table, offs, kscale, L)
-    op = eigcore.MatrixFree(n, matvec, _fiber_preconditioner(V, L, N))
+    precondition, blocks = _fiber_preconditioner(V, L, N)
+    op = eigcore.MatrixFree(n, matvec, precondition)
     res = eigcore.solve_window(op, alpha, beta, with_vectors=False)
     diag = {
         "method": "shift-invert",
         "n_planewaves": n,
         "fft_grid": G,
+        "preconditioner_blocks": blocks,
         "sigma": 0.5 * (alpha + beta),
         "inner_solves": op.inner_solves,
         "inner_iterations": op.inner_iterations,

@@ -107,6 +107,37 @@ def test_fiber_pm_q_symmetry(V1d, V2d):
                 assert np.max(np.abs(direct.eigenvalues - eps)) <= 1e-12
 
 
+def test_mode_classes(V1d, V2d):
+    # V1d's support {+-1, +-2} generates Z: one class per fiber; V2d's
+    # {+-(1,0), +-(2,2)} generates a lattice of index 2 (V2d also has
+    # period pi in y), so a fiber splits into two classes
+    (rows,) = bloch.mode_classes(bloch.fiber_offsets(1, 32), bloch.coupling_steps(V1d))
+    assert np.array_equal(rows, np.arange(65)[None, :])
+    offs = bloch.fiber_offsets(2, 9)
+    small, large = bloch.mode_classes(offs, bloch.coupling_steps(V2d))
+    assert small.shape == (1, 171) and large.shape == (1, 190)
+    # every class is the modes of one coset of that lattice: m_y even or odd
+    assert np.all(offs[small[0], 1] % 2 == 0) and np.all(offs[large[0], 1] % 2 == 1)
+    assert bloch.band_structure(V2d, M_pw=9, M_q=2).fiber_classes == [171, 190]
+    # with opposite set, every class is closed under m -> -m
+    for rows in bloch.mode_classes(offs, 3 * bloch.coupling_steps(V2d), opposite=True):
+        for block in rows:
+            assert sorted(map(tuple, -offs[block])) == sorted(map(tuple, offs[block]))
+
+
+def test_band_structure_unsplit_2d_matches_fibers(lat2d):
+    # a (0,1) term makes the support generate Z^2: one class per fiber, and
+    # the batched sweep equals per-q fiber solves
+    V = model.PeriodicPotential(
+        lat2d, [(1.0, "cos", (1, 0), 0.0), (3.0, "sin", (2, 2), 1.0), (0.5, "cos", (0, 1), 0.4)]
+    )
+    bs = bloch.band_structure(V, M_pw=4, M_q=4)
+    assert bs.fiber_classes == [81]
+    for q, eps in zip(bs.qpoints, bs.bands):
+        direct = bloch.fiber_bands(V, q, 4, bs.J_max, with_vectors=False)
+        assert np.max(np.abs(direct.eigenvalues - eps)) <= 1e-12
+
+
 def test_band_structure_threads_agree(V1d):
     a = bloch.band_structure(V1d, M_pw=12, M_q=8, threads=1)
     b = bloch.band_structure(V1d, M_pw=12, M_q=8, threads=2)

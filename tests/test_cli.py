@@ -251,6 +251,16 @@ def test_malformed_json_exit2_no_outputs(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_not_text_exit2_no_outputs(tmp_path, capsys):
+    # bytes that are not UTF-8 text are a config error like malformed JSON
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    out = str(tmp_path / "out")
+    assert cli.main(["gap", "--config", str(p), "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_key_exit2(tmp_path):
     cfg = dict(SMALL_CFG)
     cfg["surprise"] = 1
@@ -469,6 +479,25 @@ def test_fiber_form_in_summary(tmp_path):
     diag = read_summary(out)["diagnostics"]
     assert diag["fiber_form"] == "real"
     assert diag["inversion_centre"] == pytest.approx([0.0, 0.5 * (np.pi / 2 - 1)], abs=1e-15)
+
+
+def test_class_sizes_in_summary(tmp_path):
+    # the band sweep reports the mode classes its fibers split into (one in
+    # 1D, two in 2D, where V also has period pi in y), and the matrix-free
+    # supercell the blocks of its preconditioner
+    out = tmp_path / "one"
+    assert cli.main(["gap", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out)]) == 0
+    assert read_summary(out)["diagnostics"]["fiber_classes"] == [33]
+    cfg = read_cfg(GOLDEN_2D)
+    cfg["bands"] = {"M_pw": 3, "M_q": 4, "J_max": 3}
+    cfg["supercell"] = ITERATIVE_2D
+    path = write_cfg(tmp_path, cfg, "two.json")
+    assert cli.main(["bands", "--config", path, "--out", str(tmp_path / "two")]) == 0
+    assert read_summary(tmp_path / "two")["diagnostics"]["fiber_classes"] == [21, 28]
+    assert cli.main(["supercell", "--config", path, "--out", str(tmp_path / "three")]) == 0
+    diag = read_summary(tmp_path / "three")["diagnostics"]
+    assert diag["preconditioner_blocks"] == [20, 24, 25, 28, 48, 52]
+    assert sum(diag["preconditioner_blocks"]) == diag["n_planewaves"]
 
 
 def test_console_entry_point(tmp_path):

@@ -401,7 +401,7 @@ def random_matrix_free(rng, n, spectrum):
 
     def precondition(sigma):
         weight = 1.0 / (np.abs(d - sigma) + 0.1)
-        return lambda x: weight * x
+        return lambda X: weight[:, None] * X
 
     return eigcore.MatrixFree(n, lambda x: H @ x, precondition), H
 
@@ -410,13 +410,40 @@ def test_minres_matches_direct_solve():
     # an indefinite system with a diagonal preconditioner
     rng = np.random.default_rng(41)
     op, H = random_matrix_free(rng, 60, np.linspace(-3.0, 5.0, 60))
-    b = rng.standard_normal(60)
+    b = rng.standard_normal((60, 1))
     A = H - 0.37 * np.eye(60)
     x, iterations = eigcore.minres(lambda v: A @ v, b, op.precondition(0.37), 1e-12, 500)
-    assert 0 < iterations <= 500
+    assert x.shape == (60, 1) and iterations.shape == (1,)
+    assert 0 < iterations[0] <= 500
     assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
     with pytest.raises(NotConverged, match="MINRES"):
         eigcore.minres(lambda v: A @ v, b, op.precondition(0.37), 1e-12, 3)
+
+
+def test_block_minres_columns_stop_on_their_own():
+    # one block of three right-hand sides: a random one, one in a two-
+    # dimensional invariant subspace of A (exact after two steps) and a zero
+    # one; each column stops at its own count, takes the iterations of a
+    # MINRES run on it alone, and matches a direct solve (and that run, to
+    # the roundoff of a block product against a single-column one)
+    rng = np.random.default_rng(44)
+    spectrum = np.linspace(-3.0, 5.0, 60)
+    Q = np.linalg.qr(rng.standard_normal((60, 60)))[0]
+    A = (Q * (spectrum - 0.37)) @ Q.T
+    A = 0.5 * (A + A.T)
+    B = np.column_stack([rng.standard_normal(60), Q[:, 3] + 2.0 * Q[:, 50], np.zeros(60)])
+    X, iterations = eigcore.minres(lambda v: A @ v, B, lambda v: v.copy(), 1e-12, 500)
+    assert iterations[2] == 0 and not np.any(X[:, 2])
+    assert iterations[1] == 2 < iterations[0]
+    want = np.linalg.solve(A, B)
+    for j in range(3):
+        assert np.linalg.norm(X[:, j] - want[:, j]) <= 1e-8 * max(1.0, np.linalg.norm(want[:, j]))
+        alone, count = eigcore.minres(lambda v: A @ v, B[:, j : j + 1], lambda v: v.copy(), 1e-12, 500)
+        assert count[0] == iterations[j]
+        assert np.linalg.norm(alone[:, 0] - X[:, j]) <= 1e-9 * max(1.0, np.linalg.norm(X[:, j]))
+    # a maxiter that suffices for the fast column only still raises
+    with pytest.raises(NotConverged, match="MINRES"):
+        eigcore.minres(lambda v: A @ v, B, lambda v: v.copy(), 1e-12, iterations[0] - 1)
 
 
 def test_matrix_free_window_matches_dense_with_double_value():

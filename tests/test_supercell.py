@@ -199,16 +199,36 @@ def test_real_form_matvec_matches_dense(V2d, W2d, monkeypatch, L, N):
     offs = supercell.supercell_wavevectors(2, L, N)
     table, _ = supercell._fourier_table(V2d, W2d, L, N, info["grid"])
     matvec, _ = supercell._real_form_matvec(table, offs, 2.0 * np.pi / (L * V2d.lattice.b), L)
-    rng = np.random.default_rng(11)
-    for _ in range(3):
-        x = rng.standard_normal(len(offs))
-        want = S @ x
-        assert np.linalg.norm(matvec(x) - want) <= 1e-12 * np.linalg.norm(want)
+    # a block of three columns goes through one stacked FFT
+    X = np.random.default_rng(11).standard_normal((len(offs), 3))
+    want = S @ X
+    got = matvec(X)
+    assert got.shape == want.shape
+    assert np.all(np.linalg.norm(got - want, axis=0) <= 1e-12 * np.linalg.norm(want, axis=0))
+
+
+@pytest.mark.parametrize("L, N", [(2, 16), (4, 32)])
+def test_fiber_blocks_split_real_form(V2d, L, N):
+    # the blocks of the periodic part are closed under m -> -m, cover every
+    # mode once, and hold the eigenvalues of its dense real form
+    modes = supercell.supercell_wavevectors(2, L, N)
+    groups = supercell._fiber_blocks(V2d, L, N)
+    rows = [block for r, _, _ in groups for block in r]
+    assert len(rows) > L * L
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(len(modes)))
+    for block in rows:
+        assert sorted(map(tuple, -modes[block])) == sorted(map(tuple, modes[block]))
+    empty = model.Perturbation(V2d.lattice, [])
+    H, _ = supercell.assemble_supercell(V2d, empty, L, N)
+    dense = np.linalg.eigvalsh(supercell.real_form(H))
+    e = np.sort(np.concatenate([e.ravel() for _, e, _ in groups]))
+    assert np.max(np.abs(e - dense)) <= 1e-12
 
 
 def test_iterative_operators_are_real(V2d, W2d, monkeypatch):
-    # the Lanczos and MINRES vectors, the matvec and the preconditioner are
-    # all real, of the basis size n (the real form, not 2n real unknowns)
+    # the Lanczos and MINRES blocks, the matvec and the preconditioner are
+    # all real, of the basis size n (the real form, not 2n real unknowns),
+    # and each MINRES call solves one whole Lanczos block
     real = eigcore.minres
     seen = []
 
@@ -223,11 +243,11 @@ def test_iterative_operators_are_real(V2d, W2d, monkeypatch):
 
     monkeypatch.setattr(eigcore, "minres", minres)
     res = supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
-    n = res.diagnostics["n_planewaves"]
+    n, p = res.diagnostics["n_planewaves"], eigcore.LANCZOS_BLOCK
     assert {rec[0] for rec in seen} == {"rhs", "matvec", "preconditioner", "solution"}
-    assert len(seen) == 4 * res.diagnostics["inner_solves"]
+    assert len(seen) * p == 4 * res.diagnostics["inner_solves"]
     for rec in seen:
-        assert rec[1:] == (np.float64, (n,)), rec
+        assert rec[1:] == (np.float64, (n, p)), rec
 
 
 def test_iterative_window_uncertified_raises(V2d, W2d):
