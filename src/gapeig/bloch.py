@@ -35,8 +35,10 @@ import itertools
 import numpy as np
 
 from gapeig import eigcore
-from gapeig.errors import NoGap, QGridAsymmetric
+from gapeig.errors import BasisTooLarge, NoGap, QGridAsymmetric
 
+# the most planewaves a fiber or a supercell basis may hold
+MAX_PLANEWAVES = 20000
 GAP_TOL = 1e-6
 DEGENERACY_TOL = 1e-10
 DEFAULT_M_PW = {1: 32, 2: 9}
@@ -63,6 +65,14 @@ def _offset_index(offsets_matrix, M_pw, d):
         lin = lin * n1 + (offsets_matrix[:, ax] + M_pw)
     lin[~ok] = -1
     return lin
+
+
+def check_budget(n, max_planewaves):
+    """BasisTooLarge when n planewaves exceed the budget max_planewaves."""
+    if n > max_planewaves:
+        raise BasisTooLarge(
+            "%d planewaves exceed the budget of %d; refusing to truncate" % (n, max_planewaves)
+        )
 
 
 def coupling_steps(V):
@@ -111,8 +121,9 @@ def mode_classes(modes, steps, opposite=False):
         label = new
     order = np.argsort(label, kind="stable")
     _, starts, sizes = np.unique(label[order], return_index=True, return_counts=True)
+    # the distinct sizes by set, not np.unique: a flagless np.unique imports numpy.ma
     return [order[starts[sizes == size][:, None] + np.arange(size)[None, :]]
-            for size in np.unique(sizes)]
+            for size in sorted(set(sizes.tolist()))]
 
 
 def _coupling_matrix(V, M_pw):
@@ -120,10 +131,12 @@ def _coupling_matrix(V, M_pw):
     V's Fourier coefficient at offs[i] - offs[j].
 
     C is float64 when every coefficient of V is real and complex otherwise;
-    a fiber is C plus its kinetic diagonal."""
+    a fiber is C plus its kinetic diagonal.  BasisTooLarge, before C is
+    formed, when a fiber has more than MAX_PLANEWAVES modes."""
     d = V.lattice.d
     offs = fiber_offsets(d, M_pw)
     n = len(offs)
+    check_budget(n, MAX_PLANEWAVES)
     coeffs = V.fourier_coefficients()
     real = all(c.imag == 0 for c in coeffs.values())
     C = np.zeros((n, n), dtype=float if real else complex)

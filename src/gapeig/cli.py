@@ -541,6 +541,8 @@ def run_supercell(cfg, out_dir, threads):
             "supercell t = %g solves the mismatched cell densely; method %r does not apply"
             % (t, method)
         )
+    if t > 0 and V.lattice.d != 1:
+        raise ConfigError("supercell t = %g is a mismatched 1D cell; d = %d" % (t, V.lattice.d))
     if method == "iterative" and V.lattice.d != 2:
         raise ConfigError("supercell method 'iterative' is the matrix-free 2D solve; d = %d"
                           % V.lattice.d)
@@ -757,6 +759,9 @@ def run_augment(cfg, out_dir, threads):
     return results, dict(P.diagnostics), ["augment.csv", "augment_report.json"]
 
 
+# subcommands built on 1D P1 finite elements
+ONE_D_METHODS = ("galerkin", "pollution-scan", "dislocation", "augment")
+
 RUNNERS = {
     "bands": run_bands,
     "gap": run_gap,
@@ -780,11 +785,16 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads must be at least 1, got %d" % args.threads)
         cfg = load_config(args.config)
         if args.method not in ("bands", "gap") and args.method not in cfg:
             raise ConfigError("config has no '%s' section" % args.method)
+        if args.method in ONE_D_METHODS and cfg["lattice"]["d"] != 1:
+            raise ConfigError("%s runs 1D finite elements; the config has d = %d"
+                              % (args.method, cfg["lattice"]["d"]))
         os.makedirs(args.out, exist_ok=True)
-        threads = args.threads or cfg.get("threads", 1)
+        threads = cfg.get("threads", 1) if args.threads is None else args.threads
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2

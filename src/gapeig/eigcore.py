@@ -35,24 +35,25 @@ dispatches on the type (solve_lowest takes the first two):
   columns, with a preconditioner for its shifts: the large 2D supercell.
   Shifts are inverted by preconditioned block MINRES (minres,
   Paige-Saunders with per-column scalars, on numpy alone), one call per
-  Lanczos block.  There is no inertia count, so its window is found by a
-  block shift-invert Lanczos whose completeness rule (a converged value at
-  or beyond the window's half-width) stands in for one.
+  Lanczos block.  There is no inertia count, so a completeness rule (a
+  converged value at or beyond the window's half-width) stands in for one.
 
-TridiagonalPencil and DiagonalLowRank share one certified shift-invert
-Lanczos: the window is sliced by inertia counts where values hug its ends,
-each piece is solved by a Lanczos run at its centre with one full
-reorthogonalization per step.  The count certifies them: a solve that
+TridiagonalPencil, DiagonalLowRank and MatrixFree share one block
+shift-invert Lanczos (_lanczos): blocks of two start vectors, so an exactly
+double value is found directly, two full reorthogonalizations per block,
+and the Euclidean inner product throughout (a pencil's mass enters through
+its Cholesky factor).  For the two operators with an inertia count the
+window is sliced by counts where values hug its ends, each piece is solved
+by a Lanczos run at its centre, and the count certifies them: a solve that
 cannot return exactly that many eigenvalues raises NotConverged.  Every
-Lanczos route, MatrixFree's included, closes with one Rayleigh-Ritz step
-with the true operator, which polishes the values and bounds their
-residuals.
+Lanczos solve closes with one Rayleigh-Ritz step with the true operator,
+which polishes the values and bounds their residuals.
 
 Every solve returns ascending eigenvalues and, on request, B-orthonormal
-eigenvectors with a residual bound; structured solves always carry their
-residual bound, inertia count and Lanczos steps, and MatrixFree ones their
-residual bound and basis size.  TridiagonalPencil, DiagonalLowRank and
-MatrixFree are real symmetric, so every Lanczos route runs in real
+eigenvectors with a residual bound; Lanczos solves always carry their
+residual bound and basis size (lanczos_steps, summed over the pieces), and
+the counted ones their inertia count.  TridiagonalPencil, DiagonalLowRank
+and MatrixFree are real symmetric, so the Lanczos runs in real
 arithmetic; only a dense SymmetricPencil (a complex Bloch fiber) is ever
 complex.
 
@@ -73,7 +74,6 @@ SYMMETRY_TOL = 1e-12
 # below LANCZOS_TOL * |theta|; the basis holds at most MAX_KRYLOV vectors.
 LANCZOS_TOL = 1e-13
 MAX_KRYLOV = 1000
-CHECK_EVERY = 8
 # start vectors are runs of the Weyl sequence frac(j * WEYL_STEP) - 1/2
 # (weyl_vector), the golden ratio's conjugate as step
 WEYL_STEP = (np.sqrt(5.0) - 1.0) / 2.0
@@ -230,9 +230,11 @@ class TridiagonalPencil:
     symmetric k x k corner.  Both borders or neither must be given; k = 0
     is the plain tridiagonal pencil.  Construction checks shapes and
     finiteness and that M is positive definite: T_M has a banded Cholesky
-    factor (every LDL^T pivot is positive) and the Schur complement
-    G_M - C_M^T T_M^{-1} C_M has a Cholesky factor; PencilNotDefinite
-    otherwise.  Cost O(n k^2); nothing n x n is formed.
+    factor R_T (every LDL^T pivot is positive) and, with F = R_T⁻ᵀ C_M, the
+    Schur complement G_M - FᵀF has a Cholesky factor R_S; PencilNotDefinite
+    otherwise.  Cost O(n k^2); nothing n x n is formed.  mass_factor keeps
+    the factors as the sparse upper triangular R = [[R_T, F], [0, R_S]],
+    M = RᵀR.
     """
 
     def __init__(self, A, M, A_border=None, M_border=None):
@@ -254,18 +256,23 @@ class TridiagonalPencil:
         self.k = 0 if self.A_border is None else self.A_border[0].shape[1]
         self.n = n_t + self.k
         import scipy.linalg as sla
+        import scipy.sparse as sp
 
         try:
             chol = sla.cholesky_banded(_banded(self.m, self.m_off)[:2])
         except np.linalg.LinAlgError:
             raise PencilNotDefinite("tridiagonal block of M is not positive definite") from None
+        self.mass_factor = sp.diags([chol[1], chol[0, 1:]], [0, 1], format="csr")
         if self.k:
             C, G = self.M_border
-            schur = G - C.T @ sla.cho_solve_banded((chol, False), C)
+            # F = R_T⁻ᵀ C_M = R_T T_M⁻¹ C_M
+            F = self.mass_factor @ sla.cho_solve_banded((chol, False), C)
+            schur = G - F.T @ F
             try:
-                np.linalg.cholesky(0.5 * (schur + schur.T))
+                R_S = np.linalg.cholesky(0.5 * (schur + schur.T)).T
             except np.linalg.LinAlgError:
                 raise PencilNotDefinite("Schur complement of M's border is not positive definite") from None
+            self.mass_factor = sp.bmat([[self.mass_factor, F], [None, R_S]], format="csr")
         self.A_sparse = _assemble(self.a, self.a_off, self.A_border)
         self.M_sparse = _assemble(self.m, self.m_off, self.M_border)
 
@@ -277,7 +284,8 @@ class TridiagonalPencil:
         return self.A_sparse @ X
 
     def shift_inverse(self, sigma):
-        """Solver of (A - sigma M) x = y from one sparse LU factorization.
+        """Solver of (A - sigma M) X = Y, for a block Y, from one sparse LU
+        factorization.
 
         Natural order keeps the border last, and threshold pivoting keeps
         the factors inside the arrow pattern (full partial pivoting can swap
@@ -416,21 +424,22 @@ class DiagonalLowRank:
         return self.e[:, None] * X - self.Y @ (self.sign[:, None] * (self.Y.T @ X))
 
     def shift_inverse(self, sigma):
-        """Solver of (H - sigma) x = y by Woodbury, O(n k) per vector after
-        one eigendecomposition of C(sigma); LinAlgError when H - sigma or D
-        is exactly singular."""
+        """Solver of (H - sigma) x = y, for a vector or a block of columns
+        y, by Woodbury, O(n k) per vector after one eigendecomposition of
+        C(sigma); LinAlgError when H - sigma or D is exactly singular."""
         d = self.e - sigma
         if not np.all(d):
             raise np.linalg.LinAlgError("a diagonal entry equals the shift")
         if not self.k:
-            return lambda y: y / d
+            return lambda y: (y.T / d).T
         c, P = np.linalg.eigh(self._schur(d))
         if not np.all(c):
             raise np.linalg.LinAlgError("H - sigma is exactly singular")
         Z = (self.Y / d[:, None]) @ P
+        Zc = Z / c
 
         def solve(y):
-            return y / d + Z @ ((Z.T @ y) / c)
+            return (y.T / d).T + Z @ (Zc.T @ y)
 
         return solve
 
@@ -537,8 +546,8 @@ class MatrixFree:
     inverted by preconditioned block MINRES (minres), to MINRES_RTOL;
     inner_solves and inner_iterations count the right-hand sides solved and
     their iterations, and a solve that fails raises NotConverged.  With no
-    inertia count, solve_window finds its window by block shift-invert
-    Lanczos (_block_lanczos), whose completeness rule stands in for one.
+    inertia count, solve_window finds its window by the shift-invert
+    Lanczos (_lanczos) with the completeness rule that stands in for one.
     """
 
     mass = None
@@ -577,9 +586,8 @@ class EigResult:
     residual_bound is max_j ||A v_j - lambda_j B v_j||_2 and orthonormality
     is ||V^H B V - I||_max; dense value-only solves leave both None.  count
     is the inertia count that certifies a structured solve and
-    lanczos_steps the Lanczos steps it took over all window slices (both
-    None for dense solves; a MatrixFree solve has no count, and its
-    lanczos_steps is its basis size).
+    lanczos_steps the Lanczos basis vectors it built over all window slices
+    (both None for dense solves; a MatrixFree solve has no count).
     """
 
     def __init__(self, eigenvalues, eigenvectors=None, residual_bound=None, orthonormality=None,
@@ -647,92 +655,136 @@ def solve_pencil(pencil, with_vectors=True):
     return _solve_dense(pencil, with_vectors)
 
 
-def _lanczos(op, lo, hi, count):
-    """One shift-invert Lanczos run at the centre sigma of (lo, hi).
+def _orthonormal_rows(X, Q):
+    """The rows of X made orthonormal and orthogonal to the orthonormal rows
+    of Q: two projections, then a QR."""
+    for _ in range(2):
+        X = X - (X @ Q.T) @ Q
+    return np.linalg.qr(X.T)[0].T
 
-    OP = (A - sigma M)^{-1} M is self-adjoint in the M inner product, so the
-    Lanczos basis is kept M-orthonormal with one full reorthogonalization
-    per step.  The start vectors are runs of the Weyl sequence
-    (weyl_vector), so the result is deterministic.  Returns the count
-    converged Ritz vectors nearest sigma with values inside, as columns, or
-    None when fewer have converged once the basis is full; and the number
-    of steps taken.
+
+def _weyl_rows(n, runs):
+    return np.array([weyl_vector(n, run * n) for run in runs])
+
+
+def _lanczos(op, lo, hi, count=None):
+    """Block shift-invert Lanczos at the centre sigma of (lo, hi): Ritz
+    vectors of the eigenvalues in the window, as columns, and the basis size.
+
+    The Lanczos runs in the Euclidean inner product on the symmetric
+    operator K = R (A - sigma M)⁻¹ Rᵀ, where M = RᵀR for a pencil with a
+    mass (R = op.mass_factor) and R = M = I otherwise.  K has the
+    eigenvalues theta = 1 / (lambda - sigma), with eigenvectors R x.  An
+    exactly singular shift is moved off the centre.
+
+    The basis grows by blocks of LANCZOS_BLOCK vectors (the last one cut to
+    fit at most MAX_KRYLOV and n vectors) from as many runs of the Weyl
+    sequence, so the result is deterministic, with two full
+    reorthogonalizations per block; a block of two finds a double
+    eigenvalue, which a single start vector sees as one.  The projected
+    operator is block tridiagonal; where the Krylov space turns invariant
+    the basis goes on from fresh Weyl runs.
+
+    With count (an operator with an inertia count), the run stops once
+    count Ritz values inside the window have converged to LANCZOS_TOL and
+    returns the count nearest sigma, each Ritz vector z mapped to the op's
+    as (A - sigma M)⁻¹ Rᵀ z / theta = R⁻¹ K z / theta: that is R⁻¹ z up to
+    the Ritz residual, improved by one more shift-invert step, and needs no
+    solve with R.  Without (MatrixFree), the window is complete once the
+    Ritz values nearest sigma have converged to INEXACT_TOL up to and
+    including the first one at or beyond the window's half-width from
+    sigma; those before it are the window's values.  NotConverged when the
+    basis fills first.
     """
     n = op.n
-    M = op.mass
     sigma = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
     try:
-        solve = op.shift_inverse(sigma)
+        inverse = op.shift_inverse(sigma)
     except np.linalg.LinAlgError:
         # sigma is an eigenvalue (exactly singular shift): move it off
         sigma += 1e-6 * (hi - lo)
-        solve = op.shift_inverse(sigma)
+        inverse = op.shift_inverse(sigma)
+    if op.mass is None:
+        solve = inverse
+    else:
+        R, Rt = op.mass_factor, op.mass_factor.T
+
+        def solve(Z):
+            return R @ inverse(Rt @ Z)
+    p = min(LANCZOS_BLOCK, n)
     m_max = min(n, MAX_KRYLOV)
-    Q = np.empty((m_max, n))
-    MQ = Q if M is None else np.empty((m_max, n))
-    alpha = np.zeros(m_max)
-    beta = np.zeros(m_max)
-
-    def project_out(v, j):
-        # v minus its M-orthogonal projection on the first j basis vectors
-        return v - Q[:j].T @ (MQ[:j] @ v)
-
-    def start(j):
-        # each start (at a distinct basis size j) takes its own run
-        v = weyl_vector(n, j * n)
+    # the basis rows Q and the projected operator T grow by doubling
+    Q = np.empty((p, n))
+    Q[:] = _orthonormal_rows(_weyl_rows(n, range(p)), Q[:0])
+    T = np.zeros((p, p))
+    j, m = 0, p
+    while True:
+        W = solve(Q[j:m].T).T
+        A = W @ Q[j:m].T
+        T[j:m, j:m] = 0.5 * (A + A.T)
         for _ in range(2):
-            v = project_out(v, j)
-        Mv = v if M is None else M @ v
-        nrm = np.sqrt(v @ Mv)
-        return v / nrm, Mv / nrm
-
-    q, Mq = start(0)
-    check_at = count
-    for j in range(m_max):
-        Q[j], MQ[j] = q, Mq
-        w = solve(Mq)
-        if j:
-            w -= beta[j - 1] * Q[j - 1]
-        alpha[j] = Mq @ w
-        w -= alpha[j] * q
-        w = project_out(w, j + 1)
-        Mw = w if M is None else M @ w
-        beta[j] = np.sqrt(max(w @ Mw, 0.0))
-        m = j + 1
-        if m >= check_at or m == m_max:
-            check_at = m + CHECK_EVERY
-            T = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
-            theta, S = np.linalg.eigh(T)
-            with np.errstate(divide="ignore"):
-                lam = sigma + 1.0 / theta
-            good = (lam > lo) & (lam < hi) & (np.abs(beta[j] * S[-1]) <= LANCZOS_TOL * np.abs(theta))
-            if np.count_nonzero(good) >= count or m == m_max:
-                break
-        if beta[j] <= 1e-12 * np.max(np.abs(alpha[:m])):
-            # invariant subspace found: continue from a fresh direction
-            beta[j] = 0.0
-            q, Mq = start(m)
+            W -= (W @ Q[:m].T) @ Q[:m]
+        # what is left is Bᵀ times the next block: W = (U diag(s) Vt)ᵀ
+        U, s, Vt = np.linalg.svd(W.T, full_matrices=False)
+        B = s[:, None] * Vt
+        theta, S = np.linalg.eigh(T[:m, :m])
+        with np.errstate(divide="ignore"):
+            lam = sigma + 1.0 / theta
+        # Ritz pairs in order of nearness to sigma; B S[j:m] gives their residuals
+        near = np.argsort(-np.abs(theta), kind="stable")
+        if count is None:
+            beyond = np.flatnonzero(np.abs(lam[near] - sigma) >= half)
+            if len(beyond):
+                need = near[: beyond[0] + 1]
+                resid = np.linalg.norm(B @ S[j:m, need], axis=0)
+                if np.all(resid <= INEXACT_TOL * np.abs(theta[need])):
+                    return Q[:m].T @ S[:, need[:-1]], m
         else:
-            q, Mq = w / beta[j], Mw / beta[j]
-    found = np.flatnonzero(good)
-    if len(found) < count:
-        return None, m
-    pick = found[np.argsort(-np.abs(theta[found]), kind="stable")[:count]]
-    return (S[:, pick].T @ Q[:m]).T, m
+            inside = near[(lam[near] > lo) & (lam[near] < hi)]
+            resid = np.linalg.norm(B @ S[j:m, inside], axis=0)
+            good = inside[resid <= LANCZOS_TOL * np.abs(theta[inside])]
+            if len(good) >= count:
+                pick = good[:count]
+                Z = Q[:m].T @ S[:, pick]
+                return inverse(Z if op.mass is None else Rt @ Z) / theta[pick], m
+        if m == m_max:
+            break
+        b = min(p, m_max - m)
+        U, B = U[:, :b], B[:b]
+        lost = s[:b] <= 1e-12 * np.max(np.abs(theta))
+        if np.any(lost):
+            # an invariant subspace: continue from fresh directions
+            B[lost] = 0.0
+            U[:, lost] = _orthonormal_rows(
+                _weyl_rows(n, m + np.flatnonzero(lost)), np.vstack([Q[:m], U[:, ~lost].T])
+            ).T
+        if m + b > len(T):
+            T = np.pad(T, (0, min(2 * (m + b), m_max) - len(T)))
+            Q = np.concatenate([Q, np.empty((len(T) - len(Q), n))])
+        Q[m : m + b] = U.T
+        T[m : m + b, j:m] = B
+        T[j:m, m : m + b] = B.T
+        j, m = m, m + b
+    missing = ("a converged Ritz value at the half-width: the window's completeness cannot be "
+               "certified" if count is None else "the %d certified eigenvalues" % count)
+    raise NotConverged("block shift-invert Lanczos filled its basis of %d vectors in "
+                       "(%.17g, %.17g) without %s" % (m_max, lo, hi, missing))
 
 
 def _window_vectors(op, lo, hi, count):
     """Ritz vectors of the count eigenvalues in (lo, hi), as columns, and
-    the Lanczos steps spent on them.
+    the Lanczos basis vectors spent on them.
 
     A value hugging a window end converges slowly from the window centre,
     next to the values just outside that end.  So the window is sliced by
     counts first: when op.negative_count finds values in an end slice of
     END_SLICE times the width, that slice and the rest are solved apart,
     each by the same rule, down to MAX_SLICE_DEPTH levels.  Every piece
-    is then solved by one Lanczos run at its centre; NotConverged when a
-    run cannot return the piece's count.
+    is then solved by one Lanczos run at its centre.
     """
+    if not count:
+        return np.zeros((op.n, 0)), 0
     below_hi = op.negative_count(hi)
     pending = [(lo, hi, below_hi - count, below_hi, 0)]
     blocks = []
@@ -751,28 +803,8 @@ def _window_vectors(op, lo, hi, count):
                 continue
         X, m = _lanczos(op, a, b, below_b - below_a)
         steps += m
-        if X is None:
-            raise NotConverged(
-                "shift-invert Lanczos found fewer than the %d certified eigenvalues in "
-                "(%.17g, %.17g) in %d steps" % (below_b - below_a, a, b, m)
-            )
         blocks.append(X)
     return np.column_stack(blocks), steps
-
-
-def _solve_structured(op, lo, hi, count, with_vectors):
-    """Eigenpairs of a structured operator in (lo, hi), given the exact count there.
-
-    op is a TridiagonalPencil or a DiagonalLowRank: it provides n, mass
-    (M, or None for the identity), apply (A X), shift_inverse and
-    negative_count.
-    """
-    if count == 0:
-        V = np.zeros((op.n, 0)) if with_vectors else None
-        return EigResult(np.zeros(0), V, 0.0, 0.0, 0, 0)
-    X, steps = _window_vectors(op, lo, hi, count)
-    w, V, resid, ortho = _rayleigh_ritz(op, X, lo, hi)
-    return EigResult(w, V if with_vectors else None, resid, ortho, count, steps)
 
 
 def _rayleigh_ritz(op, X, lo, hi):
@@ -805,90 +837,20 @@ def _rayleigh_ritz(op, X, lo, hi):
     return w, V, resid, ortho
 
 
-def _orthonormal_rows(X, Q):
-    """The rows of X made orthonormal and orthogonal to the orthonormal rows
-    of Q: two projections, then a QR."""
-    for _ in range(2):
-        X = X - (X @ Q.T) @ Q
-    return np.linalg.qr(X.T)[0].T
-
-
-def _weyl_rows(n, runs):
-    return np.array([weyl_vector(n, run * n) for run in runs])
-
-
-def _block_lanczos(op, lo, hi):
-    """Block shift-invert Lanczos for a MatrixFree op at the centre sigma of
-    (lo, hi): Ritz vectors of the eigenvalues in the window, as columns,
-    and the basis size.
-
-    The basis grows by blocks of LANCZOS_BLOCK vectors from as many runs of
-    the Weyl sequence, with two full reorthogonalizations per block; a
-    block of two finds a double eigenvalue, which a single start vector
-    sees as one (a value of higher multiplicity is found as a double one).
-    The projected operator is block tridiagonal.  The window
-    is complete once the Ritz values nearest sigma have converged up to and
-    including the first one at or beyond the window's half-width from
-    sigma; those before it are the window's values.  NotConverged when the
-    basis (at most MAX_KRYLOV vectors) fills first.
-    """
-    n = op.n
-    sigma = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    solve = op.shift_inverse(sigma)
-    p = min(LANCZOS_BLOCK, n)
-    m_max = p * (min(n, MAX_KRYLOV) // p)
-    Q = np.zeros((m_max, n))
-    T = np.zeros((m_max, m_max))
-    Q[:p] = _orthonormal_rows(_weyl_rows(n, range(p)), Q[:0])
-    for j in range(0, m_max, p):
-        m = j + p
-        W = solve(Q[j:m].T).T
-        A = W @ Q[j:m].T
-        T[j:m, j:m] = 0.5 * (A + A.T)
-        for _ in range(2):
-            W -= (W @ Q[:m].T) @ Q[:m]
-        # what is left is Bᵀ times the next block: W = (U diag(s) Vt)ᵀ
-        U, s, Vt = np.linalg.svd(W.T, full_matrices=False)
-        B = s[:, None] * Vt
-        theta, S = np.linalg.eigh(T[:m, :m])
-        with np.errstate(divide="ignore"):
-            lam = sigma + 1.0 / theta
-        near = np.argsort(-np.abs(theta), kind="stable")
-        beyond = np.flatnonzero(np.abs(lam[near] - sigma) >= half)
-        if len(beyond):
-            need = near[: beyond[0] + 1]
-            resid = np.linalg.norm(B @ S[j:m, need], axis=0)
-            if np.all(resid <= INEXACT_TOL * np.abs(theta[need])):
-                return Q[:m].T @ S[:, need[:-1]], m
-        if m == m_max:
-            break
-        lost = s <= 1e-12 * np.max(np.abs(theta))
-        if np.any(lost):
-            # an invariant subspace: continue from fresh directions
-            B[lost] = 0.0
-            U[:, lost] = _orthonormal_rows(
-                _weyl_rows(n, m + np.flatnonzero(lost)), np.vstack([Q[:m], U[:, ~lost].T])
-            ).T
-        Q[m : m + p] = U.T
-        T[m : m + p, j:m] = B
-        T[j:m, m : m + p] = B.T
-    raise NotConverged(
-        "block shift-invert Lanczos filled its basis of %d vectors before a converged Ritz "
-        "value reached the half-width of (%.17g, %.17g): the window's completeness cannot "
-        "be certified" % (m_max, lo, hi)
-    )
-
-
-def _solve_matrix_free(op, lo, hi, with_vectors):
-    """Eigenpairs of a MatrixFree op in (lo, hi): block Lanczos, then
-    Rayleigh-Ritz with the true matvec, whose residual bound it carries."""
-    X, steps = _block_lanczos(op, lo, hi)
+def _solve_lanczos(op, lo, hi, count, with_vectors):
+    """Eigenpairs of a TridiagonalPencil, DiagonalLowRank or MatrixFree op
+    in (lo, hi): Lanczos Ritz vectors (sliced by count when the op has an
+    inertia count, count None otherwise), then Rayleigh-Ritz with the true
+    operator, whose residual bound the result carries."""
+    if count is None:
+        X, steps = _lanczos(op, lo, hi)
+    else:
+        X, steps = _window_vectors(op, lo, hi, count)
     if X.shape[1] == 0:
         V = np.zeros((op.n, 0)) if with_vectors else None
-        return EigResult(np.zeros(0), V, 0.0, 0.0, None, steps)
+        return EigResult(np.zeros(0), V, 0.0, 0.0, count, steps)
     w, V, resid, ortho = _rayleigh_ritz(op, X, lo, hi)
-    return EigResult(w, V if with_vectors else None, resid, ortho, None, steps)
+    return EigResult(w, V if with_vectors else None, resid, ortho, count, steps)
 
 
 def solve_window(pencil, lo, hi, with_vectors=True):
@@ -897,9 +859,8 @@ def solve_window(pencil, lo, hi, with_vectors=True):
         raise ValueError("window requires lo < hi")
     if isinstance(pencil, SymmetricPencil):
         return _solve_dense(pencil, with_vectors, by_value=(lo, hi))
-    if isinstance(pencil, MatrixFree):
-        return _solve_matrix_free(pencil, lo, hi, with_vectors)
-    return _solve_structured(pencil, lo, hi, pencil.count(lo, hi), with_vectors)
+    count = None if isinstance(pencil, MatrixFree) else pencil.count(lo, hi)
+    return _solve_lanczos(pencil, lo, hi, count, with_vectors)
 
 
 def _lowest_window(pencil, k):
@@ -932,7 +893,7 @@ def solve_lowest(pencil, k, with_vectors=True):
     if isinstance(pencil, TridiagonalPencil):
         lo, hi = _lowest_window(pencil, k)
         count = pencil.count(lo, hi)
-        res = _solve_structured(pencil, lo, hi, count, True)
+        res = _solve_lanczos(pencil, lo, hi, count, True)
         V = res.eigenvectors[:, :k] if with_vectors else None
         return EigResult(res.eigenvalues[:k], V, res.residual_bound, res.orthonormality, count,
                          res.lanczos_steps)

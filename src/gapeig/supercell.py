@@ -62,9 +62,9 @@ the grid.
 import numpy as np
 
 from gapeig import bloch, eigcore, model
-from gapeig.errors import BasisTooLarge, InvalidMatrix
+from gapeig.errors import InvalidMatrix
 
-MAX_PLANEWAVES = 20000
+MAX_PLANEWAVES = bloch.MAX_PLANEWAVES
 DEFAULT_EDGE_GUARD = 0.004
 DENSE_LIMIT = 4200
 # 1D fiber form: W's grid points with |w| <= SUPPORT_TOL max|w| and its
@@ -158,13 +158,6 @@ def supercell_wavevectors(d, L, N):
     return m[np.sum(m * m, axis=1) <= N * N]
 
 
-def _check_budget(n, max_planewaves):
-    if n > max_planewaves:
-        raise BasisTooLarge(
-            "%d planewaves exceed the budget of %d; refusing to truncate" % (n, max_planewaves)
-        )
-
-
 def _coeff_grid(L, N):
     """Power-of-two FFT grid covering both the 8L sampling floor and all
     pairwise frequency differences |m_i - m_j| <= 2N."""
@@ -219,7 +212,7 @@ def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
     supercell_spectrum hands it to, checks it while forming its real form."""
     offs = supercell_wavevectors(V.lattice.d, L, N)
     n = len(offs)
-    _check_budget(n, max_planewaves)
+    bloch.check_budget(n, max_planewaves)
     grid = _coeff_grid(L, N)
     table, edge_ratio = _fourier_table(V, W, L, N, grid)
     H = _planewave_matrix(offs, 2.0 * np.pi / (L * V.lattice.b), table)
@@ -501,7 +494,7 @@ def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
     L = int(L)
     offs = supercell_wavevectors(2, L, N)
     n = len(offs)
-    _check_budget(n, max_planewaves)
+    bloch.check_budget(n, max_planewaves)
     alpha, beta = _window_pair(window)
     kscale = 2.0 * np.pi / (L * V.lattice.b)
     table, edge_ratio = _fourier_table(V, W, L, N, _coeff_grid(L, N))
@@ -542,7 +535,7 @@ def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLA
     alpha, beta = _window_pair(window)
     offs = supercell_wavevectors(lat.d, L, N)
     n = len(offs)
-    _check_budget(n, max_planewaves)
+    bloch.check_budget(n, max_planewaves)
     if method == "auto" and lat.d == 1:
         op = assemble_fiber_form(V, W, L, N)
         res = eigcore.solve_window(op, alpha, beta, with_vectors=False)
@@ -589,7 +582,7 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     if N < 4 * (L + t):
         raise ValueError("resolution ratio N/(L+t) must be at least 4")
     n = 2 * N + 1
-    _check_budget(n, max_planewaves)
+    bloch.check_budget(n, max_planewaves)
     span = (L + t) * lat.b
     grid = _coeff_grid(int(np.ceil(L + t)), N)
     table, edge_ratio = model.fourier_sample(lambda x: V(x) + W(x), 1, span, grid)

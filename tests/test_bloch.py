@@ -4,8 +4,8 @@ refinement stability, and frozen reference windows."""
 import numpy as np
 import pytest
 
-from gapeig import bloch, model
-from gapeig.errors import NoGap, QGridAsymmetric
+from gapeig import bloch, model, supercell
+from gapeig.errors import BasisTooLarge, NoGap, QGridAsymmetric
 
 # 1D benchmark gap at M_pw=32, M_q=64, J=1; frozen from this package and
 # cross-checked against a second-order finite difference discretization of
@@ -136,6 +136,27 @@ def test_band_structure_unsplit_2d_matches_fibers(lat2d):
     for q, eps in zip(bs.qpoints, bs.bands):
         direct = bloch.fiber_bands(V, q, 4, bs.J_max, with_vectors=False)
         assert np.max(np.abs(direct.eigenvalues - eps)) <= 1e-12
+
+
+def test_fiber_budget_refused_before_assembly(V2d, monkeypatch):
+    # the default 2D fiber has 19^2 = 361 modes: a budget of 360 refuses it
+    # before V's coupling matrix is formed, in the sweep and per fiber
+    assert supercell.MAX_PLANEWAVES == bloch.MAX_PLANEWAVES
+    monkeypatch.setattr(bloch, "MAX_PLANEWAVES", 360)
+    zeros = np.zeros
+
+    def no_square(shape, *args, **kwargs):
+        assert np.ndim(shape) == 0 or len(shape) < 2 or shape[0] < 361, shape
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(bloch.np, "zeros", no_square)
+    with pytest.raises(BasisTooLarge, match="361 planewaves exceed the budget of 360"):
+        bloch.band_structure(V2d, M_q=2)
+    with pytest.raises(BasisTooLarge):
+        bloch.fiber_bands(V2d, np.zeros(2), 9, 4)
+    monkeypatch.setattr(bloch, "MAX_PLANEWAVES", 361)
+    monkeypatch.setattr(bloch.np, "zeros", zeros)
+    assert bloch.band_structure(V2d, M_q=2).fiber_classes == [171, 190]
 
 
 def test_band_structure_threads_agree(V1d):

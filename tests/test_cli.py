@@ -242,6 +242,16 @@ def test_threads_flag_same_output(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit2(tmp_path, capsys, threads):
+    # the flag has the config key's minimum of 1; it neither runs nor falls back
+    out = tmp_path / "out"
+    assert cli.main(["gap", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", str(out),
+                     "--threads", threads]) == 2
+    assert not os.path.exists(out)
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_malformed_json_exit2_no_outputs(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"lattice": {')
@@ -296,6 +306,28 @@ def test_supercell_method_never_ignored(tmp_path, capsys, section):
     # a method the run would not use is a config error (exit 2, nothing
     # written), not a crash or a silently different solve; k is gone
     assert _supercell_exit(tmp_path, section) == (2, False)
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, section",
+    [
+        ("galerkin", {"window": [-0.36, -0.01], "n_half": 2, "reference": [-0.1]}),
+        ("pollution-scan", {"window": [-0.36, -0.01], "n_half": [2], "reference": [-0.1]}),
+        ("dislocation", {"window": [-0.36, -0.01], "kind": "halfline+", "t": 0.5}),
+        ("augment", {"window": [-0.36, -0.01], "L": 4}),
+        ("supercell", {"window": [-0.36, -0.01], "L": 2, "t": 0.5}),
+    ],
+    ids=["galerkin", "pollution-scan", "dislocation", "augment", "supercell-mismatched"],
+)
+def test_1d_only_method_on_2d_config_exit2(tmp_path, capsys, method, section):
+    # P1 finite elements and the mismatched cell are 1D: a 2D config is a
+    # config error (exit 2, nothing written), not a traceback
+    cfg = read_cfg(GOLDEN_2D)
+    cfg[method] = section
+    out = tmp_path / "out"
+    assert cli.main([method, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not os.path.exists(out) or os.listdir(out) == []
     assert "config error" in capsys.readouterr().err
 
 
@@ -552,8 +584,19 @@ def test_supercell_2d_loads_no_scipy(tmp_path):
 
 
 def test_supercell_1d_loads_no_numpy_random(tmp_path):
-    # the Lanczos start vectors are Weyl sequences, so numpy.random stays unloaded
-    assert "'numpy.random'" not in _loaded_after(tmp_path, ["gap", "supercell"], ("numpy",))
+    # the Lanczos start vectors are Weyl sequences, so numpy.random stays
+    # unloaded; the mode classes take their sizes without numpy.ma
+    loaded = _loaded_after(tmp_path, ["gap", "supercell"], ("numpy",))
+    assert "'numpy.random'" not in loaded and "'numpy.ma'" not in loaded
+
+
+def test_supercell_2d_loads_no_numpy_random_or_ma(tmp_path):
+    # the same for the 2D sweep, with its split classes, and the matrix-free supercell
+    cfg = read_cfg(GOLDEN_2D)
+    cfg["gap"] = {"J": 1, "M_pw": 3, "M_q": 6}
+    cfg["supercell"] = ITERATIVE_2D
+    loaded = _loaded_after(tmp_path, ["gap", "supercell"], ("numpy",), cfg)
+    assert "'numpy.random'" not in loaded and "'numpy.ma'" not in loaded
 
 
 def test_valid_config_loads_no_jsonschema():

@@ -239,6 +239,58 @@ def test_tridiagonal_matches_dense_oracle():
             assert res.residual_bound <= 1e-9 * max(1.0, np.max(np.abs(full)))
 
 
+def _two_copies(p):
+    """The pencil diag(p, p), uncoupled, as one TridiagonalPencil (the two
+    borders side by side), so every eigenvalue of p is exactly double."""
+    def tri(d, e):
+        return np.concatenate([d, d]), np.concatenate([e, [0.0], e])
+
+    A, M = tri(p.a, p.a_off), tri(p.m, p.m_off)
+    if not p.k:
+        return eigcore.TridiagonalPencil(A, M)
+
+    def border(C, G):
+        Z = np.zeros_like(C)
+        return np.block([[C, Z], [Z, C]]), sla.block_diag(G, G)
+
+    return eigcore.TridiagonalPencil(A, M, border(*p.A_border), border(*p.M_border))
+
+
+@pytest.mark.parametrize("k", [0, 3], ids=["plain", "bordered"])
+def test_tridiagonal_double_eigenvalues_match_dense_oracle(k):
+    # the block Lanczos starts from two vectors, so a window holding exactly
+    # one double value, or several, returns each twice with an independent
+    # pair of M-orthonormal eigenvectors
+    rng = np.random.default_rng(2025)
+    p = _two_copies(random_tridiagonal(rng, 40, k))
+    A, M = dense_of(p)
+    full = sla.eigh(A, M, eigvals_only=True)
+    assert np.max(np.abs(full[::2] - full[1::2])) <= 1e-12 * np.max(np.abs(full))
+    for first, last in ((6, 7), (4, 11), (30, 45)):
+        lo, hi = 0.5 * (full[first - 1] + full[first]), 0.5 * (full[last] + full[last + 1])
+        res = eigcore.solve_window(p, lo, hi)
+        assert res.count == len(res) == last + 1 - first
+        assert np.allclose(res.eigenvalues, full[first : last + 1], rtol=1e-10, atol=1e-12)
+        V = res.eigenvectors
+        assert np.max(np.abs(V.T @ M @ V - np.eye(len(res)))) <= 1e-10
+        assert res.residual_bound <= 1e-9 * max(1.0, np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("n_t, k", [(31, 0), (30, 3)], ids=["plain", "bordered"])
+def test_tridiagonal_odd_size_whole_spectrum(n_t, k):
+    # an odd n with every eigenvalue in the window: the basis grows by blocks
+    # of two and must still reach all n vectors, the last block cut to one
+    rng = np.random.default_rng(7)
+    p = random_tridiagonal(rng, n_t, k)
+    assert p.n % 2 == 1
+    A, M = dense_of(p)
+    full = sla.eigh(A, M, eigvals_only=True)
+    res = eigcore.solve_window(p, full[0] - 1.0, full[-1] + 1.0)
+    assert res.count == len(res) == p.n == res.lanczos_steps
+    assert np.allclose(res.eigenvalues, full, rtol=1e-10, atol=1e-10 * np.max(np.abs(full)))
+    assert res.residual_bound <= 1e-9 * max(1.0, np.max(np.abs(full)))
+
+
 def test_tridiagonal_negative_count_is_inertia():
     rng = np.random.default_rng(8)
     for k in (0, 3):
