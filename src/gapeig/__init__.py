@@ -9,7 +9,8 @@ that detect and classify spurious modes.
 
 Importing the package loads no module but errors: import the ones you use
 (from gapeig import bloch).  model, eigcore, bloch and supercell need numpy
-alone; fem1d and augment bring in scipy.
+alone; fem1d and augment bring in scipy.linalg and no other part of
+scipy.
 """
 
 from gapeig.errors import (

@@ -44,16 +44,25 @@ DEFAULT_TAU = 1e-10
 DEFAULT_SIGMA_TOL = 1e-8
 
 
-def fem_fiber(V, q, n_c, J):
+def _cell_integrals(V, n_c):
+    """fem1d.element_integrals of V over the n_c elements of one period."""
+    h = V.lattice.b / n_c
+    a = np.arange(n_c) * h
+    return fem1d.element_integrals(a, a + h, h, V)
+
+
+def fem_fiber(V, q, n_c, J, integrals=None):
     """The lowest J bands of the periodic FEM fiber at q: (eigenvalues, vectors).
 
-    Eigenvectors are mass-orthonormal, so each band function carries unit
-    mass per period.
+    integrals are V's _cell_integrals, which do not depend on q: a sweep
+    over quasimomenta computes them once and passes them in (None computes
+    them here).  Eigenvectors are mass-orthonormal, so each band function
+    carries unit mass per period.
     """
     b = V.lattice.b
-    h = b / n_c
-    a = np.arange(n_c) * h
-    forms = fem1d.p1_forms(n_c, h, np.exp(1j * q * b), fem1d.element_integrals(a, a + h, h, V))
+    if integrals is None:
+        integrals = _cell_integrals(V, n_c)
+    forms = fem1d.p1_forms(n_c, b / n_c, np.exp(1j * q * b), integrals)
     A, M = (fem1d.dense_form(f) for f in forms)
     pencil = eigcore.SymmetricPencil(A, M)
     res = eigcore.solve_lowest(pencil, J, with_vectors=True)
@@ -179,9 +188,10 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
     hi_band = -np.inf
     cell_phases = np.exp(1j * np.outer(qs, lat.b * (np.arange(M_q) - M_q // 2)))
     mass = fem1d.p1_forms(n_win, lat.b / n_c, -1.0)[1]
+    integrals = _cell_integrals(V, n_c) if source == "fem" else None
     for i, q in enumerate(qs):
         if source == "fem":
-            ev, vecs = fem_fiber(V, q, n_c, J + 1)
+            ev, vecs = fem_fiber(V, q, n_c, J + 1, integrals)
         elif source == "planewave":
             ev, vecs = _planewave_cell_vectors(V, q, n_c, J + 1, M_pw)
         else:

@@ -12,7 +12,9 @@ errors (summary JSON written with the error name).
 
 Only model and bloch, which need numpy alone, are imported here; the runners
 import fem1d, augment and supercell in their own bodies.  fem1d and augment
-bring in scipy; bands, gap and supercell, 1D or 2D, run on numpy alone.
+bring in scipy.linalg, so the P1 subcommands (galerkin, pollution-scan,
+dislocation, augment) load scipy.linalg and no other part of scipy; bands,
+gap and supercell, 1D or 2D, run on numpy alone.
 jsonschema is imported only to explain a config that load_config rejects.
 """
 

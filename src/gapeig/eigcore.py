@@ -22,8 +22,10 @@ dispatches on the type (solve_lowest takes the first two):
   densified.  The number of eigenvalues in a window is counted exactly by
   Sylvester inertia: the LDL^T pivots of the tridiagonal block plus, with a
   border, the inertia of the k x k Schur complement (Haynsworth additivity;
-  Parlett, The Symmetric Eigenvalue Problem).  Shifts are inverted by one
-  sparse LU factorization each.
+  Parlett, The Symmetric Eigenvalue Problem).  Products are banded, plus
+  dense border products.  Shifts are inverted by LAPACK's tridiagonal LU
+  (dgttrf/dgttrs, LAPACK Users' Guide), O(n) per shift and per column,
+  with a border eliminated through its k x k Schur complement.
 - DiagonalLowRank: diag(e) - Y diag(sign) Yᵀ with a real Y of rank k, the
   form of a 1D supercell in its real Bloch fiber eigenbasis.  Haynsworth
   inertia of a k x k matrix counts its eigenvalues below a shift, Woodbury
@@ -57,9 +59,10 @@ and MatrixFree are real symmetric, so the Lanczos runs in real
 arithmetic; only a dense SymmetricPencil (a complex Bloch fiber) is ever
 complex.
 
-scipy is imported inside the functions that use it (the generalized dense
-solve and TridiagonalPencil's factorizations), never at module level: a
-Bloch sweep and a DiagonalLowRank or MatrixFree solve need only numpy, and
+scipy.linalg, the only part of scipy used here, is imported inside the
+functions that use it (the generalized dense solve and TridiagonalPencil's
+factorizations), never at module level: a Bloch sweep and a
+DiagonalLowRank or MatrixFree solve need only numpy, and
 importing scipy.linalg (which loads its own copy of numpy's namespace) takes
 longer than a whole 1D gap sweep, so a process that only locates a gap
 would spend most of its time importing.
@@ -90,6 +93,11 @@ MINRES_RTOL = 1e-10
 MINRES_MAXITER = 4000
 LANCZOS_BLOCK = 2
 INEXACT_TOL = 1e-10
+# TridiagonalPencil: a shift whose border Schur complement outgrows the
+# pencil's entries by more than SCHUR_GROWTH has its solves refined by one
+# step, and by more than its square is moved like a singular one (and a
+# count there is taken beside it)
+SCHUR_GROWTH = 1e4
 
 
 def weyl_vector(n, start=0):
@@ -210,14 +218,45 @@ def _banded(d, e):
     return ab
 
 
-def _assemble(d, e, border):
-    import scipy.sparse as sp
-
-    T = sp.diags([e, d, e], [-1, 0, 1])
+def _bordered_product(d, e, border, X):
+    """[[T, C], [Cᵀ, G]] X, for a block of columns X, with T the symmetric
+    tridiagonal (d, e) and border (C, G); T X alone when border is None."""
+    Xt = X[: len(d)]
+    Y = d[:, None] * Xt
+    Y[:-1] += e[:, None] * Xt[1:]
+    Y[1:] += e[:, None] * Xt[:-1]
     if border is None:
-        return T.tocsc()
+        return Y
     C, G = border
-    return sp.bmat([[T, sp.csc_matrix(C)], [sp.csc_matrix(C.T), sp.csc_matrix(G)]]).tocsc()
+    Xb = X[len(d) :]
+    return np.concatenate([Y + C @ Xb, C.T @ Xt + G @ Xb])
+
+
+def _tridiagonal_solver(d, e):
+    """Solver of T X = B, for a block B, with T the real symmetric
+    tridiagonal (d, e): LAPACK's LU with partial pivoting (dgttrf, then
+    dgttrs per block), O(n) to factor and O(n) per column.
+
+    scipy's dgttrf wrapper takes n >= 3 only, so a smaller T is padded to
+    3 rows with a decoupled identity, whose rows solve to zero.
+    LinAlgError when T is exactly singular.
+    """
+    from scipy.linalg import lapack
+
+    n = len(d)
+    pad = max(0, 3 - n)
+    if pad:
+        d, e = np.concatenate([d, np.ones(pad)]), np.concatenate([e, np.zeros(pad)])
+    *lu, info = lapack.dgttrf(e, d, e)
+    if info > 0:
+        raise np.linalg.LinAlgError("the tridiagonal matrix is exactly singular")
+
+    def solve(B):
+        if pad:
+            B = np.concatenate([B, np.zeros((pad, B.shape[1]))])
+        return lapack.dgttrs(*lu, B)[0][:n]
+
+    return solve
 
 
 class TridiagonalPencil:
@@ -232,9 +271,12 @@ class TridiagonalPencil:
     finiteness and that M is positive definite: T_M has a banded Cholesky
     factor R_T (every LDL^T pivot is positive) and, with F = R_T⁻ᵀ C_M, the
     Schur complement G_M - FᵀF has a Cholesky factor R_S; PencilNotDefinite
-    otherwise.  Cost O(n k^2); nothing n x n is formed.  mass_factor keeps
-    the factors as the sparse upper triangular R = [[R_T, F], [0, R_S]],
-    M = RᵀR.
+    otherwise.  Cost O(n k^2); nothing n x n is formed.
+
+    The pencil is kept as this banded data and nothing else.  apply, mass
+    and factor multiply A, M and the upper triangular mass factor
+    R = [[R_T, F], [0, R_S]] (M = RᵀR; factor_t multiplies Rᵀ) into blocks
+    of columns, as banded products plus dense border products.
     """
 
     def __init__(self, A, M, A_border=None, M_border=None):
@@ -253,63 +295,141 @@ class TridiagonalPencil:
                 raise InvalidMatrix("A and M borders must have the same shape")
             if self.A_border[0].shape[1] == 0:
                 self.A_border = self.M_border = None
+        self.n_t = n_t
         self.k = 0 if self.A_border is None else self.A_border[0].shape[1]
         self.n = n_t + self.k
         import scipy.linalg as sla
-        import scipy.sparse as sp
 
         try:
             chol = sla.cholesky_banded(_banded(self.m, self.m_off)[:2])
         except np.linalg.LinAlgError:
             raise PencilNotDefinite("tridiagonal block of M is not positive definite") from None
-        self.mass_factor = sp.diags([chol[1], chol[0, 1:]], [0, 1], format="csr")
+        # R_T: diagonal r and first superdiagonal r_off
+        self._r, self._r_off = chol[1], chol[0, 1:]
         if self.k:
             C, G = self.M_border
-            # F = R_T⁻ᵀ C_M = R_T T_M⁻¹ C_M
-            F = self.mass_factor @ sla.cho_solve_banded((chol, False), C)
-            schur = G - F.T @ F
+            self._F = sla.lapack.dtbtrs(chol, C, trans="T")[0]
+            schur = G - self._F.T @ self._F
             try:
-                R_S = np.linalg.cholesky(0.5 * (schur + schur.T)).T
+                self._R_S = np.linalg.cholesky(0.5 * (schur + schur.T)).T
             except np.linalg.LinAlgError:
                 raise PencilNotDefinite("Schur complement of M's border is not positive definite") from None
-            self.mass_factor = sp.bmat([[self.mass_factor, F], [None, R_S]], format="csr")
-        self.A_sparse = _assemble(self.a, self.a_off, self.A_border)
-        self.M_sparse = _assemble(self.m, self.m_off, self.M_border)
-
-    @property
-    def mass(self):
-        return self.M_sparse
 
     def apply(self, X):
-        return self.A_sparse @ X
+        """A X for a block of columns X."""
+        return _bordered_product(self.a, self.a_off, self.A_border, X)
+
+    def mass(self, X):
+        """M X for a block of columns X."""
+        return _bordered_product(self.m, self.m_off, self.M_border, X)
+
+    def factor(self, X):
+        """R X for a block of columns X, with M = RᵀR."""
+        Xt = X[: self.n_t]
+        Y = self._r[:, None] * Xt
+        Y[:-1] += self._r_off[:, None] * Xt[1:]
+        if not self.k:
+            return Y
+        Xb = X[self.n_t :]
+        return np.concatenate([Y + self._F @ Xb, self._R_S @ Xb])
+
+    def factor_t(self, X):
+        """Rᵀ X for a block of columns X."""
+        Xt = X[: self.n_t]
+        Y = self._r[:, None] * Xt
+        Y[1:] += self._r_off[:, None] * Xt[:-1]
+        if not self.k:
+            return Y
+        return np.concatenate([Y, self._F.T @ Xt + self._R_S.T @ X[self.n_t :]])
+
+    def _schur(self, s):
+        """The border eliminated at the shift s: (solve, C_s, Z, S, growth)
+        with solve the tridiagonal solver of T_s = T_A - s T_M,
+        C_s = C_A - s C_M, Z = T_s⁻¹ C_s, the k x k Schur complement
+        S = G_s - C_sᵀ Z of A - s M, and growth the largest entry of S over
+        the largest of A - s M.  LinAlgError when T_s is exactly singular.
+
+        Eliminating the border first loses accuracy when T_s is nearly
+        singular (s close to an eigenvalue of the bare block): S then has
+        entries of about 1 / dist(s, that eigenvalue), and everything solved
+        or counted through it carries absolute errors of about eps times
+        them, so relative to the pencil a loss of about eps * growth.
+        """
+        d, e = self.a - s * self.m, self.a_off - s * self.m_off
+        solve = _tridiagonal_solver(d, e)
+        (CA, GA), (CM, GM) = self.A_border, self.M_border
+        Cs, Gs = CA - s * CM, GA - s * GM
+        Z = solve(Cs)
+        S = Gs - Cs.T @ Z
+        S = 0.5 * (S + S.T)
+        scale = max(float(np.max(np.abs(x), initial=0.0)) for x in (d, e, Cs, Gs))
+        return solve, Cs, Z, S, _max_abs(S) / scale
 
     def shift_inverse(self, sigma):
-        """Solver of (A - sigma M) X = Y, for a block Y, from one sparse LU
-        factorization.
+        """Solver of (A - sigma M) X = Y, for a block Y: LAPACK's tridiagonal
+        LU of T_A - sigma T_M (_tridiagonal_solver) and, with a border, its
+        elimination through the k x k Schur complement S (_schur), O(n k)
+        per column.
 
-        Natural order keeps the border last, and threshold pivoting keeps
-        the factors inside the arrow pattern (full partial pivoting can swap
-        border rows up and fill in O(n^2) entries).  LinAlgError when the
-        factor is exactly singular.
+        One step of refinement with the true residual squares the relative
+        error eps * growth of the elimination, so above a growth of
+        SCHUR_GROWTH every solve is refined once, and above SCHUR_GROWTH**2,
+        where one step no longer reaches roundoff, the shift is refused as
+        if singular.  LinAlgError when the tridiagonal block or S is exactly
+        singular, or the shift is refused.
         """
-        import scipy.sparse.linalg as spla
+        if not self.k:
+            return _tridiagonal_solver(self.a - sigma * self.m, self.a_off - sigma * self.m_off)
+        tsolve, Cs, Z, S, growth = self._schur(sigma)
+        c, P = np.linalg.eigh(S)
+        if not np.all(c) or growth > SCHUR_GROWTH**2:
+            raise np.linalg.LinAlgError("A - sigma M is singular or nearly so at the border")
+        Pc = P / c
+        n_t = self.n_t
 
-        try:
-            lu = spla.splu(self.A_sparse - sigma * self.M_sparse, permc_spec="NATURAL",
-                           diag_pivot_thresh=0.1)
-        except RuntimeError:
-            raise np.linalg.LinAlgError("A - sigma M is exactly singular") from None
-        return lu.solve
+        def solve(Y):
+            Xt = tsolve(Y[:n_t])
+            y = Pc @ (P.T @ (Y[n_t:] - Cs.T @ Xt))
+            return np.concatenate([Xt - Z @ y, y])
+
+        if growth <= SCHUR_GROWTH:
+            return solve
+
+        def refined(Y):
+            X = solve(Y)
+            return X + solve(Y - self.apply(X) + sigma * self.mass(X))
+
+        return refined
 
     def negative_count(self, s, zero_negative=False):
         """Number of negative eigenvalues of A - s M, i.e. of eigenvalues below s.
 
         Sylvester inertia: the negative LDL^T pivots of the tridiagonal
         block, plus with a border the negative eigenvalues of the Schur
-        complement.  An exactly zero pivot (an eigenvalue at s) counts as
-        negative when zero_negative is set, so the call then counts
-        eigenvalues <= s.
+        complement (_schur).  An exactly zero pivot (an eigenvalue at s)
+        counts as negative when zero_negative is set, so the call then
+        counts eigenvalues <= s.
+
+        Where the tridiagonal block is singular at s to working precision
+        (exactly, or with a growth above SCHUR_GROWTH**2), the Schur
+        complement's small eigenvalues are lost to roundoff, so a bordered
+        count is taken just beside s instead, on the side the zero-pivot
+        convention selects, at distances doubling from 2^-40 |s| until the
+        growth is back below that bound.
         """
+        S = None
+        if self.k:
+            at, step = s, 2.0**-40 * max(1.0, abs(s))
+            for _ in range(64):
+                try:
+                    S, growth = self._schur(at)[3:]
+                    if growth <= SCHUR_GROWTH**2:
+                        break
+                except np.linalg.LinAlgError:
+                    pass
+                at = s + step if zero_negative else s - step
+                step *= 2.0
+            s = at
         d = (self.a - s * self.m).tolist()
         e = self.a_off - s * self.m_off
         e2 = [0.0] + (e * e).tolist()
@@ -322,21 +442,8 @@ class TridiagonalPencil:
                 p = tiny
             if p < 0.0:
                 neg += 1
-        if self.k:
-            (CA, GA), (CM, GM) = self.A_border, self.M_border
-            Cs = CA - s * CM
-            import scipy.linalg as sla
-
-            try:
-                Z = sla.solve_banded((1, 1), _banded(self.a - s * self.m, e), Cs)
-            except np.linalg.LinAlgError:
-                # the tridiagonal block is exactly singular at s, so the Schur
-                # complement does not exist there: count just beside s, on the
-                # side the zero-pivot convention selects
-                step = 2.0**-40 * max(1.0, abs(s))
-                return self.negative_count(s + step if zero_negative else s - step, zero_negative)
-            schur = GA - s * GM - Cs.T @ Z
-            w = np.linalg.eigvalsh(0.5 * (schur + schur.T))
+        if S is not None:
+            w = np.linalg.eigvalsh(S)
             neg += int(np.sum(w <= 0.0)) if zero_negative else int(np.sum(w < 0.0))
         return neg
 
@@ -673,7 +780,7 @@ def _lanczos(op, lo, hi, count=None):
 
     The Lanczos runs in the Euclidean inner product on the symmetric
     operator K = R (A - sigma M)⁻¹ Rᵀ, where M = RᵀR for a pencil with a
-    mass (R = op.mass_factor) and R = M = I otherwise.  K has the
+    mass (R from op.factor) and R = M = I otherwise.  K has the
     eigenvalues theta = 1 / (lambda - sigma), with eigenvectors R x.  An
     exactly singular shift is moved off the centre.
 
@@ -702,16 +809,14 @@ def _lanczos(op, lo, hi, count=None):
     try:
         inverse = op.shift_inverse(sigma)
     except np.linalg.LinAlgError:
-        # sigma is an eigenvalue (exactly singular shift): move it off
+        # sigma is an eigenvalue (exactly singular shift), or a pencil's
+        # border elimination refused it: move it off
         sigma += 1e-6 * (hi - lo)
         inverse = op.shift_inverse(sigma)
-    if op.mass is None:
-        solve = inverse
-    else:
-        R, Rt = op.mass_factor, op.mass_factor.T
 
-        def solve(Z):
-            return R @ inverse(Rt @ Z)
+    def solve(Z):
+        return inverse(Z) if op.mass is None else op.factor(inverse(op.factor_t(Z)))
+
     p = min(LANCZOS_BLOCK, n)
     m_max = min(n, MAX_KRYLOV)
     # the basis rows Q and the projected operator T grow by doubling
@@ -747,7 +852,7 @@ def _lanczos(op, lo, hi, count=None):
             if len(good) >= count:
                 pick = good[:count]
                 Z = Q[:m].T @ S[:, pick]
-                return inverse(Z if op.mass is None else Rt @ Z) / theta[pick], m
+                return inverse(Z if op.mass is None else op.factor_t(Z)) / theta[pick], m
         if m == m_max:
             break
         b = min(p, m_max - m)
@@ -818,7 +923,7 @@ def _rayleigh_ritz(op, X, lo, hi):
     NotConverged when a value leaves the window.
     """
     AX = op.apply(X)
-    MX = X if op.mass is None else op.mass @ X
+    MX = X if op.mass is None else op.mass(X)
     Hs = X.T @ AX
     Ms = X.T @ MX
     Li = np.linalg.inv(np.linalg.cholesky(0.5 * (Ms + Ms.T)))

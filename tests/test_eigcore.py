@@ -217,19 +217,28 @@ def random_tridiagonal(rng, n, k=0):
 
 
 def dense_of(p):
-    return p.A_sparse.toarray(), p.M_sparse.toarray()
+    """Dense (A, M) of a TridiagonalPencil, assembled from its banded data."""
+    def dense(d, e, border):
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        if border is None:
+            return T
+        C, G = border
+        return np.block([[T, C], [C.T, G]])
+
+    return dense(p.a, p.a_off, p.A_border), dense(p.m, p.m_off, p.M_border)
 
 
 def test_tridiagonal_matches_dense_oracle():
+    # the sizes start at one tridiagonal row, with and without a border
     rng = np.random.default_rng(2024)
     for trial in range(120):
-        n = int(rng.integers(2, 61))
+        n = trial // 2 + 1 if trial < 6 else int(rng.integers(1, 61))
         k = int(rng.integers(1, 11)) if trial % 2 else 0
         p = random_tridiagonal(rng, n, k)
         A, M = dense_of(p)
         full = sla.eigh(A, M, eigvals_only=True)
         windows = [(full[0] - 1.0, full[-1] + 1.0), tuple(np.sort(rng.uniform(full[0], full[-1], 2)))]
-        for lo, hi in windows:
+        for lo, hi in windows[: 1 if p.n == 1 else 2]:
             want = full[(full > lo) & (full < hi)]
             res = eigcore.solve_window(p, lo, hi)
             assert res.count == len(res) == len(want)
@@ -237,6 +246,31 @@ def test_tridiagonal_matches_dense_oracle():
             V = res.eigenvectors
             assert np.max(np.abs(V.T @ M @ V - np.eye(len(want))), initial=0.0) <= 1e-10
             assert res.residual_bound <= 1e-9 * max(1.0, np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13, 1e-9])
+def test_bordered_shift_near_bare_block_eigenvalue(offset):
+    # the Lanczos shift (the window centre) lies offset from an eigenvalue
+    # of the bare tridiagonal block, where eliminating the border first
+    # loses digits: the solves are refined, or the shift is moved, and the
+    # values and residuals still match the dense oracle
+    rng = np.random.default_rng(12)
+    p = random_tridiagonal(rng, 40, 3)
+    A, M = dense_of(p)
+    full = sla.eigh(A, M, eigvals_only=True)
+    sigma = sla.eigh(A[:40, :40], M[:40, :40], eigvals_only=True)[20] + offset
+    # the ends lie halfway between the second and third values nearest
+    # sigma, and none hugs them, so one Lanczos run at sigma solves the window
+    near = np.sort(np.abs(full - sigma))
+    half = 0.5 * (near[1] + near[2])
+    assert near[1] < (1.0 - 2.0 * eigcore.END_SLICE) * half
+    assert near[2] > (1.0 + 2.0 * eigcore.END_SLICE) * half
+    lo, hi = sigma - half, sigma + half
+    want = full[(full > lo) & (full < hi)]
+    res = eigcore.solve_window(p, lo, hi)
+    assert res.count == len(res) == len(want) == 2
+    assert np.allclose(res.eigenvalues, want, rtol=0.0, atol=1e-10)
+    assert res.residual_bound <= 1e-10
 
 
 def _two_copies(p):
@@ -298,6 +332,19 @@ def test_tridiagonal_negative_count_is_inertia():
         full = sla.eigh(*dense_of(p), eigvals_only=True)
         for s in rng.uniform(full[0] - 1.0, full[-1] + 1.0, 25):
             assert p.negative_count(s) == np.sum(full < s)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bordered_count_at_bare_block_eigenvalues(seed):
+    # at the eigenvalues of the bare tridiagonal block, where it is singular
+    # to working precision, the border's Schur complement is lost to
+    # roundoff; the count is taken beside the shift and stays exact
+    p = random_tridiagonal(np.random.default_rng(seed), 40, 3)
+    A, M = dense_of(p)
+    full = sla.eigh(A, M, eigvals_only=True)
+    for s in sla.eigh(A[:40, :40], M[:40, :40], eigvals_only=True):
+        assert p.negative_count(s) == np.sum(full < s)
+        assert p.negative_count(s, zero_negative=True) == np.sum(full <= s)
 
 
 def test_tridiagonal_empty_window():

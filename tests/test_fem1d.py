@@ -182,7 +182,8 @@ def test_structured_solve_matches_dense_oracle(V1d, W1d, lat1d):
          fem1d.dislocation_spectrum(V1d, "halfline+", 0.5, WIN_1D, n_c=50, n_periods=20)),
     ]
     for pencil, res in cases:
-        A, M = pencil.A_sparse.toarray(), pencil.M_sparse.toarray()
+        A = fem1d.dense_form((pencil.a, pencil.a_off, 0.0))
+        M = fem1d.dense_form((pencil.m, pencil.m_off, 0.0))
         want = sla.eigh(A, M, subset_by_value=WIN_1D, eigvals_only=True)
         assert res.diagnostics["n_in_window"] == len(res.eigenvalues) == len(want) > 0
         assert np.allclose(res.eigenvalues, want, rtol=1e-10, atol=0.0)
