@@ -14,7 +14,6 @@ scipy.
 """
 
 from gapeig.errors import (
-    AugmentationDegenerate,
     BasisTooLarge,
     ConfigError,
     GapeigError,
@@ -47,7 +46,6 @@ __all__ = [
     "MeshOffsetError",
     "QGridAsymmetric",
     "WindowTooSmall",
-    "AugmentationDegenerate",
     "ConfigError",
     "__version__",
 ]

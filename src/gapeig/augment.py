@@ -9,6 +9,12 @@ exactly M_q periods, and augments the truncated P1 space with the projected
 directions.  The resulting pencil has the same gap eigenvalues as the
 supercell reference, with no boundary-spurious values.
 
+The augmented basis is [phi | (1 - Pi_h) u]: the domain's hat functions,
+and the projected directions less their mass-orthogonal projection Pi_h
+onto span(phi), made mass-orthonormal.  That changes the basis, not the
+space or its eigenvalues, and makes the augmented mass exactly
+blockdiag(M_dom, I), well conditioned however close a u lies to span(phi).
+
 The window spans M_q periods because the M_q midpoint quasimomenta make the
 unfolded Bloch frame exactly mass-orthogonal there (the cross terms are full
 geometric sums of unit phases), with an antiperiodic seam since every
@@ -31,17 +37,15 @@ import numpy as np
 import scipy.linalg as sla
 
 from gapeig import bloch, eigcore, fem1d
-from gapeig.errors import (
-    AugmentationDegenerate,
-    NoGap,
-    PencilNotDefinite,
-    QGridAsymmetric,
-    WindowTooSmall,
-)
+from gapeig.errors import NoGap, QGridAsymmetric, WindowTooSmall
 from gapeig.supercell import SpectrumResult, _window_pair
 
 DEFAULT_TAU = 1e-10
-DEFAULT_SIGMA_TOL = 1e-8
+# planewave cutoff of the reference fibers (source "planewave"): 2*M_pw + 1 modes
+DEFAULT_M_PW = 32
+# augmented_space keeps a projected direction when its residual-Gram
+# eigenvalue (its squared mass distance from the P1 space) exceeds SIGMA_TOL
+SIGMA_TOL = 1e-8
 
 
 def _cell_integrals(V, n_c):
@@ -166,7 +170,7 @@ class ProjectorKernel:
         return worst
 
 
-def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw=32):
+def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw=DEFAULT_M_PW):
     """Build the discrete band projector for the lowest J bands of -d2/dx2 + V.
 
     source "fem" uses the periodic P1 fiber at the same resolution n_c as the
@@ -236,13 +240,14 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
 
 
 class AugmentedSpace:
-    """Truncated P1 space plus retained projected Bloch directions.
+    """Truncated P1 space plus the projected Bloch directions it lacks.
 
     Basis [phi_i | u_k]: the Dirichlet hat functions of the domain mesh and
-    the columns of U_keep, which span the part of ran(P) reachable from the
-    domain that is not already represented in span(phi).  Equivalently the
-    space splits as span{(1-P)phi_i} + span{P phi_i}; the assembled pencil
-    uses the [phi | u] form of the same space.
+    the mass-orthonormal columns u_k = (1 - Pi_h) v_k of U_keep, with the
+    v_k spanning the part of ran(P) reachable from the domain that span(phi)
+    lacks and Pi_h the mass-orthogonal projection onto span(phi).  The space
+    splits along P as span{(1-P)phi_i} + span{P phi_i}; the mass in this
+    basis is exactly blockdiag(M_dom, I).
     """
 
     def __init__(self, mesh, projector, idx, U_keep, diagnostics):
@@ -257,14 +262,18 @@ class AugmentedSpace:
         return self.U_keep.shape[1]
 
 
-def augmented_space(projector, mesh, sigma_tol=DEFAULT_SIGMA_TOL, min_margin=1.0):
+def augmented_space(projector, mesh, min_margin=1.0):
     """Select the projected directions that augment the truncated space.
 
     Couples the projector to the domain through C = U^T M restricted to the
     domain nodes, compresses with an SVD at relative tolerance tau, then
     drops directions already representable in the P1 space: eigenvectors of
-    the residual Gram I - Y^T M_dom^{-1} Y below sigma_tol carry no new
-    content and would degrade conditioning.
+    the residual Gram I - Y^T M_dom^{-1} Y at or below SIGMA_TOL carry no
+    new content.  Each kept v becomes v - phi M_dom^{-1} (M v)[idx], applied
+    twice (the second pass removes what rounding leaves when that is small),
+    made mass-orthonormal by the Cholesky factor of the kept Gram.
+    Diagnostics report cross_mass, the (A1) cross term of the v, and
+    gram_min, the smallest kept residual-Gram eigenvalue (None if none).
     """
     if not isinstance(mesh, fem1d.Mesh1D):
         raise TypeError("mesh must be a Mesh1D")
@@ -290,33 +299,38 @@ def augmented_space(projector, mesh, sigma_tol=DEFAULT_SIGMA_TOL, min_margin=1.0
     Q = Uq[:, :rank]
     Uc = projector.U @ Q
     if rank == 0:
-        diag = {"rank_coupled": 0, "rank_kept": 0, "cross_mass": 0.0, "margins": (margin_lo, margin_hi)}
+        diag = {"rank_coupled": 0, "rank_kept": 0, "cross_mass": 0.0, "gram_min": None,
+                "margins": (margin_lo, margin_hi)}
         return AugmentedSpace(mesh, projector, idx, np.zeros((projector.n_win, 0)), diag)
     # residual of each coupled direction against the P1 space, in the mass
     # inner product: R = I - Y^T M_dom^{-1} Y with Y the domain mass moments
     Y = projector.apply_mass(Uc)[idx]
-    # the mass form on the domain nodes (Dirichlet), in solveh_banded's upper storage
+    # the mass form on the domain nodes (Dirichlet), in cho_solve_banded's upper storage
     d, o, _ = projector.mass_form
-    Z = sla.solveh_banded(eigcore._banded(d[idx], o[idx[:-1]])[:2], Y)
+    chol = (sla.cholesky_banded(eigcore._banded(d[idx], o[idx[:-1]])[:2]), False)
+    Z = sla.cho_solve_banded(chol, Y)
     R = np.eye(rank) - Y.T @ Z
     R = 0.5 * (R + R.T)
     lam, E = sla.eigh(R)
-    keep = lam > sigma_tol
-    U_keep = Uc @ E[:, keep]
-    # (A1) cross block: the u_k are in ran(P), the (1-P)phi_i are mass
+    keep = lam > SIGMA_TOL
+    V_keep = Uc @ E[:, keep]
+    # (A1) cross block: the v_k are in ran(P), the (1-P)phi_i are mass
     # orthogonal to them; report the measured value
-    if np.any(keep):
-        MUk = projector.apply_mass(U_keep)
-        cross = float(np.max(np.abs(MUk[idx] - MU[idx] @ (projector.U.T @ MUk))))
-    else:
-        cross = 0.0
+    MVk = projector.apply_mass(V_keep)
+    cross = float(np.max(np.abs(MVk[idx] - MU[idx] @ (projector.U.T @ MVk)), initial=0.0))
+    # (1 - Pi_h) v twice; the first pass reuses Z, the moments' solve
+    U_keep = V_keep.copy()
+    U_keep[idx] -= Z @ E[:, keep]
+    U_keep[idx] -= sla.cho_solve_banded(chol, projector.apply_mass(U_keep)[idx])
+    G = U_keep.T @ projector.apply_mass(U_keep)
+    U_keep = sla.solve_triangular(np.linalg.cholesky(0.5 * (G + G.T)), U_keep.T, lower=True).T
     diag = {
         "rank_coupled": rank,
         "rank_kept": int(np.sum(keep)),
         "residual_range": (float(lam[0]), float(lam[-1])),
+        "gram_min": float(lam[keep][0]) if np.any(keep) else None,
         "cross_mass": cross,
         "margins": (margin_lo, margin_hi),
-        "sigma_tol": sigma_tol,
     }
     return AugmentedSpace(mesh, projector, idx, U_keep, diag)
 
@@ -326,30 +340,21 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
 
     The forms live on the projector window circle (the W tail beyond the
     window is negligible by construction).  The pencil is the plain
-    Dirichlet FEM tridiagonal bordered by the coupling to the retained Bloch
-    directions and their small Gram block, solved as an
-    eigcore.TridiagonalPencil with an n_aug-column border.
+    Dirichlet FEM tridiagonal, A bordered by its coupling to the retained
+    directions and their Gram block and M by nothing (the directions'
+    mass is the identity): an eigcore.TridiagonalPencil with n_aug columns.
     """
     P = aug.projector
     alpha, beta = _window_pair(window)
     idx = aug.idx
     Uk = aug.U_keep
-    formA, formM = P.forms(lambda x: V(x) + W(x))
-
-    def blocks(form):
-        """The form's tridiagonal on the domain nodes and its border (columns, corner)."""
-        d, o, _ = form
-        FU = fem1d.apply_form(form, Uk)
-        G = Uk.T @ FU
-        return (d[idx], o[idx[:-1]]), (FU[idx], 0.5 * (G + G.T))
-
-    (tA, bA), (tM, bM) = blocks(formA), blocks(formM)
-    try:
-        pencil = eigcore.TridiagonalPencil(tA, tM, bA, bM)
-    except PencilNotDefinite as e:
-        raise AugmentationDegenerate(
-            "augmented mass matrix not definite; retained directions overlap the P1 space"
-        ) from e
+    formA, (dM, oM, _) = P.forms(lambda x: V(x) + W(x))
+    dA, oA, _ = formA
+    AU = fem1d.apply_form(formA, Uk)
+    G = Uk.T @ AU
+    pencil = eigcore.TridiagonalPencil(
+        (dA[idx], oA[idx[:-1]]), (dM[idx], oM[idx[:-1]]), (AU[idx], 0.5 * (G + G.T))
+    )
     res = eigcore.solve_window(pencil, alpha, beta, with_vectors=with_vectors)
     diagd = {
         "method": "augmented",
@@ -388,7 +393,7 @@ def localization_masses(aug, coeffs):
     return mass(x_lo, x_lo + strip) + mass(x_hi - strip, x_hi), mass(-strip, strip)
 
 
-def a2_estimate(V, mesh, J=1, M_q=64, M_pw=32, ref_source="planewave", projector=None):
+def a2_estimate(V, mesh, J=1, M_q=64, M_pw=DEFAULT_M_PW, ref_source="planewave", projector=None):
     """A2 = sup over unit-H1 P1 functions phi on the domain of ||(P_ref - P_fem) phi||_H1.
 
     P_fem is the FEM-fiber projector at the mesh resolution, P_ref the

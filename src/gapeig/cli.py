@@ -45,18 +45,12 @@ _WAVEVECTOR = {
 }
 
 
-def _int_or_list(**bound):
-    """An integer, or a non-empty list of integers, each within bound."""
-    item = {"type": "integer", **bound}
+def _one_or_list(kind, **bound):
+    """A value of JSON type kind, or a non-empty list of them, each within bound."""
+    item = {"type": kind, **bound}
     return {"oneOf": [item, {"type": "array", "items": item, "minItems": 1}]}
 
 
-_NUM_OR_LIST = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    ]
-}
 _REFERENCE = {
     "oneOf": [
         {"type": "array", "items": {"type": "number"}},
@@ -146,7 +140,7 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "window": _WINDOW,
-                "L": _int_or_list(minimum=1),
+                "L": _one_or_list("integer", minimum=1),
                 "ratio": {"type": "number", "minimum": 4},
                 "t": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "method": {"enum": ["auto", "dense", "iterative"]},
@@ -160,7 +154,7 @@ SCHEMA = {
             "properties": {
                 "window": _WINDOW,
                 "n_c": {"type": "integer", "minimum": 2},
-                "n_half": _int_or_list(minimum=2),
+                "n_half": _one_or_list("integer", minimum=2),
                 "t": {"type": "number", "minimum": 0},
                 "reference": _REFERENCE,
                 "match_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -183,7 +177,7 @@ SCHEMA = {
                         },
                     ]
                 },
-                "t": _NUM_OR_LIST,
+                "t": _one_or_list("number"),
                 "n_periods": {"type": "integer", "minimum": 20},
                 "n_c": {"type": "integer", "minimum": 2},
             },
@@ -197,9 +191,8 @@ SCHEMA = {
                 "J": {"type": "integer", "minimum": 1},
                 "n_c": {"type": "integer", "minimum": 2},
                 "M_q": {"type": "integer", "minimum": 4, "multipleOf": 2},
-                "L": _int_or_list(minimum=4, multipleOf=2),
-                "t": _NUM_OR_LIST,
-                "svd_tol": {"type": "number", "exclusiveMinimum": 0},
+                "L": _one_or_list("integer", minimum=4, multipleOf=2),
+                "t": _one_or_list("number", minimum=0),
                 "window_margin": {"type": "number", "minimum": 0},
                 "reference": _REFERENCE,
             },
@@ -709,9 +702,15 @@ def run_augment(cfg, out_dir, threads):
 
     lat, V, W = build_problem(cfg)
     p = cfg["augment"]
-    window = resolve_window(p["window"], out_dir)
     J = p.get("J", 1)
     n_c = p.get("n_c", 100)
+    n_pw = 2 * augment.DEFAULT_M_PW + 1
+    if J + 1 > min(n_c, n_pw):
+        raise ConfigError(
+            "augment J = %d needs J + 1 bands of the P1 fiber (n_c = %d nodes) and of the "
+            "reference fiber (%d planewaves)" % (J, n_c, n_pw)
+        )
+    window = resolve_window(p["window"], out_dir)
     M_q = p.get("M_q", 64)
     P = augment.build_projector(V, J=J, n_c=n_c, M_q=M_q)
     ref = _reference_values(p["reference"], V, W, window) if "reference" in p else None
@@ -723,12 +722,7 @@ def run_augment(cfg, out_dir, threads):
             mesh = fem1d.symmetric_mesh(lat, n_c, L // 2, t)
             if first_mesh is None:
                 first_mesh = mesh
-            aug = augment.augmented_space(
-                P,
-                mesh,
-                sigma_tol=p.get("svd_tol", augment.DEFAULT_SIGMA_TOL),
-                min_margin=p.get("window_margin", 1.0),
-            )
+            aug = augment.augmented_space(P, mesh, min_margin=p.get("window_margin", 1.0))
             res = augment.augmented_spectrum(V, W, aug, window, with_vectors=True)
             for i, ev in enumerate(res.eigenvalues):
                 mb, mk = augment.localization_masses(aug, res.eigenvectors[:, i])
@@ -740,6 +734,7 @@ def run_augment(cfg, out_dir, threads):
                     "eigenvalues": res.eigenvalues,
                     "interior": res.interior(),
                     "n_aug": aug.n_aug,
+                    "gram_min": aug.diagnostics["gram_min"],
                     "certificate": _certificate(res.diagnostics),
                 }
             )

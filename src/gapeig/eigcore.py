@@ -15,17 +15,20 @@ dispatches on the type (solve_lowest takes the first two):
   LAPACK (numpy.linalg.eigh), full spectrum first and then the window or
   the k lowest; the generalized problem uses scipy.linalg.eigh's subset
   drivers.
-- TridiagonalPencil: real symmetric tridiagonal (A, M), optionally bordered
-  by k dense columns and their k x k corner.  Every P1 finite element pencil
-  is one (k = 0 for the Galerkin and dislocation pencils, k = n_aug for the
-  projector-augmented ones).  It is validated in O(n k^2) and never
-  densified.  The number of eigenvalues in a window is counted exactly by
-  Sylvester inertia: the LDL^T pivots of the tridiagonal block plus, with a
-  border, the inertia of the k x k Schur complement (Haynsworth additivity;
-  Parlett, The Symmetric Eigenvalue Problem).  Products are banded, plus
-  dense border products.  Shifts are inverted by LAPACK's tridiagonal LU
-  (dgttrf/dgttrs, LAPACK Users' Guide), O(n) per shift and per column,
-  with a border eliminated through its k x k Schur complement.
+- TridiagonalPencil: real symmetric tridiagonal (A, M), A optionally
+  bordered by k dense columns and their k x k corner, with the identity as
+  the mass of the k border unknowns: M = blockdiag(T_M, I_k).  Every P1
+  finite element pencil is one (k = 0 for the Galerkin and dislocation
+  pencils, k = n_aug for the projector-augmented ones, whose added
+  directions are mass-orthonormal and mass-orthogonal to the P1 space).
+  It is validated in O(n k) and never densified.  The number of
+  eigenvalues in a window is counted exactly by Sylvester inertia: the
+  LDL^T pivots of the tridiagonal block plus, with a border, the inertia of
+  the k x k Schur complement (Haynsworth additivity; Parlett, The Symmetric
+  Eigenvalue Problem).  Products are banded, plus dense border products.
+  Shifts are inverted by LAPACK's tridiagonal LU (dgttrf/dgttrs, LAPACK
+  Users' Guide), O(n) per shift and per column, with a border eliminated
+  through its k x k Schur complement.
 - DiagonalLowRank: diag(e) - Y diag(sign) Yᵀ with a real Y of rank k, the
   form of a 1D supercell in its real Bloch fiber eigenbasis.  Haynsworth
   inertia of a k x k matrix counts its eigenvalues below a shift, Woodbury
@@ -199,13 +202,13 @@ def _tridiagonal(pair, name):
     return d, _real_array(off, name + " offdiagonal", (len(d) - 1,))
 
 
-def _border(border, name, n_t):
+def _border(border, n_t):
     C, G = (np.asarray(x) for x in border)
     if C.ndim != 2:
-        raise InvalidMatrix("%s border columns must be a matrix" % name)
+        raise InvalidMatrix("A border columns must be a matrix")
     k = C.shape[1]
-    C = _real_array(C, name + " border columns", (n_t, k))
-    G = _real_array(_check_hermitian(G, name + " corner"), name + " corner", (k, k))
+    C = _real_array(C, "A border columns", (n_t, k))
+    G = _real_array(_check_hermitian(G, "A corner"), "A corner", (k, k))
     return C, G
 
 
@@ -260,43 +263,39 @@ def _tridiagonal_solver(d, e):
 
 
 class TridiagonalPencil:
-    """Real symmetric pencil (A, M) of tridiagonal matrices, optionally bordered.
+    """Real symmetric pencil (A, M) of tridiagonal matrices, A optionally bordered.
 
-        A = [[T_A, C_A], [C_A^T, G_A]],   M = [[T_M, C_M], [C_M^T, G_M]]
+        A = [[T_A, C], [C^T, G]],   M = [[T_M, 0], [0, I_k]]
 
     T_A, T_M are tridiagonal, given as (diagonal, first offdiagonal); the
-    optional borders are (C, G) with C the n_t x k dense columns and G the
-    symmetric k x k corner.  Both borders or neither must be given; k = 0
+    optional border of A is (C, G) with C the n_t x k dense columns and G
+    the symmetric k x k corner, and the mass of the k border unknowns is
+    the identity (their basis is mass-orthonormal and mass-orthogonal to
+    the tridiagonal block's, as the projector-augmented space's is); k = 0
     is the plain tridiagonal pencil.  Construction checks shapes and
-    finiteness and that M is positive definite: T_M has a banded Cholesky
-    factor R_T (every LDL^T pivot is positive) and, with F = R_T⁻ᵀ C_M, the
-    Schur complement G_M - FᵀF has a Cholesky factor R_S; PencilNotDefinite
-    otherwise.  Cost O(n k^2); nothing n x n is formed.
+    finiteness and that T_M has a banded Cholesky factor R_T (every LDL^T
+    pivot is positive); PencilNotDefinite otherwise.  Cost O(n k); nothing
+    n x n is formed.
 
     The pencil is kept as this banded data and nothing else.  apply, mass
     and factor multiply A, M and the upper triangular mass factor
-    R = [[R_T, F], [0, R_S]] (M = RᵀR; factor_t multiplies Rᵀ) into blocks
+    R = blockdiag(R_T, I_k) (M = RᵀR; factor_t multiplies Rᵀ) into blocks
     of columns, as banded products plus dense border products.
     """
 
-    def __init__(self, A, M, A_border=None, M_border=None):
+    def __init__(self, A, M, border=None):
         self.a, self.a_off = _tridiagonal(A, "A")
         self.m, self.m_off = _tridiagonal(M, "M")
         n_t = len(self.a)
         if len(self.m) != n_t:
             raise InvalidMatrix("A and M must have the same shape")
-        if (A_border is None) != (M_border is None):
-            raise InvalidMatrix("give both borders or neither")
-        self.A_border = self.M_border = None
-        if A_border is not None:
-            self.A_border = _border(A_border, "A", n_t)
-            self.M_border = _border(M_border, "M", n_t)
-            if self.A_border[0].shape != self.M_border[0].shape:
-                raise InvalidMatrix("A and M borders must have the same shape")
-            if self.A_border[0].shape[1] == 0:
-                self.A_border = self.M_border = None
+        self.border = None
+        if border is not None:
+            self.border = _border(border, n_t)
+            if self.border[0].shape[1] == 0:
+                self.border = None
         self.n_t = n_t
-        self.k = 0 if self.A_border is None else self.A_border[0].shape[1]
+        self.k = 0 if self.border is None else self.border[0].shape[1]
         self.n = n_t + self.k
         import scipy.linalg as sla
 
@@ -306,48 +305,36 @@ class TridiagonalPencil:
             raise PencilNotDefinite("tridiagonal block of M is not positive definite") from None
         # R_T: diagonal r and first superdiagonal r_off
         self._r, self._r_off = chol[1], chol[0, 1:]
-        if self.k:
-            C, G = self.M_border
-            self._F = sla.lapack.dtbtrs(chol, C, trans="T")[0]
-            schur = G - self._F.T @ self._F
-            try:
-                self._R_S = np.linalg.cholesky(0.5 * (schur + schur.T)).T
-            except np.linalg.LinAlgError:
-                raise PencilNotDefinite("Schur complement of M's border is not positive definite") from None
 
     def apply(self, X):
         """A X for a block of columns X."""
-        return _bordered_product(self.a, self.a_off, self.A_border, X)
+        return _bordered_product(self.a, self.a_off, self.border, X)
 
     def mass(self, X):
         """M X for a block of columns X."""
-        return _bordered_product(self.m, self.m_off, self.M_border, X)
+        Y = _bordered_product(self.m, self.m_off, None, X)
+        return np.concatenate([Y, X[self.n_t :]]) if self.k else Y
 
     def factor(self, X):
         """R X for a block of columns X, with M = RᵀR."""
         Xt = X[: self.n_t]
         Y = self._r[:, None] * Xt
         Y[:-1] += self._r_off[:, None] * Xt[1:]
-        if not self.k:
-            return Y
-        Xb = X[self.n_t :]
-        return np.concatenate([Y + self._F @ Xb, self._R_S @ Xb])
+        return np.concatenate([Y, X[self.n_t :]]) if self.k else Y
 
     def factor_t(self, X):
         """Rᵀ X for a block of columns X."""
         Xt = X[: self.n_t]
         Y = self._r[:, None] * Xt
         Y[1:] += self._r_off[:, None] * Xt[:-1]
-        if not self.k:
-            return Y
-        return np.concatenate([Y, self._F.T @ Xt + self._R_S.T @ X[self.n_t :]])
+        return np.concatenate([Y, X[self.n_t :]]) if self.k else Y
 
     def _schur(self, s):
-        """The border eliminated at the shift s: (solve, C_s, Z, S, growth)
-        with solve the tridiagonal solver of T_s = T_A - s T_M,
-        C_s = C_A - s C_M, Z = T_s⁻¹ C_s, the k x k Schur complement
-        S = G_s - C_sᵀ Z of A - s M, and growth the largest entry of S over
-        the largest of A - s M.  LinAlgError when T_s is exactly singular.
+        """The border eliminated at the shift s: (solve, Z, S, growth) with
+        solve the tridiagonal solver of T_s = T_A - s T_M, Z = T_s⁻¹ C, the
+        k x k Schur complement S = G - s I - Cᵀ Z of A - s M, and growth the
+        largest entry of S over the largest of A - s M.  LinAlgError when
+        T_s is exactly singular.
 
         Eliminating the border first loses accuracy when T_s is nearly
         singular (s close to an eigenvalue of the bare block): S then has
@@ -357,13 +344,13 @@ class TridiagonalPencil:
         """
         d, e = self.a - s * self.m, self.a_off - s * self.m_off
         solve = _tridiagonal_solver(d, e)
-        (CA, GA), (CM, GM) = self.A_border, self.M_border
-        Cs, Gs = CA - s * CM, GA - s * GM
-        Z = solve(Cs)
-        S = Gs - Cs.T @ Z
+        C, G = self.border
+        Gs = G - s * np.eye(self.k)
+        Z = solve(C)
+        S = Gs - C.T @ Z
         S = 0.5 * (S + S.T)
-        scale = max(float(np.max(np.abs(x), initial=0.0)) for x in (d, e, Cs, Gs))
-        return solve, Cs, Z, S, _max_abs(S) / scale
+        scale = max(float(np.max(np.abs(x), initial=0.0)) for x in (d, e, C, Gs))
+        return solve, Z, S, _max_abs(S) / scale
 
     def shift_inverse(self, sigma):
         """Solver of (A - sigma M) X = Y, for a block Y: LAPACK's tridiagonal
@@ -380,16 +367,16 @@ class TridiagonalPencil:
         """
         if not self.k:
             return _tridiagonal_solver(self.a - sigma * self.m, self.a_off - sigma * self.m_off)
-        tsolve, Cs, Z, S, growth = self._schur(sigma)
+        tsolve, Z, S, growth = self._schur(sigma)
         c, P = np.linalg.eigh(S)
         if not np.all(c) or growth > SCHUR_GROWTH**2:
             raise np.linalg.LinAlgError("A - sigma M is singular or nearly so at the border")
         Pc = P / c
-        n_t = self.n_t
+        n_t, C = self.n_t, self.border[0]
 
         def solve(Y):
             Xt = tsolve(Y[:n_t])
-            y = Pc @ (P.T @ (Y[n_t:] - Cs.T @ Xt))
+            y = Pc @ (P.T @ (Y[n_t:] - C.T @ Xt))
             return np.concatenate([Xt - Z @ y, y])
 
         if growth <= SCHUR_GROWTH:
@@ -422,7 +409,7 @@ class TridiagonalPencil:
             at, step = s, 2.0**-40 * max(1.0, abs(s))
             for _ in range(64):
                 try:
-                    S, growth = self._schur(at)[3:]
+                    S, growth = self._schur(at)[2:]
                     if growth <= SCHUR_GROWTH**2:
                         break
                 except np.linalg.LinAlgError:

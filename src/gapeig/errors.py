@@ -37,10 +37,6 @@ class WindowTooSmall(GapeigError):
     """Projector window does not leave the required margin around the computational domain."""
 
 
-class AugmentationDegenerate(GapeigError):
-    """Augmented trial space lost rank: original basis directions were not preserved."""
-
-
 class NotConverged(GapeigError):
     """An iterative solve stopped short: an inner solve failed or a certified count was not met."""
 

@@ -66,6 +66,8 @@ from gapeig.errors import InvalidMatrix
 
 MAX_PLANEWAVES = bloch.MAX_PLANEWAVES
 DEFAULT_EDGE_GUARD = 0.004
+# the dense routes (assemble_supercell, the mismatched cell) form n x n
+# matrices, so they refuse (BasisTooLarge) n above DENSE_LIMIT
 DENSE_LIMIT = 4200
 # 1D fiber form: W's grid points with |w| <= SUPPORT_TOL max|w| and its
 # components with s^2 <= RANK_TOL max s^2 are dropped; ROUNDOFF * ||H||
@@ -209,10 +211,11 @@ def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
     and its info {n_planewaves, grid, edge_ratio}.
 
     H is complex Hermitian.  It is not validated here: solve_real_form, which
-    supercell_spectrum hands it to, checks it while forming its real form."""
+    supercell_spectrum hands it to, checks it while forming its real form.
+    BasisTooLarge above max_planewaves or DENSE_LIMIT planewaves."""
     offs = supercell_wavevectors(V.lattice.d, L, N)
     n = len(offs)
-    bloch.check_budget(n, max_planewaves)
+    bloch.check_budget(n, min(max_planewaves, DENSE_LIMIT))
     grid = _coeff_grid(L, N)
     table, edge_ratio = _fourier_table(V, W, L, N, grid)
     H = _planewave_matrix(offs, 2.0 * np.pi / (L * V.lattice.b), table)
@@ -582,7 +585,7 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     if N < 4 * (L + t):
         raise ValueError("resolution ratio N/(L+t) must be at least 4")
     n = 2 * N + 1
-    bloch.check_budget(n, max_planewaves)
+    bloch.check_budget(n, min(max_planewaves, DENSE_LIMIT))
     span = (L + t) * lat.b
     grid = _coeff_grid(int(np.ceil(L + t)), N)
     table, edge_ratio = model.fourier_sample(lambda x: V(x) + W(x), 1, span, grid)

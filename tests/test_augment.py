@@ -104,6 +104,18 @@ def test_cross_mass_small(V1d, lat1d, proj_full):
     assert 0 < aug.diagnostics["rank_kept"] <= aug.diagnostics["rank_coupled"]
 
 
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_augmented_basis_orthogonal_to_p1_space(lat1d, proj_full, t):
+    # the added directions are mass-orthogonal to every domain hat function
+    # and mass-orthonormal, so the augmented mass is blockdiag(M_dom, I)
+    aug = augment.augmented_space(proj_full, fem1d.symmetric_mesh(lat1d, 100, 10, t))
+    MU = proj_full.apply_mass(aug.U_keep)
+    assert aug.n_aug > 0
+    assert np.max(np.abs(MU[aug.idx])) <= 1e-12
+    assert np.max(np.abs(aug.U_keep.T @ MU - np.eye(aug.n_aug))) <= 1e-12
+    assert aug.diagnostics["gram_min"] > augment.SIGMA_TOL
+
+
 def test_fem_and_planewave_sources_agree(V1d):
     # two independent constructions of the same spectral projector
     Pf = augment.build_projector(V1d, J=1, n_c=40, M_q=16, source="fem")

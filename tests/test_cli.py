@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapeig import cli
+from gapeig import augment, cli
 from gapeig.errors import ConfigError
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -114,6 +114,8 @@ def test_gap_and_dependents(tmp_path):
         rep = json.load(f)
     assert rep["idempotency_residual"] <= 1e-6
     assert rep["a2_estimate"] > 0
+    for run in read_summary(out)["results"]["runs"]:
+        assert run["gram_min"] > augment.SIGMA_TOL
 
     assert cli.main(["pollution-scan", "--config", cfg, "--out", out]) == 0
     s = read_summary(out)
@@ -474,6 +476,24 @@ def test_J_max_beyond_fiber_size_exit2(tmp_path, capsys, method):
     assert os.listdir(out) == []
     err = capsys.readouterr().err
     assert "J_max" in err and "M_pw" in err
+
+
+@pytest.mark.parametrize(
+    "edit, words",
+    [({"L": [4], "t": [-0.5]}, "config error"), ({"J": 60, "n_c": 50}, "n_c = 50"),
+     ({"J": 65}, "65 planewaves")],
+    ids=["negative-t", "J-beyond-p1-fiber", "J-beyond-reference-fiber"],
+)
+def test_augment_beyond_discretization_exit2(tmp_path, capsys, edit, words):
+    # a negative offset would leave a domain of fewer than 4 periods, and
+    # J + 1 bands must fit in both fibers the projectors are built from:
+    # config errors before any work, not tracebacks
+    cfg = read_cfg(GOLDEN_1D)
+    cfg["augment"].update(edit, window=[-1.144, -0.645])
+    out = tmp_path / "out"
+    assert cli.main(["augment", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+    assert words in capsys.readouterr().err
 
 
 def test_mismatched_supercell_below_resolution_exit2(tmp_path, capsys):

@@ -61,6 +61,20 @@ def test_budget_refusal(V1d, W1d):
         supercell.supercell_spectrum(V1d, W1d, 10, 160, WIN_1D, max_planewaves=100)
 
 
+def test_dense_routes_refuse_above_dense_limit(V1d, W1d, V2d, W2d, monkeypatch):
+    # every dense route refuses a cell above DENSE_LIMIT before it forms an
+    # n x n matrix; the limit is lowered below these small cells' sizes
+    monkeypatch.setattr(supercell, "DENSE_LIMIT", 300)
+    for solve in (
+        lambda: supercell.supercell_spectrum(V1d, W1d, 10, 160, WIN_1D, method="dense"),
+        lambda: supercell.mismatched_supercell_spectrum(V1d, W1d, 10, 0.5, 168, WIN_1D),
+        lambda: supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="dense"),
+        lambda: supercell.assemble_supercell(V1d, W1d, 10, 160),
+    ):
+        with pytest.raises(BasisTooLarge, match="budget of 300"):
+            solve()
+
+
 def test_free_particle_supercell_exact(lat1d, empty_w):
     free = model.PeriodicPotential(lat1d, [])
     win = (0.002, 0.3)
