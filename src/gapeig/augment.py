@@ -4,10 +4,13 @@ Spectral pollution of the truncated Galerkin method disappears when the
 trial space is compatible with the band projector P of the periodic
 background: the space must split into a part inside ran(P) and a part
 inside ran(1-P).  This module builds a discrete substitute for P from
-Bloch fibers of the periodic FEM problem, unfolds them over a window of
-exactly M_q periods, and augments the truncated P1 space with the projected
+Bloch fibers of the periodic FEM problem on a window of exactly M_q
+periods, and augments the truncated P1 space with the projected
 directions.  The resulting pencil has the same gap eigenvalues as the
-supercell reference, with no boundary-spurious values.
+supercell reference, with no boundary-spurious values.  The substitute is
+held as its fibers (ProjectorKernel), never as dense window-length
+columns: callers unfold only the node rows and the few directions they
+need.
 
 The augmented basis is [phi | (1 - Pi_h) u]: the domain's hat functions,
 and the projected directions less their mass-orthogonal projection Pi_h
@@ -32,6 +35,8 @@ the H1 operator norm of their difference on the domain's P1 functions.  The
 difference has rank at most 2*M_q*J, so the norm is computed exactly from
 one eigenproblem of that size, with no sampling.
 """
+
+import functools
 
 import numpy as np
 import scipy.linalg as sla
@@ -84,17 +89,38 @@ def _planewave_cell_vectors(V, q, n_c, J, M_pw):
     return res.eigenvalues, phases @ res.eigenvectors
 
 
-class ProjectorKernel:
-    """Rank M_q*J band projector on the M_q-period window circle.
+def _fiber_mass(lattice, n_c, qs, F):
+    """M_fiber(q) F[i] for each midpoint q: the P1 mass of one period, seam e^{iqb}."""
+    b = lattice.b
+    return np.stack([
+        fem1d.apply_form(fem1d.p1_forms(n_c, b / n_c, np.exp(1j * q * b))[1], f)
+        for q, f in zip(qs, F)
+    ])
 
-    Stored in factored form K = M U U^T M with U mass-orthonormal, so the
-    projector P = U U^T M is idempotent by construction; MU = M U is formed
-    once here and every method reads it.  diagnostics report the measured
-    orthonormality defect, trace, decay and translation invariance.
-    dense() materializes K for small windows.
+
+class ProjectorKernel:
+    """Rank M_q*J band projector on the M_q-period window circle, held as its Bloch fibers.
+
+    The projector is translation invariant, so it is stored as what it is
+    made of: F (M_q/2 x n_c x J, one slice per q > 0 of the midpoint grid),
+    band vectors mass-orthonormal per period, and MF = M_fiber(q) F.  On cell
+    c of the window the fibers unfold to sqrt(2/M_q) e^{iqb(c - M_q/2)} F[q],
+    whose real and imaginary parts are the mass-orthonormal columns of U;
+    MF unfolds the same way to MU = M U exactly, because every midpoint q has
+    e^{i q M_q b} = -1, the window circle's antiperiodic seam.  In this
+    factored form K = MU MU^T and P = U (MU)^T is idempotent by construction.
+
+    No array of window length is stored.  rows and mass_rows unfold the rows
+    of U and MU for a node range, coefficients folds U^T X and combine
+    unfolds U Y.  diagnostics report the measured orthonormality
+    defect, trace, decay and translation invariance; dense() materializes K
+    for small windows.
     """
 
-    def __init__(self, lattice, J, n_c, M_q, U, band_window, tau=DEFAULT_TAU):
+    # periods unfolded at a time when the Gram matrices are measured
+    GRAM_CELLS = 8
+
+    def __init__(self, lattice, J, n_c, M_q, F, band_window, tau=DEFAULT_TAU):
         self.lattice = lattice
         self.J = J
         self.n_c = n_c
@@ -102,11 +128,14 @@ class ProjectorKernel:
         self.n_win = M_q * n_c
         self.half_index = self.n_win // 2
         self.h = lattice.b / n_c
-        self.U = U
         self.band_window = band_window
         self.tau = tau
-        self.mass_form = self.forms()[1]
-        self.MU = self.apply_mass(U)
+        self.qs = bloch.midpoint_grid(lattice, M_q)[M_q // 2:]
+        # unfolding phase of cell c and the i-th q, with the column scale
+        cells = lattice.b * (np.arange(M_q) - M_q // 2)
+        self.phases = np.sqrt(2.0 / M_q) * np.exp(1j * np.outer(cells, self.qs))
+        self.F = F
+        self.MF = _fiber_mass(lattice, n_c, self.qs, F)
         self.diagnostics = {}
 
     def forms(self, pot=None):
@@ -121,16 +150,71 @@ class ProjectorKernel:
             integrals = fem1d.element_integrals(a, a + self.h, self.h, pot)
         return fem1d.p1_forms(self.n_win, self.h, -1.0, integrals)
 
+    @property
+    def mass_form(self):
+        return self.forms()[1]
+
     def apply_mass(self, X):
         return fem1d.apply_form(self.mass_form, X)
 
+    def _unfold(self, G, lo, hi):
+        n_c = self.n_c
+        Z = np.empty((hi - lo, len(self.qs), G.shape[2]), complex)
+        Gt = G.transpose(1, 0, 2)
+        for c in range(lo // n_c, -(-hi // n_c)):
+            a, b = max(lo, c * n_c), min(hi, (c + 1) * n_c)
+            np.multiply(Gt[a - c * n_c:b - c * n_c], self.phases[c, :, None], out=Z[a - lo:b - lo])
+        # columns (q, j, real/imaginary part), in that order
+        return Z.view(float).reshape(hi - lo, -1)
+
+    def rows(self, lo, hi):
+        """Rows lo..hi-1 of U."""
+        return self._unfold(self.F, lo, hi)
+
+    def mass_rows(self, lo, hi):
+        """Rows lo..hi-1 of MU."""
+        return self._unfold(self.MF, lo, hi)
+
+    def coefficients(self, X):
+        """U^T X for a real window vector or the columns of X."""
+        if X.ndim == 1:
+            return self.coefficients(X[:, None])[:, 0]
+        m = X.shape[1]
+        # fold the cells onto each q, then contract each fiber's nodes
+        T = (self.phases.T @ X.reshape(self.M_q, -1)).reshape(len(self.qs), self.n_c, m)
+        S = np.matmul(self.F.transpose(0, 2, 1), T)
+        return np.stack([S.real, S.imag], axis=2).reshape(-1, m)
+
+    def combine(self, Y):
+        """U Y for coefficients Y (M_q*J rows, or a vector)."""
+        if Y.ndim == 1:
+            return self.combine(Y[:, None])[:, 0]
+        m = Y.shape[1]
+        Yq = Y.reshape(len(self.qs), self.F.shape[2], 2, m)
+        G = np.matmul(self.F, Yq[:, :, 0] - 1j * Yq[:, :, 1])
+        return (self.phases @ G.reshape(len(self.qs), -1)).real.reshape(self.n_win, m)
+
     def project(self, x):
         """Apply P = U U^T M = U (MU)^T to window coefficients."""
-        return self.U @ (self.MU.T @ x)
+        return self.combine(self.coefficients(self.apply_mass(x)))
+
+    @functools.cached_property
+    def grams(self):
+        """(U^T MU, U^T U, (MU)^T MU), measured GRAM_CELLS periods of rows at a time."""
+        r = 2 * self.F.shape[0] * self.F.shape[2]
+        G, UU, MM = (np.zeros((r, r)) for _ in range(3))
+        step = self.GRAM_CELLS * self.n_c
+        for lo in range(0, self.n_win, step):
+            hi = min(lo + step, self.n_win)
+            R, MR = self.rows(lo, hi), self.mass_rows(lo, hi)
+            G += R.T @ MR
+            UU += R.T @ R
+            MM += MR.T @ MR
+        return G, UU, MM
 
     def gram_defect(self):
-        G = self.U.T @ self.MU
-        return float(np.max(np.abs(G - np.eye(self.U.shape[1])))), float(np.trace(G))
+        G = self.grams[0]
+        return float(np.max(np.abs(G - np.eye(len(G))))), float(np.trace(G))
 
     def idempotency_residual(self):
         """||P^2 - P||_F from r x r Gram matrices only (r = M_q * J).
@@ -139,25 +223,28 @@ class ProjectorKernel:
         ||P^2 - P||_F^2 = tr(E (U^T U) E (MU)^T (MU)); no n_win x n_win
         matrix is formed.
         """
-        E = self.U.T @ self.MU
-        E[np.diag_indices_from(E)] -= 1.0
-        sq = np.trace(E @ (self.U.T @ self.U) @ E @ (self.MU.T @ self.MU))
+        G, UU, MM = self.grams
+        E = G - np.eye(len(G))
+        sq = np.trace(E @ UU @ E @ MM)
         return float(np.sqrt(max(sq, 0.0)))
 
     def dense(self):
-        return self.MU @ self.MU.T
+        MU = self.mass_rows(0, self.n_win)
+        return MU @ MU.T
+
+    def _cell(self, c):
+        return self.mass_rows(c * self.n_c, (c + 1) * self.n_c)
 
     def _block(self, c1, c2):
-        r1 = slice(c1 * self.n_c, (c1 + 1) * self.n_c)
-        r2 = slice(c2 * self.n_c, (c2 + 1) * self.n_c)
-        return self.MU[r1] @ self.MU[r2].T
+        return self._cell(c1) @ self._cell(c2).T
 
     def decay_profile(self):
         """Max |K| entry per circular cell separation, relative to the overall max."""
         prof = np.zeros(self.M_q // 2 + 1)
+        first = self._cell(0)
         for c2 in range(self.M_q):
             sep = min(c2, self.M_q - c2)
-            prof[sep] = max(prof[sep], np.max(np.abs(self._block(0, c2))))
+            prof[sep] = max(prof[sep], np.max(np.abs(first @ self._cell(c2).T)))
         return prof / prof[0]
 
     def translation_defect(self):
@@ -178,45 +265,38 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
     Bloch functions on the same nodes (used as the reference projector in
     a2_estimate).  M_q must be even so the quasimomentum grid is symmetric
     under q -> -q; the two members of each +-q pair enter through the real
-    and imaginary parts of the unfolded Bloch function.
+    and imaginary parts of the unfolded Bloch function, so only the fibers
+    at q > 0 are solved and kept.
     """
     lat = V.lattice
     if lat.d != 1:
         raise ValueError("projector augmentation is 1D")
     if M_q % 2 or M_q < 4:
         raise QGridAsymmetric("M_q must be an even integer >= 4 for a +-q symmetric grid")
+    if source not in ("fem", "planewave"):
+        raise ValueError("source must be 'fem' or 'planewave'")
     qs = bloch.midpoint_grid(lat, M_q)[M_q // 2:]
-    n_win = M_q * n_c
-    U = np.empty((n_win, 2 * J * len(qs)))
+    F = np.empty((len(qs), n_c, J), complex)
     lo_next = np.inf
     hi_band = -np.inf
-    cell_phases = np.exp(1j * np.outer(qs, lat.b * (np.arange(M_q) - M_q // 2)))
-    mass = fem1d.p1_forms(n_win, lat.b / n_c, -1.0)[1]
     integrals = _cell_integrals(V, n_c) if source == "fem" else None
     for i, q in enumerate(qs):
         if source == "fem":
             ev, vecs = fem_fiber(V, q, n_c, J + 1, integrals)
-        elif source == "planewave":
-            ev, vecs = _planewave_cell_vectors(V, q, n_c, J + 1, M_pw)
         else:
-            raise ValueError("source must be 'fem' or 'planewave'")
+            ev, vecs = _planewave_cell_vectors(V, q, n_c, J + 1, M_pw)
         if ev[J] - ev[J - 1] <= bloch.DEGENERACY_TOL:
             raise NoGap("bands %d and %d degenerate at q=%.6f" % (J, J + 1, q))
         hi_band = max(hi_band, float(ev[J - 1]))
         lo_next = min(lo_next, float(ev[J]))
-        scale = np.sqrt(2.0 / M_q)
-        for j in range(J):
-            unfolded = np.kron(cell_phases[i], vecs[:, j])
-            re = scale * unfolded.real
-            im = scale * unfolded.imag
-            if source == "planewave":
-                # sampled exact Bloch functions are exactly orthogonal across
-                # the frame but not exactly unit mass; fix the norms
-                re = re / np.sqrt(float(re @ fem1d.apply_form(mass, re)))
-                im = im / np.sqrt(float(im @ fem1d.apply_form(mass, im)))
-            U[:, 2 * (i * J + j)] = re
-            U[:, 2 * (i * J + j) + 1] = im
-    P = ProjectorKernel(lat, J, n_c, M_q, U, (hi_band, lo_next), tau)
+        F[i] = vecs[:, :J]
+    if source == "planewave":
+        # sampled exact Bloch functions are not exactly unit mass per period;
+        # fix the norms (on the midpoint grid this is the unfolded columns'
+        # window mass: the cross term of q with -q is a vanishing geometric sum)
+        norms = np.einsum("qkj,qkj->qj", F.conj(), _fiber_mass(lat, n_c, qs, F)).real
+        F /= np.sqrt(norms)[:, None, :]
+    P = ProjectorKernel(lat, J, n_c, M_q, F, (hi_band, lo_next), tau)
     defect, trace = P.gram_defect()
     prof = P.decay_profile()
     far = prof[6:] if len(prof) > 6 else prof[-1:]
@@ -262,6 +342,12 @@ class AugmentedSpace:
         return self.U_keep.shape[1]
 
 
+def window_margins(mesh, M_q):
+    """Periods between the mesh's two ends and the edges of the M_q-period window."""
+    half = M_q * mesh.n_c // 2
+    return (mesh.i_lo + half) / mesh.n_c, (half - mesh.i_hi) / mesh.n_c
+
+
 def augmented_space(projector, mesh, min_margin=1.0):
     """Select the projected directions that augment the truncated space.
 
@@ -279,32 +365,30 @@ def augmented_space(projector, mesh, min_margin=1.0):
         raise TypeError("mesh must be a Mesh1D")
     if mesh.n_c != projector.n_c:
         raise ValueError("mesh and projector must share n_c")
-    half = projector.half_index
-    margin_lo = (mesh.i_lo + half) / mesh.n_c
-    margin_hi = (half - mesh.i_hi) / mesh.n_c
+    margin_lo, margin_hi = window_margins(mesh, projector.M_q)
     if margin_lo < min_margin or margin_hi < min_margin:
         raise WindowTooSmall(
             "window of %d periods leaves margins (%.2f, %.2f) around the domain; "
             "need at least %.2f periods (increase M_q)"
             % (projector.M_q, margin_lo, margin_hi, min_margin)
         )
-    idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + half
-    MU = projector.MU
-    C = MU[idx, :].T
-    Uq, s, _ = sla.svd(C, full_matrices=False)
+    idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + projector.half_index
+    # C^T = (MU)[idx], the domain's mass rows of the projector
+    MU_dom = projector.mass_rows(idx[0], idx[-1] + 1)
+    Uq, s, _ = sla.svd(MU_dom.T, full_matrices=False)
     if s[0] == 0.0:
         rank = 0
     else:
         rank = int(np.sum(s > projector.tau * s[0]))
     Q = Uq[:, :rank]
-    Uc = projector.U @ Q
     if rank == 0:
         diag = {"rank_coupled": 0, "rank_kept": 0, "cross_mass": 0.0, "gram_min": None,
                 "margins": (margin_lo, margin_hi)}
         return AugmentedSpace(mesh, projector, idx, np.zeros((projector.n_win, 0)), diag)
-    # residual of each coupled direction against the P1 space, in the mass
-    # inner product: R = I - Y^T M_dom^{-1} Y with Y the domain mass moments
-    Y = projector.apply_mass(Uc)[idx]
+    # residual of each coupled direction U Q against the P1 space, in the
+    # mass inner product: R = I - Y^T M_dom^{-1} Y with Y = (MU)[idx] Q the
+    # domain mass moments
+    Y = MU_dom @ Q
     # the mass form on the domain nodes (Dirichlet), in cho_solve_banded's upper storage
     d, o, _ = projector.mass_form
     chol = (sla.cholesky_banded(eigcore._banded(d[idx], o[idx[:-1]])[:2]), False)
@@ -313,13 +397,14 @@ def augmented_space(projector, mesh, min_margin=1.0):
     R = 0.5 * (R + R.T)
     lam, E = sla.eigh(R)
     keep = lam > SIGMA_TOL
-    V_keep = Uc @ E[:, keep]
+    # only the kept directions are unfolded over the window
+    V_keep = projector.combine(Q @ E[:, keep])
     # (A1) cross block: the v_k are in ran(P), the (1-P)phi_i are mass
     # orthogonal to them; report the measured value
     MVk = projector.apply_mass(V_keep)
-    cross = float(np.max(np.abs(MVk[idx] - MU[idx] @ (projector.U.T @ MVk)), initial=0.0))
+    cross = float(np.max(np.abs(MVk[idx] - MU_dom @ projector.coefficients(MVk)), initial=0.0))
     # (1 - Pi_h) v twice; the first pass reuses Z, the moments' solve
-    U_keep = V_keep.copy()
+    U_keep = V_keep
     U_keep[idx] -= Z @ E[:, keep]
     U_keep[idx] -= sla.cho_solve_banded(chol, projector.apply_mass(U_keep)[idx])
     G = U_keep.T @ projector.apply_mass(U_keep)
@@ -410,7 +495,8 @@ def a2_estimate(V, mesh, J=1, M_q=64, M_pw=DEFAULT_M_PW, ref_source="planewave",
     and R the triangle of a thin QR of R_c^{-T} K, A2^2 is the top
     eigenvalue of the 2r x 2r matrix F^T G_win F, F = B R^T.  F sums the two
     projectors' terms before anything is squared, so identical projectors
-    give A2 at roundoff level.  F is formed one period of rows at a time
+    give A2 at roundoff level.  K is unfolded from the two kernels' mass
+    rows on the domain only, and F one period of rows at a time
     (fem1d.form_gram), never whole.
     """
     n_c = mesh.n_c
@@ -435,20 +521,22 @@ def a2_estimate(V, mesh, J=1, M_q=64, M_pw=DEFAULT_M_PW, ref_source="planewave",
     # K = [(M U_ref)[idx], -(M U_fem)[idx]], whitened to R_c^{-T} K by a
     # transposed solve with the upper banded factor (its diagonal is
     # positive, so the solve cannot fail), then reduced to its R; both steps
-    # work in place, so the run's peak memory stays where the projector
-    # builds put it
-    r = P_fem.U.shape[1]
-    dom = slice(idx[0], idx[-1] + 1)
+    # work in place
+    r = M_q * J
+    dom = (idx[0], idx[-1] + 1)
     K = np.empty((len(idx), 2 * r), order="F")
-    K[:, :r] = P_ref.MU[dom]
-    np.negative(P_fem.MU[dom], out=K[:, r:])
+    K[:, :r] = P_ref.mass_rows(*dom)
+    np.negative(P_fem.mass_rows(*dom), out=K[:, r:])
     K = sla.lapack.dtbtrs(chol, K, trans="T", overwrite_b=True)[0]
-    Rt = sla.qr(K, mode="r", overwrite_a=True)[0][: 2 * r].T
+    # LAPACK's QR directly: scipy's qr(mode="r") would return R with all
+    # len(idx) rows
+    lwork = int(sla.lapack.dgeqrf_lwork(*K.shape)[0])
+    Rt = np.triu(sla.lapack.dgeqrf(K, lwork=lwork, overwrite_a=True)[0][: 2 * r]).T
 
     def rows(lo, hi):
         # rows of F = B R^T: the two projectors' terms cancel here, before
         # anything is squared
-        return np.hstack([P_ref.U[lo:hi], P_fem.U[lo:hi]]) @ Rt
+        return np.hstack([P_ref.rows(lo, hi), P_fem.rows(lo, hi)]) @ Rt
 
     top = np.linalg.eigvalsh(fem1d.form_gram(h1, rows, P_fem.n_c))[-1]
     return {

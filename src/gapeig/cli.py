@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from gapeig import bloch, model
-from gapeig.errors import ConfigError, GapeigError
+from gapeig.errors import ConfigError, GapeigError, MeshOffsetError
 
 _WINDOW = {
     "oneOf": [
@@ -710,35 +710,46 @@ def run_augment(cfg, out_dir, threads):
             "augment J = %d needs J + 1 bands of the P1 fiber (n_c = %d nodes) and of the "
             "reference fiber (%d planewaves)" % (J, n_c, n_pw)
         )
-    window = resolve_window(p["window"], out_dir)
     M_q = p.get("M_q", 64)
+    margin = p.get("window_margin", 1.0)
+    # every domain is checked against the window before the projector is built
+    meshes = []
+    for L in _as_list(p["L"]):
+        for t in _as_list(p.get("t", 0.0)):
+            try:
+                mesh = fem1d.symmetric_mesh(lat, n_c, L // 2, t)
+            except MeshOffsetError as e:
+                raise ConfigError("augment: %s" % e)
+            room = min(augment.window_margins(mesh, M_q))
+            if room < margin:
+                raise ConfigError(
+                    "augment L = %d, t = %g leaves %.2f periods to the edge of the M_q = %d "
+                    "window; window_margin asks for %g (increase M_q)" % (L, t, room, M_q, margin)
+                )
+            meshes.append((L, t, mesh))
+    window = resolve_window(p["window"], out_dir)
     P = augment.build_projector(V, J=J, n_c=n_c, M_q=M_q)
     ref = _reference_values(p["reference"], V, W, window) if "reference" in p else None
     rows = []
     results = {"window": list(window), "runs": []}
-    first_mesh = None
-    for L in _as_list(p["L"]):
-        for t in _as_list(p.get("t", 0.0)):
-            mesh = fem1d.symmetric_mesh(lat, n_c, L // 2, t)
-            if first_mesh is None:
-                first_mesh = mesh
-            aug = augment.augmented_space(P, mesh, min_margin=p.get("window_margin", 1.0))
-            res = augment.augmented_spectrum(V, W, aug, window, with_vectors=True)
-            for i, ev in enumerate(res.eigenvalues):
-                mb, mk = augment.localization_masses(aug, res.eigenvectors[:, i])
-                rows.append((L, t, n_c, M_q, ev, mb, mk, fem1d.mode_label(ev, res.window, ref)))
-            results["runs"].append(
-                {
-                    "L": L,
-                    "t": t,
-                    "eigenvalues": res.eigenvalues,
-                    "interior": res.interior(),
-                    "n_aug": aug.n_aug,
-                    "gram_min": aug.diagnostics["gram_min"],
-                    "certificate": _certificate(res.diagnostics),
-                }
-            )
-    a2 = augment.a2_estimate(V, first_mesh, J=J, M_q=M_q, projector=P)
+    for L, t, mesh in meshes:
+        aug = augment.augmented_space(P, mesh, min_margin=margin)
+        res = augment.augmented_spectrum(V, W, aug, window, with_vectors=True)
+        for i, ev in enumerate(res.eigenvalues):
+            mb, mk = augment.localization_masses(aug, res.eigenvectors[:, i])
+            rows.append((L, t, n_c, M_q, ev, mb, mk, fem1d.mode_label(ev, res.window, ref)))
+        results["runs"].append(
+            {
+                "L": L,
+                "t": t,
+                "eigenvalues": res.eigenvalues,
+                "interior": res.interior(),
+                "n_aug": aug.n_aug,
+                "gram_min": aug.diagnostics["gram_min"],
+                "certificate": _certificate(res.diagnostics),
+            }
+        )
+    a2 = augment.a2_estimate(V, meshes[0][2], J=J, M_q=M_q, projector=P)
     report = {
         "idempotency_residual": P.diagnostics["idempotency_residual"],
         "kernel_decay": P.diagnostics["decay_at_6_periods"],

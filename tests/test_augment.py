@@ -1,5 +1,7 @@
 """Spectral projector kernels and the projector-augmented discretization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -48,13 +50,90 @@ def test_idempotency(proj_small, proj_full):
 def test_idempotency_residual_matches_dense(proj_small):
     # the Gram-matrix formula against ||P^2 - P||_F formed densely, on a
     # kernel whose columns are deliberately not mass-orthonormal
-    U = proj_small.U * np.linspace(0.9, 1.1, proj_small.U.shape[1])
-    K = augment.ProjectorKernel(proj_small.lattice, 1, proj_small.n_c, proj_small.M_q, U, None)
+    F = proj_small.F * np.linspace(0.9, 1.1, proj_small.F[:, 0].size).reshape(-1, 1, proj_small.J)
+    K = augment.ProjectorKernel(proj_small.lattice, 1, proj_small.n_c, proj_small.M_q, F, None)
+    U = K.rows(0, K.n_win)
     Mdense = K.apply_mass(np.eye(K.n_win))
     Pd = U @ U.T @ Mdense
     want = np.linalg.norm(Pd @ Pd - Pd)
     assert K.idempotency_residual() == pytest.approx(want, rel=1e-10)
     assert want > 0.1
+
+
+def unfolded_columns(P):
+    """U and MU of a kernel unfolded explicitly: each column the real or
+    imaginary part of np.kron(cell phases, fiber vector), MU the window-circle
+    mass of those columns."""
+    n_q, n_c, J = P.F.shape
+    cells = P.lattice.b * (np.arange(P.M_q) - P.M_q // 2)
+    U = np.empty((P.n_win, 2 * n_q * J))
+    for i, q in enumerate(P.qs):
+        for j in range(J):
+            unfolded = np.sqrt(2.0 / P.M_q) * np.kron(np.exp(1j * q * cells), P.F[i, :, j])
+            U[:, 2 * (i * J + j)] = unfolded.real
+            U[:, 2 * (i * J + j) + 1] = unfolded.imag
+    mass = fem1d.p1_forms(P.n_win, P.h, -1.0)[1]
+    return U, fem1d.apply_form(mass, U)
+
+
+@pytest.mark.parametrize("source", ["fem", "planewave"])
+def test_bloch_form_matches_unfolded_columns(V1d, source):
+    # rows, mass_rows, coefficients, combine and project against the
+    # explicitly unfolded columns; node ranges start and end mid-period
+    P = augment.build_projector(V1d, J=1, n_c=40, M_q=16, source=source)
+    U, MU = unfolded_columns(P)
+    n = P.n_win
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    for lo, hi in ((0, 1), (0, 57), (13, 95), (250, 333), (n - 61, n), (n - 1, n), (0, n)):
+        close(P.rows(lo, hi), U[lo:hi])
+        close(P.mass_rows(lo, hi), MU[lo:hi])
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((n, 3))
+    Y = rng.standard_normal((U.shape[1], 3))
+    close(P.coefficients(X), U.T @ X)
+    close(P.combine(Y), U @ Y)
+    close(P.combine(Y[:, 0]), U @ Y[:, 0])
+    close(P.project(X[:, 0]), U @ (MU.T @ X[:, 0]))
+
+
+def stored_arrays(obj):
+    """The numpy arrays an object's attributes hold, also inside tuples and dicts."""
+    out, todo = [], list(vars(obj).values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, np.ndarray):
+            out.append(v)
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif isinstance(v, dict):
+            todo.extend(v.values())
+    return out
+
+
+def test_projector_memory(V1d, lat1d, proj_small):
+    # the full-size kernel holds its Bloch fibers, not n_win-row columns, and
+    # neither its build nor a2_estimate unfolds them whole (proj_small has
+    # done the imports and first-call set-up outside the trace)
+    mesh = fem1d.symmetric_mesh(lat1d, 100, 10)
+    tracemalloc.start()
+    try:
+        P = augment.build_projector(V1d, J=1, n_c=100, M_q=64)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        augment.a2_estimate(V1d, mesh, M_q=64, projector=P)
+        a2_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    arrays = stored_arrays(P)
+    assert sum(a.nbytes for a in arrays) < 1e6
+    assert all(a.ndim == 0 or a.shape[0] < P.n_win for a in arrays)
+    assert build_peak < 4e6
+    assert a2_peak < 5e6
 
 
 def test_translation_invariance(proj_full):
@@ -248,7 +327,7 @@ def test_window_circle_matches_closed_form(lat1d, proj_small):
     # quadrature are the same
     n_c, M_q = 6, 8
     n = n_c * M_q
-    P = augment.ProjectorKernel(lat1d, 1, n_c, M_q, np.zeros((n, 0)), None)
+    P = augment.ProjectorKernel(lat1d, 1, n_c, M_q, np.zeros((M_q // 2, n_c, 0), complex), None)
     length = n * P.h
     want, _ = p1_bloch_eigenvalues(length, n, np.pi / length)
     for forms in (P.forms(), P.forms(lambda x: 0.0 * x)):
@@ -279,7 +358,7 @@ def dense_a2(V1d, lat1d):
     D = P_ref.project(E) - P_fem.project(E)
     G_win = sum(fem1d.dense_form(f) for f in P_fem.forms())
     G_dom = G_win[np.ix_(idx, idx)]
-    U_dom = np.hstack([P_fem.U, P_ref.U])[idx]
+    U_dom = np.hstack([P.rows(idx[0], idx[-1] + 1) for P in (P_fem, P_ref)])
     exact = augment.a2_estimate(V1d, mesh, M_q=16, projector=P_fem)["estimate"]
     return D, G_win, G_dom, U_dom, exact
 

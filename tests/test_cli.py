@@ -496,6 +496,26 @@ def test_augment_beyond_discretization_exit2(tmp_path, capsys, edit, words):
     assert words in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, words",
+    [({"L": [70]}, "L = 70"), ({"L": [10, 64]}, "L = 64"),
+     ({"L": [10], "M_q": 16, "window_margin": 4}, "window_margin asks for 4"),
+     ({"t": [0.0, 0.333]}, "t = 0.333")],
+    ids=["domain-beyond-window", "second-domain-at-window-edge", "margin-below-window_margin",
+         "t-off-element-grid"],
+)
+def test_augment_domain_outside_window_exit2(tmp_path, capsys, edit, words):
+    # every (L, t) is checked against the projector window before the
+    # projector is built: exit 2 with nothing written, not a numerical error
+    cfg = read_cfg(GOLDEN_1D)
+    cfg["augment"].update(edit, window=[-1.144, -0.645])
+    out = tmp_path / "out"
+    assert cli.main(["augment", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert "config error" in err and words in err
+
+
 def test_mismatched_supercell_below_resolution_exit2(tmp_path, capsys):
     # round(4 * 3) = 12 < 4 * (3 + 0.5): refused before any solve
     cfg = json.loads(json.dumps(SMALL_CFG))
