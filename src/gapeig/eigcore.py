@@ -8,9 +8,10 @@ dispatches on the type (solve_lowest takes the first two):
   origin (bloch sweeps one translated to its inversion centre when it has
   one) and complex otherwise (a quasimomentum q != 0 breaks the
   conjugation symmetry).  Dense planewave supercells are solved
-  in their real symmetric form, which supercell.solve_real_form builds from
-  the complex exponential-basis matrix after checking that the operator is
-  real (SYMMETRY_TOL bounds that reality defect as well).  The standard
+  in their real symmetric form, which supercell._real_form reads directly
+  from the Fourier table of the potential after checking that the table is
+  that of a real potential (SYMMETRY_TOL bounds that reality defect as
+  well).  The standard
   problem (B=None: Bloch fibers, real supercell forms) goes through numpy's
   LAPACK (numpy.linalg.eigh), full spectrum first and then the window or
   the k lowest; the generalized problem uses scipy.linalg.eigh's subset

@@ -6,11 +6,10 @@ discretization is pollution-free: gap eigenvalues converge to the defect
 eigenvalues as L grows, with no spurious values, which makes it the
 reference the FEM diagnostics compare against.
 
-Every route reads the operator from one Fourier table of V + W on the
+Every route reads the operator from one Fourier table T of V + W on the
 _coeff_grid(L, N) FFT grid (_fourier_table): W periodized by FFT sampling,
 plus V's exact coefficients, which land on the supercell frequencies L*m
-(integer L).  In the planewave basis H = diag(|k|^2) + table[m_i - m_j]
-(_planewave_matrix).
+(integer L).  In the planewave basis H = diag(|k|^2) + T[m_i - m_j].
 
 A 1D supercell is solved in its fiber form (assemble_fiber_form), which
 never forms an n x n matrix.  V couples mode m only to the modes m + L s,
@@ -43,20 +42,26 @@ N=32.  For the 2D benchmark V the blocks are about half the size of the
 paired fibers (6 blocks of 120-256 modes at L=2, N=18, against 4 of about
 252).
 
-V and W are real, so H commutes with complex conjugation, which maps the
-planewave of mode m to that of mode -m.  The wavevector lists are centrally
-symmetric in lexicographic order, so index i and index n-1-i are the modes m
-and -m, and with K the reversal permutation U = (I + iK)/sqrt(2) turns the
-complex Hermitian H into the real symmetric Uᴴ H U with the same spectrum.
-Every route works on that real form (real_form), so every supercell is
-solved in real arithmetic.  Dense solves (method "dense", the 2D route at
-small sizes and the mismatched cell) form it by solve_real_form and hand
-LAPACK a real matrix of half the bytes of H; the fiber form takes its
-fibers and its W factor in it; the matrix-free solve applies it by
-_real_form_matvec, so its Lanczos is symmetric and its MINRES inner solves
-work on real blocks of n rows.  The same symmetry makes the grid
-functions that matvec convolves real, so its FFTs are real ones on half
-the grid.
+V and W are real, so T[-x] = conj T[x] and H commutes with complex
+conjugation, which maps the planewave of mode m to that of mode -m.  Every
+mode set is centrally symmetric, so with K that permutation of the modes
+U = (I + iK)/sqrt(2) turns the complex Hermitian H into the real symmetric
+S = Uᴴ H U with the same spectrum, and on the table S is one real lookup
+(_real_form):
+
+    S_ij = Re T[m_i - m_j] - Im T[m_i + m_j] + delta_ij |k_i|^2.
+
+Every route works on S, so every supercell is solved in real arithmetic
+and none forms a complex n x n array.  Dense solves (method "dense", the
+2D route at small sizes and the mismatched cell) build S and hand it to
+LAPACK; the fiber form takes its fibers and its W factor in it; the
+matrix-free solve applies it by _real_form_matvec, so its Lanczos is
+symmetric and its MINRES inner solves work on real blocks of n rows.  The
+lookup needs no order of the modes.  Only _real_form_matvec does: it
+reads index n-1-i as the mode opposite to index i, which holds for the
+lexicographic lists of supercell_wavevectors.  The same symmetry makes
+the grid functions that matvec convolves real, so its FFTs are real ones
+on half the grid.
 """
 
 import numpy as np
@@ -192,34 +197,65 @@ def _fourier_table(V, W, L, N, grid):
     return data + table, edge_ratio
 
 
-def _planewave_matrix(modes, kscale, table):
-    """diag(|k|^2) + table[m_i - m_j] on the planewaves modes (..., n, d),
-    k = kscale * m: the supercell operator, or a stack of its blocks.
+def _real_form(modes, kscale, table):
+    """The supercell operator in real form on the planewaves modes (..., n, d),
+    k = kscale * modes: S, or a stack of its blocks, read from the table T as
 
-    The table's grid must be larger than twice every |m_i - m_j|_a, as
-    _coeff_grid's is, so that no two differences share an entry."""
+        S_ij = Re T[m_i - m_j] - Im T[m_i + m_j] + delta_ij |k_i|^2.
+
+    The modes may come in any order; each set of them must be centrally
+    symmetric.  The table's grid must be larger than twice every
+    |m_i -+ m_j|_a, as _coeff_grid's is, so that no two of them share an
+    entry.  The entries within 2 max|m| of 0 are copied out flat, so that
+    m_i -+ m_j sits at p_i -+ p_j plus a constant, and rows are filled in
+    chunks of about 2^18 entries, which bounds the integer index arrays.
+    Raises InvalidMatrix when the table is not that of a real potential,
+    its reality defect max|T[-x] - conj T[x]| above SYMMETRY_TOL max|T|:
+    the real form would then drop part of H.
+    """
     g, d = table.shape[0], modes.shape[-1]
-    H = table[tuple((modes[..., :, None, a] - modes[..., None, :, a]) % g for a in range(d))]
+    mirror = np.roll(np.flip(table), 1, axis=tuple(range(d)))
+    defect = float(np.max(np.abs(mirror - table.conj()), initial=0.0))
+    if not defect <= eigcore.SYMMETRY_TOL * float(np.max(np.abs(table), initial=0.0)):
+        raise InvalidMatrix(
+            "Fourier table is not that of a real potential: reality defect %.3e exceeds "
+            "%.0e * max|T|" % (defect, eigcore.SYMMETRY_TOL)
+        )
+    reach = 2 * int(np.max(np.abs(modes), initial=0))
+    strides = (2 * reach + 1) ** np.arange(d - 1, -1, -1)
+    near = table[np.ix_(*[np.arange(-reach, reach + 1) % g] * d)].ravel()
+    re, im = near.real, near.imag
+    p = modes @ strides
+    centre = reach * int(np.sum(strides))
+    n = modes.shape[-2]
+    S = np.empty(modes.shape[:-1] + (n,))
+    step = max(1, (1 << 18) // p.size)
+    for r in range(0, n, step):
+        rows = p[..., r : r + step, None]
+        S[..., r : r + step, :] = re[rows - p[..., None, :] + centre]
+        S[..., r : r + step, :] -= im[rows + p[..., None, :] + centre]
     k = kscale * modes
-    i = np.arange(modes.shape[-2])
-    H[..., i, i] += np.sum(k * k, axis=-1)
-    return H
+    i = np.arange(n)
+    S[..., i, i] += np.sum(k * k, axis=-1)
+    return S
 
 
 def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
-    """Dense supercell matrix H in the exponential basis e^{2 pi i m.x/(L b)},
-    and its info {n_planewaves, grid, edge_ratio}.
+    """Dense supercell matrix in real form, S = Uᴴ H U for the operator H
+    in the exponential basis e^{2 pi i m.x/(L b)} (_real_form), and its
+    info {n_planewaves, grid, edge_ratio}.
 
-    H is complex Hermitian.  It is not validated here: solve_real_form, which
-    supercell_spectrum hands it to, checks it while forming its real form.
-    BasisTooLarge above max_planewaves or DENSE_LIMIT planewaves."""
+    S is real, with the spectrum of H; its symmetry is validated where it
+    is solved (eigcore.SymmetricPencil).  InvalidMatrix when the Fourier
+    table is not that of a real potential; BasisTooLarge above
+    max_planewaves or DENSE_LIMIT planewaves."""
     offs = supercell_wavevectors(V.lattice.d, L, N)
     n = len(offs)
     bloch.check_budget(n, min(max_planewaves, DENSE_LIMIT))
     grid = _coeff_grid(L, N)
     table, edge_ratio = _fourier_table(V, W, L, N, grid)
-    H = _planewave_matrix(offs, 2.0 * np.pi / (L * V.lattice.b), table)
-    return H, {"n_planewaves": n, "grid": grid, "edge_ratio": edge_ratio}
+    S = _real_form(offs, 2.0 * np.pi / (L * V.lattice.b), table)
+    return S, {"n_planewaves": n, "grid": grid, "edge_ratio": edge_ratio}
 
 
 def _fiber_blocks(V, L, N):
@@ -232,10 +268,9 @@ def _fiber_blocks(V, L, N):
     quasimomenta 2 pi r/(L b), r in (Z/L)^d, split further into the cosets
     of the lattice V's support generates.  Each class is joined with its
     opposite modes: the joined modes are centrally symmetric, so the block
-    has a real form (real_form), and that is what is eigendecomposed.  The
-    reversal K maps each block's modes onto themselves, so the U of the
-    whole operator's real form restricts to each block's own: the blocks
-    are those of the real form of the periodic part.  Blocks of one size
+    has a real form (_real_form), and that is what is eigendecomposed.  The
+    real form's entries depend on the two modes alone, so the blocks are
+    those of the real form of the periodic part.  Blocks of one size
     share one batched eigh.  Returns [(rows, e, Q)] per size, sizes
     ascending and blocks by smallest mode index: rows[b] are the basis
     rows of block b, ascending, e[b] its eigenvalues and Q[b] its real
@@ -247,8 +282,7 @@ def _fiber_blocks(V, L, N):
     table, _ = _fourier_table(V, None, L, N, _coeff_grid(L, N))
     groups = []
     for rows in bloch.mode_classes(modes, L * bloch.coupling_steps(V), opposite=True):
-        H = _planewave_matrix(modes[rows], kscale, table)
-        e, Q = np.linalg.eigh(real_form(H))
+        e, Q = np.linalg.eigh(_real_form(modes[rows], kscale, table))
         groups.append((rows, e, Q))
     return groups
 
@@ -275,7 +309,7 @@ def _compress_perturbation(w, N, g):
     Z = B U_k, keeping the s^2 above RANK_TOL of the largest; each column
     of Z is one FFT.  Every column is the transform of a real grid
     function, so K Z = conj(Z) (K maps mode m to -m), and in the real form
-    (real_form) Uᴴ Z = e^{-i pi/4} R with R = Re Z - Im Z real.  Returns
+    (_real_form) Uᴴ Z = e^{-i pi/4} R with R = Re Z - Im Z real.  Returns
     (R, sign, support, dropped): Uᴴ W U ~ -R diag(sign) Rᵀ, support the
     number of grid points kept and dropped a bound on the spectral norm of
     what was left out (F Fᴴ = I, so a dropped point moves W by at most its
@@ -314,12 +348,11 @@ def assemble_fiber_form(V, W, L, N):
     e are the eigenvalues of the fibers of the periodic part in real form
     (_fiber_blocks), and Y = Qᵀ R is the compressed W in real form
     (_compress_perturbation) in the fibers' real eigenbasis Q.  The
-    operator is orthogonally similar to the real form of
-    assemble_supercell's H up to the dropped part of W; its tol adds to
-    that bound a roundoff allowance, so its window counts hold for the
-    assembled H.  Nothing n x n is formed.  info holds
-    n_planewaves, grid, edge_ratio, rank_w (the rank k of Y) and
-    support_points (the grid points of W kept).
+    operator is orthogonally similar to assemble_supercell's real form S
+    up to the dropped part of W; its tol adds to that bound a roundoff
+    allowance, so its window counts hold for the assembled S.  Nothing
+    n x n is formed.  info holds n_planewaves, grid, edge_ratio, rank_w
+    (the rank k of Y) and support_points (the grid points of W kept).
     """
     L, N = int(L), int(N)
     grid = _coeff_grid(L, N)
@@ -346,48 +379,6 @@ def assemble_fiber_form(V, W, L, N):
     return op
 
 
-def real_form(H):
-    """The real form of a planewave supercell matrix H, or of a stack of
-    them (the last two axes).
-
-    H must satisfy K H K = conj(H) with K the index reversal, i.e. commute
-    with complex conjugation in a centrally symmetric basis listed so that
-    index n-1-i holds the mode opposite to index i.  Then
-
-        S = Uᴴ H U = Re H + (K Im H - Im H K) / 2,   U = (I + iK)/sqrt(2),
-
-    is real symmetric with the spectrum of H; it is formed from views of H
-    with no complex temporaries.  Raises InvalidMatrix when the reality
-    defect, the larger of max|K Re H - Re H K| and max|K Im H + Im H K|,
-    exceeds SYMMETRY_TOL times the largest entry of H (the real form would
-    then drop part of H).
-    """
-    R, J = H.real, H.imag
-    max_abs = eigcore._max_abs
-    scale = max(1.0, max_abs(R), max_abs(J))
-    defect = max(max_abs(R[..., ::-1, :] - R[..., :, ::-1]), max_abs(J[..., ::-1, :] + J[..., :, ::-1]))
-    if not defect <= eigcore.SYMMETRY_TOL * scale:
-        raise InvalidMatrix(
-            "supercell matrix does not commute with conjugation in its reversed basis: "
-            "reality defect %.3e exceeds %.0e * scale" % (defect, eigcore.SYMMETRY_TOL)
-        )
-    S = J[..., ::-1, :] - J[..., :, ::-1]
-    S *= 0.5
-    S += R
-    return S
-
-
-def solve_real_form(H, lo, hi):
-    """Eigenvalues in (lo, hi) of a planewave supercell matrix H, from its
-    real form (real_form) by a real windowed LAPACK call.
-
-    Raises InvalidMatrix when H is not real in its reversed basis, or when
-    its real form is not symmetric.  Together the two checks also certify
-    that H is Hermitian, since the real form is unitarily similar to it.
-    """
-    return eigcore.solve_window(eigcore.SymmetricPencil(real_form(H)), lo, hi, with_vectors=False)
-
-
 def _real_form_matvec(table, offs, kscale, L):
     """Matrix-free real form of the 2D supercell operator.
 
@@ -397,8 +388,10 @@ def _real_form_matvec(table, offs, kscale, L):
     and G is the smallest power of two with G >= 2N + bw + 2 and G >= 8L, so
     that no product of a mode with the table wraps around onto a mode.
     Returns (matvec, G): matvec(X) = S X for a real block X (n, p), with
-    S = Uᴴ H U = Re H + (K Im H - Im H K)/2 the real form solve_real_form
-    builds densely.
+    S = Uᴴ H U = Re H + (K Im H - Im H K)/2 the real form _real_form
+    builds densely.  K is the index reversal: the modes must be listed so
+    that index n-1-i holds the mode opposite to index i, as
+    supercell_wavevectors lists them.
 
     S x = Re(Uᴴ H c) with c = x + i K x, and for a real x the coefficients
     a = e^{-i pi/4} c satisfy a_{-m} = conj(a_m) (K maps mode m to -m), so
@@ -524,16 +517,18 @@ def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
 def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLANEWAVES):
     """Gap eigenvalues of the supercell operator inside the window.
 
-    method "dense" solves the real form of the assembled matrix with a
-    windowed LAPACK call (solve_real_form); "iterative" (2D only) uses the
+    method "dense" solves the assembled real form (assemble_supercell) with
+    a windowed LAPACK call; "iterative" (2D only) uses the
     matrix-free path (_iterative_window_2d), whose diagnostics carry its
     MINRES counts and residual_bound.  "auto" takes, in 1D, the fiber form
     (assemble_fiber_form) with its inertia-certified count and Woodbury
     shift-invert Lanczos, whose diagnostics carry the certificate
     n_in_window and residual_bound (a bound on ||H v - lambda v|| for the
     assembled H) and lanczos_steps; in 2D it picks dense or iterative by
-    size.
+    size.  Any other method raises ValueError before any work.
     """
+    if method not in ("auto", "dense", "iterative"):
+        raise ValueError("supercell method %r is none of auto/dense/iterative" % (method,))
     lat = V.lattice
     alpha, beta = _window_pair(window)
     offs = supercell_wavevectors(lat.d, L, N)
@@ -555,8 +550,8 @@ def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLA
     if method == "auto":
         method = "dense" if n <= DENSE_LIMIT else "iterative"
     if method == "dense":
-        H, diag = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
-        res = solve_real_form(H, alpha, beta)
+        S, diag = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
+        res = eigcore.solve_window(eigcore.SymmetricPencil(S), alpha, beta, with_vectors=False)
         diag.update({"method": "dense", "L": int(L), "N": int(N)})
         return SpectrumResult((alpha, beta), res.eigenvalues, diag)
     if lat.d != 2:
@@ -589,8 +584,8 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     span = (L + t) * lat.b
     grid = _coeff_grid(int(np.ceil(L + t)), N)
     table, edge_ratio = model.fourier_sample(lambda x: V(x) + W(x), 1, span, grid)
-    H = _planewave_matrix(np.arange(-N, N + 1)[:, None], 2.0 * np.pi / span, table)
-    res = solve_real_form(H, alpha, beta)
+    S = _real_form(np.arange(-N, N + 1)[:, None], 2.0 * np.pi / span, table)
+    res = eigcore.solve_window(eigcore.SymmetricPencil(S), alpha, beta, with_vectors=False)
     diag = {
         "method": "dense-mismatched",
         "L": float(L),

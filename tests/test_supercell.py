@@ -1,6 +1,9 @@
 """Supercell discretization: exact embeddings, free-particle oracle,
 dense/iterative agreement, commensurability breaking, set utilities."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -86,18 +89,19 @@ def test_free_particle_supercell_exact(lat1d, empty_w):
 
 
 def test_v_embedding_exact(V1d, empty_w):
-    # V coefficients land exactly on supercell frequency L*m
+    # V coefficients land exactly on supercell frequency L*m; the real form
+    # reads the entry (m, 0) as Re T[m] - Im T[m]
     L, N = 5, 20
-    H, _ = supercell.assemble_supercell(V1d, empty_w, L, N)
+    S, _ = supercell.assemble_supercell(V1d, empty_w, L, N)
     offs = supercell.supercell_wavevectors(1, L, N)[:, 0]
     c = V1d.fourier_coefficients()
     i = int(np.flatnonzero(offs == L)[0])
     j = int(np.flatnonzero(offs == 0)[0])
-    assert H[i, j] == c[(1,)]
+    assert S[i, j] == c[(1,)].real - c[(1,)].imag
     i2 = int(np.flatnonzero(offs == 2 * L)[0])
-    assert H[i2, j] == c[(2,)]
+    assert S[i2, j] == c[(2,)].real - c[(2,)].imag
     # no coupling at non-multiples of L
-    assert H[int(np.flatnonzero(offs == 1)[0]), j] == 0.0
+    assert S[int(np.flatnonzero(offs == 1)[0]), j] == 0.0
 
 
 def test_no_perturbation_no_gap_values(V1d, empty_w):
@@ -196,20 +200,10 @@ def test_iterative_window_retries_until_complete(V2d, W2d):
 
 
 @pytest.mark.parametrize("L, N", [(2, 8), (2, 18)])
-def test_real_form_matvec_matches_dense(V2d, W2d, monkeypatch, L, N):
-    # the matrix-free matvec applies the real form S that solve_real_form
-    # forms from the assembled H
-    seen = []
-    real_window = eigcore.solve_window
-
-    def spy(pencil, lo, hi, **kwargs):
-        seen.append(pencil.A)
-        return real_window(pencil, lo, hi, **kwargs)
-
-    monkeypatch.setattr(eigcore, "solve_window", spy)
-    H, info = supercell.assemble_supercell(V2d, W2d, L, N)
-    supercell.solve_real_form(H, *WIN_2D)
-    (S,) = seen
+def test_real_form_matvec_matches_dense(V2d, W2d, L, N):
+    # the matrix-free matvec applies the real form S that the dense route
+    # assembles
+    S, info = supercell.assemble_supercell(V2d, W2d, L, N)
     offs = supercell.supercell_wavevectors(2, L, N)
     table, _ = supercell._fourier_table(V2d, W2d, L, N, info["grid"])
     matvec, _ = supercell._real_form_matvec(table, offs, 2.0 * np.pi / (L * V2d.lattice.b), L)
@@ -233,10 +227,13 @@ def test_fiber_blocks_split_real_form(V2d, L, N):
     for block in rows:
         assert sorted(map(tuple, -modes[block])) == sorted(map(tuple, modes[block]))
     empty = model.Perturbation(V2d.lattice, [])
-    H, _ = supercell.assemble_supercell(V2d, empty, L, N)
-    dense = np.linalg.eigvalsh(supercell.real_form(H))
+    dense = np.linalg.eigvalsh(supercell.assemble_supercell(V2d, empty, L, N)[0])
     e = np.sort(np.concatenate([e.ravel() for _, e, _ in groups]))
     assert np.max(np.abs(e - dense)) <= 1e-12
+    # and the complex exponential-basis H, whose solver rounds differently
+    table, _ = supercell._fourier_table(V2d, None, L, N, supercell._coeff_grid(L, N))
+    want = np.linalg.eigvalsh(_complex_matrix(modes, 2.0 * np.pi / (L * V2d.lattice.b), table))
+    assert np.max(np.abs(e - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_iterative_operators_are_real(V2d, W2d, monkeypatch):
@@ -279,10 +276,12 @@ def test_iterative_window_uncertified_raises(V2d, W2d):
     ids=["1-10-160", "2-2-18", "1-10-160-far-v"],
 )
 def test_assemble_supercell_index_matches_lookup(V1d, W1d, V2d, W2d, d, L, N, far):
-    # H from the Fourier table must equal, bit for bit, the one built with a
-    # dict lookup of every shifted offset.  A V wavevector far beyond the
-    # basis (L * 71 = 710 > 2N) reaches no mode pair; placed on the table's
-    # 1024-point grid it would alias onto the difference 710 - 1024 = -314
+    # S read from the Fourier table must equal, bit for bit, the real form
+    # Re H + (K Im H - Im H K)/2 (K the index reversal) of the H built with a
+    # dict lookup of every shifted offset, the kinetic diagonal added last.
+    # A V wavevector far beyond the basis (L * 71 = 710 > 2N) reaches no
+    # mode pair; placed on the table's 1024-point grid it would alias onto
+    # the difference 710 - 1024 = -314
     V, W = (V1d, W1d) if d == 1 else (V2d, W2d)
     if far is not None:
         V = model.PeriodicPotential(V.lattice, V.terms + [(0.7, "cos", (far,), 0.3)])
@@ -292,7 +291,6 @@ def test_assemble_supercell_index_matches_lookup(V1d, W1d, V2d, W2d, d, L, N, fa
     grid = supercell._coeff_grid(L, N)
     k = 2.0 * np.pi / (L * V.lattice.b) * offs
     H = np.zeros((n, n), dtype=complex)
-    H[np.diag_indices(n)] = np.sum(k * k, axis=1)
     index = {tuple(row): i for i, row in enumerate(offs)}
     for m, c in V.fourier_coefficients().items():
         if c == 0:
@@ -304,12 +302,31 @@ def test_assemble_supercell_index_matches_lookup(V1d, W1d, V2d, W2d, d, L, N, fa
     data, _ = model.perturbation_supercell_coefficients(W, L, grid=grid)
     D = [(offs[:, a][:, None] - offs[:, a][None, :]) % grid for a in range(d)]
     H += data[tuple(D)]
-    assert np.array_equal(got, H)
+    S = 0.5 * (H.imag[::-1, :] - H.imag[:, ::-1]) + H.real
+    S[np.diag_indices(n)] += np.sum(k * k, axis=1)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, S)
 
 
 def test_iterative_rejects_1d(V1d, W1d, window1d):
     with pytest.raises(ValueError):
         supercell.supercell_spectrum(V1d, W1d, 10, 160, window1d, method="iterative")
+
+
+@pytest.mark.parametrize("d, method", [(1, "fibers"), (2, "Dense")])
+def test_unknown_method_raises(V1d, W1d, V2d, W2d, monkeypatch, d, method):
+    # an unknown method is refused by name before any work, also through a
+    # convergence scan; "Dense" used to run the 2D iterative route silently
+    V, W, win = (V1d, W1d, WIN_1D) if d == 1 else (V2d, W2d, WIN_2D)
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(supercell, "supercell_wavevectors", no_work)
+    with pytest.raises(ValueError, match="auto/dense/iterative"):
+        supercell.supercell_spectrum(V, W, 2, 18, win, method=method)
+    with pytest.raises(ValueError, match="auto/dense/iterative"):
+        supercell.convergence_scan(V, W, [2, 4], 9, win, method=method)
 
 
 @pytest.mark.parametrize(
@@ -324,60 +341,99 @@ def test_iterative_rejects_1d(V1d, W1d, window1d):
 )
 def test_real_form_matches_complex_oracle(V1d, W1d, V2d, W2d, monkeypatch, case):
     # every dense solve goes through the real form; it must agree with the
-    # complex Hermitian eigh of the exponential-basis matrix it was given
+    # complex Hermitian eigh of the exponential-basis matrix of the same
+    # modes and Fourier table
     seen = []
-    real_solve = supercell.solve_real_form
+    real_form = supercell._real_form
 
-    def spy(H, lo, hi):
-        seen.append(H.copy())
-        return real_solve(H, lo, hi)
+    def spy(modes, kscale, table):
+        seen.append((modes, kscale, table.copy()))
+        return real_form(modes, kscale, table)
 
-    monkeypatch.setattr(supercell, "solve_real_form", spy)
+    monkeypatch.setattr(supercell, "_real_form", spy)
     res = case(V1d, W1d, V2d, W2d)
-    (H,) = seen
+    ((modes, kscale, table),) = seen
+    H = _complex_matrix(modes, kscale, table)
     assert np.any(H.imag != 0)
     want = sla.eigvalsh(H, subset_by_value=res.window)
     assert len(want) == len(res.eigenvalues) > 0
     assert np.max(np.abs(res.eigenvalues - want)) <= 1e-12
     # and over a wide window holding many values on both sides of the gap
-    wide = real_solve(H, -5.0, 5.0).eigenvalues
+    S = real_form(modes, kscale, table)
+    wide = eigcore.solve_window(eigcore.SymmetricPencil(S), -5.0, 5.0).eigenvalues
     want = sla.eigvalsh(H, subset_by_value=(-5.0, 5.0))
     assert len(wide) == len(want) > 10
     assert np.max(np.abs(wide - want)) <= 1e-12
 
 
-def _real_operator_matrix(n, seed):
-    """U S U^H for a random real symmetric S: Hermitian, complex, and
-    commuting with conjugation in the reversed basis."""
+def _complex_matrix(modes, kscale, table):
+    """diag(|k|^2) + table[m_i - m_j] on the planewaves modes (n, d): the
+    supercell operator in the exponential basis, complex Hermitian."""
+    g, d = table.shape[0], modes.shape[1]
+    H = table[tuple((modes[:, None, a] - modes[None, :, a]) % g for a in range(d))]
+    k = kscale * modes
+    H[np.diag_indices(len(modes))] += np.sum(k * k, axis=1)
+    return H
+
+
+def _random_problem(d, seed):
+    """A random centrally symmetric mode set in shuffled order, not the
+    reversal order, and a random table with T[-x] = conj T[x] exactly."""
     rng = np.random.default_rng(seed)
-    S = rng.standard_normal((n, n))
-    S = S + S.T
-    U = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2.0)
-    H = U @ S @ U.conj().T
-    return 0.5 * (H + H.conj().T), S
+    N = 6 if d == 1 else 4
+    box = np.stack(np.meshgrid(*[np.arange(-N, N + 1)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    half = box[: len(box) // 2]  # the modes before 0 in lexicographic order
+    pick = half[rng.random(len(half)) < 0.6]
+    modes = np.concatenate([pick, -pick, np.zeros((1, d), dtype=int)])
+    modes = modes[rng.permutation(len(modes))]
+    g = supercell._coeff_grid(1, N)
+    X = rng.standard_normal((g,) * d) + 1j * rng.standard_normal((g,) * d)
+    mirror = np.roll(np.flip(X), 1, axis=tuple(range(d)))
+    return modes, 0.3 + rng.random(), 0.5 * (X + mirror.conj()), rng
 
 
 def test_real_form_recovers_spectrum():
-    H, S = _real_operator_matrix(9, 3)
-    w = supercell.solve_real_form(H, -100.0, 100.0).eigenvalues
-    assert np.max(np.abs(w - np.linalg.eigvalsh(S))) <= 1e-12
+    # for any centrally symmetric mode set, in any order, and any Hermitian
+    # table, the lookup's real S has the spectrum of the complex H
+    for d, seed in itertools.product((1, 2), range(5)):
+        modes, kscale, table, _ = _random_problem(d, seed)
+        H = _complex_matrix(modes, kscale, table)
+        S = supercell._real_form(modes, kscale, table)
+        assert S.dtype == np.float64 and np.array_equal(S, S.T)
+        want = np.linalg.eigvalsh(H)
+        assert np.max(np.abs(np.linalg.eigvalsh(S) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("part", ["generic", "real", "imag"])
 def test_real_form_rejects_non_real(part):
-    H, _ = _real_operator_matrix(9, 4)
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((9, 9))
-    if part == "generic":
-        # a random Hermitian matrix: Hermitian, but not a real operator
-        H = X + X.T + 1j * (X - X.T)
-    elif part == "real":
-        H = H + 1e-6 * (X + X.T)
-    else:
-        H = H + 1e-6j * (X - X.T)
-    assert np.max(np.abs(H - H.conj().T)) <= 1e-12
-    with pytest.raises(InvalidMatrix, match="reality defect"):
-        supercell.solve_real_form(H, -100.0, 100.0)
+    # a table with T[-x] != conj T[x] beyond SYMMETRY_TOL is not that of a
+    # real potential, in 1D and 2D
+    for d in (1, 2):
+        modes, kscale, table, rng = _random_problem(d, 4)
+        X = rng.standard_normal(table.shape)
+        if part == "generic":
+            table = X + 1j * rng.standard_normal(table.shape)
+        elif part == "real":
+            table = table + 1e-6 * X
+        else:
+            table = table + 1e-6j * X
+        with pytest.raises(InvalidMatrix, match="reality defect"):
+            supercell._real_form(modes, kscale, table)
+
+
+def test_dense_route_memory(V2d, W2d):
+    # the dense route builds the real S directly, with no complex H and
+    # n x n index arrays: its traced peak stays within three real n x n
+    # matrices (S, LAPACK's copy and the chunk temporaries)
+    supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="dense")
+    tracemalloc.start()
+    try:
+        res = supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="dense")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = res.diagnostics["n_planewaves"]
+    assert peak <= 3 * n * n * 8
 
 
 @pytest.mark.parametrize("ratio, L, N", [(8.2, 15, 123), (16.4, 15, 246)])
