@@ -28,7 +28,8 @@ construction, up to roundoff.
 Every form here comes from fem1d's one P1 kernel: the window circle uses
 its antiperiodic seam -1, the periodic fiber (fem_fiber) its quasiperiodic
 seam e^{iqb}, and the domain blocks are the circle forms restricted to the
-Dirichlet nodes.
+Dirichlet nodes.  augmented_spectrum returns its solve's eigcore.EigResult,
+as every windowed route does, with no use of the supercell module.
 
 How close the FEM projector is to the exact one is measured by a2_estimate,
 the H1 operator norm of their difference on the domain's P1 functions.  The
@@ -43,7 +44,6 @@ import scipy.linalg as sla
 
 from gapeig import bloch, eigcore, fem1d
 from gapeig.errors import NoGap, QGridAsymmetric, WindowTooSmall
-from gapeig.supercell import SpectrumResult, _window_pair
 
 DEFAULT_TAU = 1e-10
 # planewave cutoff of the reference fibers (source "planewave"): 2*M_pw + 1 modes
@@ -391,7 +391,7 @@ def augmented_space(projector, mesh, min_margin=1.0):
     Y = MU_dom @ Q
     # the mass form on the domain nodes (Dirichlet), in cho_solve_banded's upper storage
     d, o, _ = projector.mass_form
-    chol = (sla.cholesky_banded(eigcore._banded(d[idx], o[idx[:-1]])[:2]), False)
+    chol = (eigcore.tridiagonal_cholesky(d[idx], o[idx[:-1]]), False)
     Z = sla.cho_solve_banded(chol, Y)
     R = np.eye(rank) - Y.T @ Z
     R = 0.5 * (R + R.T)
@@ -428,9 +428,10 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     Dirichlet FEM tridiagonal, A bordered by its coupling to the retained
     directions and their Gram block and M by nothing (the directions'
     mass is the identity): an eigcore.TridiagonalPencil with n_aug columns.
+    Returns its windowed solve, an eigcore.EigResult, with the route's
+    diagnostics.
     """
     P = aug.projector
-    alpha, beta = _window_pair(window)
     idx = aug.idx
     Uk = aug.U_keep
     formA, (dM, oM, _) = P.forms(lambda x: V(x) + W(x))
@@ -440,8 +441,8 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     pencil = eigcore.TridiagonalPencil(
         (dA[idx], oA[idx[:-1]]), (dM[idx], oM[idx[:-1]]), (AU[idx], 0.5 * (G + G.T))
     )
-    res = eigcore.solve_window(pencil, alpha, beta, with_vectors=with_vectors)
-    diagd = {
+    res = eigcore.solve_window(pencil, *eigcore.window_pair(window), with_vectors=with_vectors)
+    res.diagnostics = {
         "method": "augmented",
         "n_fem": len(idx),
         "n_aug": Uk.shape[1],
@@ -450,7 +451,7 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
         "n_in_window": res.count,
         "residual_bound": res.residual_bound,
     }
-    return SpectrumResult((alpha, beta), res.eigenvalues, diagd, res.eigenvectors)
+    return res
 
 
 def localization_masses(aug, coeffs):
@@ -517,7 +518,7 @@ def a2_estimate(V, mesh, J=1, M_q=64, M_pw=DEFAULT_M_PW, ref_source="planewave",
     # H1 Gram of the window circle; on the mesh interior, the domain's (Dirichlet)
     h1 = tuple(k + m for k, m in zip(*P_fem.forms()))
     d, o, _ = h1
-    chol = sla.cholesky_banded(eigcore._banded(d[idx], o[idx[:-1]])[:2])
+    chol = eigcore.tridiagonal_cholesky(d[idx], o[idx[:-1]])
     # K = [(M U_ref)[idx], -(M U_fem)[idx]], whitened to R_c^{-T} K by a
     # transposed solve with the upper banded factor (its diagonal is
     # positive, so the solve cannot fail), then reduced to its R; both steps

@@ -43,8 +43,9 @@ GAP_TOL = 1e-6
 DEGENERACY_TOL = 1e-10
 DEFAULT_M_PW = {1: 32, 2: 9}
 DEFAULT_M_Q = {1: 64, 2: 32}
-# quasimomenta per stacked eigvalsh call of the band sweep
-SWEEP_CHUNK = 2
+# quasimomenta per stacked eigvalsh call of the band sweep, and per task of
+# a threaded one (stacks of 2 gave the threads too little work to gain)
+SWEEP_CHUNK = 4
 
 
 def fiber_offsets(d, M_pw):

@@ -10,7 +10,7 @@ exception, it is timing).
 Exit codes: 0 success, 2 config errors (nothing written), 3 numerical module
 errors (summary JSON written with the error name).
 
-Only model and bloch, which need numpy alone, are imported here; the runners
+Only model, eigcore and bloch, which need numpy alone, are imported here; the runners
 import fem1d, augment and supercell in their own bodies.  fem1d and augment
 bring in scipy.linalg, so the P1 subcommands (galerkin, pollution-scan,
 dislocation, augment) load scipy.linalg and no other part of scipy; bands,
@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from gapeig import bloch, model
+from gapeig import bloch, eigcore, model
 from gapeig.errors import ConfigError, GapeigError, MeshOffsetError
 
 _WINDOW = {
@@ -349,16 +349,7 @@ def build_problem(cfg):
         for t in cfg.get("potential", [])
     ]
     V = model.PeriodicPotential(lat, vterms)
-    wterms = [
-        {
-            "coefficient": t["coefficient"],
-            "factors": [tuple(f) for f in t["factors"]],
-            "center": tuple(t.get("center", (0.0,) * lat.d)),
-            "sigma": t.get("sigma", 1.0),
-        }
-        for t in cfg.get("perturbation", [])
-    ]
-    W = model.Perturbation(lat, wterms)
+    W = model.Perturbation(lat, cfg.get("perturbation", []))
     return lat, V, W
 
 
@@ -451,8 +442,7 @@ def _reference_values(ref, V, W, window):
 
     L = int(ref["L"])
     N = int(round(ref.get("ratio", 16) * L))
-    res = supercell.supercell_spectrum(V, W, L, N, window)
-    return res.interior()
+    return supercell.supercell_spectrum(V, W, L, N, window).interior()
 
 
 def _band_structure(V, p, threads):
@@ -547,8 +537,7 @@ def run_supercell(cfg, out_dir, threads):
     if len(Ls) > 1:
         scan = supercell.convergence_scan(V, W, Ls, ratio, window, method=method, max_planewaves=mp)
         for row in scan:
-            for ev in row["eigenvalues"]:
-                cls = "interior" if ev in row["interior"] else "edge"
+            for ev, cls in _edge_classes(row["eigenvalues"], window):
                 rows.append((row["L"], row["N"], 0.0, ev, cls))
             run = {
                 "L": row["L"],
@@ -571,11 +560,9 @@ def run_supercell(cfg, out_dir, threads):
             res = supercell.mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=mp)
         else:
             res = supercell.supercell_spectrum(V, W, L, N, window, method=method, max_planewaves=mp)
-        interior = res.interior()
-        for ev in res.eigenvalues:
-            cls = "interior" if ev in interior else "edge"
+        for ev, cls in _edge_classes(res.eigenvalues, res.window):
             rows.append((L, N, t, ev, cls))
-        run = {"L": L, "N": N, "t": t, "eigenvalues": res.eigenvalues, "interior": interior}
+        run = {"L": L, "N": N, "t": t, "eigenvalues": res.eigenvalues, "interior": res.interior()}
         results["runs"].append(_with_certificate(run, res.diagnostics))
         diag = res.diagnostics
     write_csv(
@@ -584,6 +571,12 @@ def run_supercell(cfg, out_dir, threads):
         rows,
     )
     return results, diag, ["supercell.csv"]
+
+
+def _edge_classes(values, window):
+    """(value, "interior" or "edge") by eigcore's edge guard."""
+    inside = eigcore.interior_mask(values, window)
+    return [(ev, "interior" if ok else "edge") for ev, ok in zip(values, inside)]
 
 
 def _certificate(diagnostics):
@@ -600,7 +593,7 @@ def _with_certificate(run, diagnostics):
 
 
 def _galerkin_rows(V, W, lat, p, window, rows, results):
-    from gapeig import fem1d, supercell
+    from gapeig import fem1d
 
     n_c = p.get("n_c", 100)
     t = p.get("t", 0.0)
@@ -613,7 +606,7 @@ def _galerkin_rows(V, W, lat, p, window, rows, results):
             res,
             ref,
             match_tol=p.get("match_tol", fem1d.MATCH_TOL),
-            edge_guard_frac=p.get("edge_guard", supercell.DEFAULT_EDGE_GUARD),
+            edge_guard_frac=p.get("edge_guard", eigcore.DEFAULT_EDGE_GUARD),
         )
         for r in reports:
             rows.append(

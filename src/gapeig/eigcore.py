@@ -55,16 +55,18 @@ cannot return exactly that many eigenvalues raises NotConverged.  Every
 Lanczos solve closes with one Rayleigh-Ritz step with the true operator,
 which polishes the values and bounds their residuals.
 
-Every solve returns ascending eigenvalues and, on request, B-orthonormal
-eigenvectors with a residual bound; Lanczos solves always carry their
-residual bound and basis size (lanczos_steps, summed over the pieces), and
-the counted ones their inertia count.  TridiagonalPencil, DiagonalLowRank
-and MatrixFree are real symmetric, so the Lanczos runs in real
-arithmetic; only a dense SymmetricPencil (a complex Bloch fiber) is ever
-complex.
+Every solve returns an EigResult: ascending eigenvalues and, on request,
+B-orthonormal eigenvectors with a residual bound; Lanczos solves always
+carry their residual bound and basis size (lanczos_steps, summed over the
+pieces), and the counted ones their inertia count.  A windowed solve's
+result keeps its window, and every windowed route of the package returns
+it with the route's diagnostics; interior_mask is the one edge guard.
+TridiagonalPencil, DiagonalLowRank and MatrixFree are real symmetric, so
+the Lanczos runs in real arithmetic; only a dense SymmetricPencil (a
+complex Bloch fiber) is ever complex.
 
 scipy.linalg, the only part of scipy used here, is imported inside the
-functions that use it (the generalized dense solve and TridiagonalPencil's
+functions that use it (the generalized dense solve and the tridiagonal
 factorizations), never at module level: a Bloch sweep and a
 DiagonalLowRank or MatrixFree solve need only numpy, and
 importing scipy.linalg (which loads its own copy of numpy's namespace) takes
@@ -77,6 +79,9 @@ import numpy as np
 from gapeig.errors import InvalidMatrix, NotConverged, PencilNotDefinite, ResolutionError
 
 SYMMETRY_TOL = 1e-12
+# interior_mask: values within this fraction of the window's width from an
+# end are band-edge values
+DEFAULT_EDGE_GUARD = 0.004
 # Lanczos: a Ritz pair counts as converged when its residual estimate is
 # below LANCZOS_TOL * |theta|; the basis holds at most MAX_KRYLOV vectors.
 LANCZOS_TOL = 1e-13
@@ -213,13 +218,17 @@ def _border(border, n_t):
     return C, G
 
 
-def _banded(d, e):
-    """LAPACK (1, 1) band storage of the symmetric tridiagonal (d, e)."""
-    ab = np.zeros((3, len(d)))
+def tridiagonal_cholesky(d, e):
+    """Upper Cholesky factor R (RᵀR = T) of the symmetric tridiagonal
+    T = (d, e) in LAPACK's upper band storage, which cho_solve_banded and
+    dtbtrs take: row 1 its diagonal, row 0 its superdiagonal after one
+    unused entry.  LinAlgError when T is not positive definite."""
+    from scipy.linalg import cholesky_banded
+
+    ab = np.zeros((2, len(d)))
     ab[0, 1:] = e
     ab[1] = d
-    ab[2, :-1] = e
-    return ab
+    return cholesky_banded(ab)
 
 
 def _bordered_product(d, e, border, X):
@@ -298,10 +307,8 @@ class TridiagonalPencil:
         self.n_t = n_t
         self.k = 0 if self.border is None else self.border[0].shape[1]
         self.n = n_t + self.k
-        import scipy.linalg as sla
-
         try:
-            chol = sla.cholesky_banded(_banded(self.m, self.m_off)[:2])
+            chol = tridiagonal_cholesky(self.m, self.m_off)
         except np.linalg.LinAlgError:
             raise PencilNotDefinite("tridiagonal block of M is not positive definite") from None
         # R_T: diagonal r and first superdiagonal r_off
@@ -682,7 +689,9 @@ class EigResult:
     is ||V^H B V - I||_max; dense value-only solves leave both None.  count
     is the inertia count that certifies a structured solve and
     lanczos_steps the Lanczos basis vectors it built over all window slices
-    (both None for dense solves; a MatrixFree solve has no count).
+    (both None for dense solves; a MatrixFree solve has no count).  window
+    is the open interval (lo, hi) of a solve_window call, which holds every
+    value (None for other solves); diagnostics is what the routes add.
     """
 
     def __init__(self, eigenvalues, eigenvectors=None, residual_bound=None, orthonormality=None,
@@ -693,9 +702,35 @@ class EigResult:
         self.orthonormality = orthonormality
         self.count = count
         self.lanczos_steps = lanczos_steps
+        self.window = None
+        self.diagnostics = {}
 
     def __len__(self):
         return len(self.eigenvalues)
+
+    def interior(self, guard_frac=DEFAULT_EDGE_GUARD):
+        """The eigenvalues away from both window ends (interior_mask)."""
+        return self.eigenvalues[interior_mask(self.eigenvalues, self.window, guard_frac)]
+
+
+def window_pair(window):
+    """(alpha, beta) as floats from a bloch.GapWindow or an (alpha, beta) pair."""
+    if hasattr(window, "alpha"):
+        return float(window.alpha), float(window.beta)
+    a, b = window
+    return float(a), float(b)
+
+
+def interior_mask(values, window, guard_frac=DEFAULT_EDGE_GUARD):
+    """Which values lie further than guard_frac times the width of the
+    window (alpha, beta) from both of its ends.  Values hugging an end sit
+    at the numerical band edge and cannot be attributed to a defect at
+    fixed resolution; counting only the others makes gap-eigenvalue counts
+    resolution-stable."""
+    alpha, beta = window
+    guard = guard_frac * (beta - alpha)
+    values = np.asarray(values)
+    return (values > alpha + guard) & (values < beta - guard)
 
 
 def _diagnostics(pencil, w, V):
@@ -724,9 +759,11 @@ def _solve_dense(pencil, with_vectors, by_value=None, by_index=None):
     open interval) or by_index (first and last 0-based index) selects.
 
     The standard problem takes numpy's LAPACK over the full spectrum and then
-    selects; the generalized one takes scipy's subset drivers.
+    selects; the generalized one takes scipy's subset drivers, whose value
+    subset is half open, (lo, hi], so hi is cut off here.
     """
     A, B = pencil.A, pencil.B
+    keep = slice(None)
     if B is not None:
         import scipy.linalg as sla
 
@@ -734,14 +771,12 @@ def _solve_dense(pencil, with_vectors, by_value=None, by_index=None):
         out = sla.eigh(A, B, subset_by_value=by_value, subset_by_index=by_index, driver=driver,
                        eigvals_only=not with_vectors)
         w, V = out if with_vectors else (out, None)
-        return _finish(pencil, w, V)
-    w, V = np.linalg.eigh(A) if with_vectors else (np.linalg.eigvalsh(A), None)
+    else:
+        w, V = np.linalg.eigh(A) if with_vectors else (np.linalg.eigvalsh(A), None)
+        if by_index is not None:
+            keep = slice(by_index[0], by_index[1] + 1)
     if by_value is not None:
         keep = (w > by_value[0]) & (w < by_value[1])
-    elif by_index is not None:
-        keep = slice(by_index[0], by_index[1] + 1)
-    else:
-        keep = slice(None)
     return _finish(pencil, w[keep], None if V is None else V[:, keep])
 
 
@@ -947,13 +982,17 @@ def _solve_lanczos(op, lo, hi, count, with_vectors):
 
 
 def solve_window(pencil, lo, hi, with_vectors=True):
-    """Eigenpairs with eigenvalues inside the open interval (lo, hi)."""
+    """Eigenpairs with eigenvalues inside the open interval (lo, hi), the
+    result's window."""
     if not (lo < hi):
         raise ValueError("window requires lo < hi")
     if isinstance(pencil, SymmetricPencil):
-        return _solve_dense(pencil, with_vectors, by_value=(lo, hi))
-    count = None if isinstance(pencil, MatrixFree) else pencil.count(lo, hi)
-    return _solve_lanczos(pencil, lo, hi, count, with_vectors)
+        res = _solve_dense(pencil, with_vectors, by_value=(lo, hi))
+    else:
+        count = None if isinstance(pencil, MatrixFree) else pencil.count(lo, hi)
+        res = _solve_lanczos(pencil, lo, hi, count, with_vectors)
+    res.window = (float(lo), float(hi))
+    return res
 
 
 def _lowest_window(pencil, k):
@@ -987,7 +1026,7 @@ def solve_lowest(pencil, k, with_vectors=True):
         lo, hi = _lowest_window(pencil, k)
         count = pencil.count(lo, hi)
         res = _solve_lanczos(pencil, lo, hi, count, True)
-        V = res.eigenvectors[:, :k] if with_vectors else None
-        return EigResult(res.eigenvalues[:k], V, res.residual_bound, res.orthonormality, count,
-                         res.lanczos_steps)
+        res.eigenvalues = res.eigenvalues[:k]
+        res.eigenvectors = res.eigenvectors[:, :k] if with_vectors else None
+        return res
     return _solve_dense(pencil, with_vectors, by_index=(0, k - 1))

@@ -19,14 +19,14 @@ of gap eigenvalues, for every P1 route.
 Every pencil here is tridiagonal and stays so: it is an
 eigcore.TridiagonalPencil, whose windowed solves never form an n x n matrix
 and carry an exact inertia count of the eigenvalues in the window
-(diagnostics "n_in_window", next to "residual_bound").
+(diagnostics "n_in_window", next to "residual_bound"); the spectra are
+those solves' eigcore.EigResult, with no use of the supercell module.
 """
 
 import numpy as np
 
 from gapeig import eigcore
 from gapeig.errors import MeshOffsetError
-from gapeig.supercell import DEFAULT_EDGE_GUARD, SpectrumResult, _window_pair
 
 GAUSS_POINTS = 10
 MATCH_TOL = 0.02
@@ -191,11 +191,11 @@ def assemble_galerkin(V, W, mesh):
 
 
 def _spectrum(pencil, window, with_vectors, extra_diag):
-    alpha, beta = _window_pair(window)
-    res = eigcore.solve_window(pencil, alpha, beta, with_vectors=with_vectors)
-    diag = {"n_dof": pencil.n, "n_in_window": res.count, "residual_bound": res.residual_bound}
-    diag.update(extra_diag)
-    return SpectrumResult((alpha, beta), res.eigenvalues, diag, res.eigenvectors)
+    """The pencil's windowed solve (an eigcore.EigResult) with its diagnostics."""
+    res = eigcore.solve_window(pencil, *eigcore.window_pair(window), with_vectors=with_vectors)
+    res.diagnostics = {"n_dof": pencil.n, "n_in_window": res.count,
+                       "residual_bound": res.residual_bound, **extra_diag}
+    return res
 
 
 def galerkin_spectrum(V, W, mesh, window, with_vectors=True):
@@ -284,7 +284,7 @@ class LocalizationReport:
 
 
 def mode_label(
-    eigenvalue, window, reference, match_tol=MATCH_TOL, edge_guard_frac=DEFAULT_EDGE_GUARD
+    eigenvalue, window, reference, match_tol=MATCH_TOL, edge_guard_frac=eigcore.DEFAULT_EDGE_GUARD
 ):
     """Class of one eigenvalue in the window (alpha, beta).
 
@@ -295,9 +295,7 @@ def mode_label(
     None, "true" within match_tol of a pollution-free reference eigenvalue,
     and "spurious" when no reference value is that close.
     """
-    alpha, beta = window
-    guard = edge_guard_frac * (beta - alpha)
-    if eigenvalue <= alpha + guard or eigenvalue >= beta - guard:
+    if not eigcore.interior_mask(eigenvalue, window, edge_guard_frac):
         return "undetermined"
     if reference is None:
         return "interior"
@@ -312,7 +310,7 @@ def classify_modes(
     result,
     reference,
     match_tol=MATCH_TOL,
-    edge_guard_frac=DEFAULT_EDGE_GUARD,
+    edge_guard_frac=eigcore.DEFAULT_EDGE_GUARD,
     R=None,
     K=None,
 ):

@@ -61,7 +61,8 @@ lookup needs no order of the modes.  Only _real_form_matvec does: it
 reads index n-1-i as the mode opposite to index i, which holds for the
 lexicographic lists of supercell_wavevectors.  The same symmetry makes
 the grid functions that matvec convolves real, so its FFTs are real ones
-on half the grid.
+on half the grid.  Every route returns its windowed solve's
+eigcore.EigResult, the result type of fem1d and augment too.
 """
 
 import numpy as np
@@ -70,7 +71,6 @@ from gapeig import bloch, eigcore, model
 from gapeig.errors import InvalidMatrix
 
 MAX_PLANEWAVES = bloch.MAX_PLANEWAVES
-DEFAULT_EDGE_GUARD = 0.004
 # the dense routes (assemble_supercell, the mismatched cell) form n x n
 # matrices, so they refuse (BasisTooLarge) n above DENSE_LIMIT
 DENSE_LIMIT = 4200
@@ -111,43 +111,6 @@ def hausdorff(a, b):
     d1 = np.max([np.min(np.abs(b - x)) for x in a])
     d2 = np.max([np.min(np.abs(a - y)) for y in b])
     return float(max(d1, d2))
-
-
-class SpectrumResult:
-    """Eigenvalues found inside an open window (alpha, beta), with diagnostics."""
-
-    def __init__(self, window, eigenvalues, diagnostics=None, eigenvectors=None):
-        self.window = (float(window[0]), float(window[1]))
-        ev = np.sort(np.atleast_1d(np.asarray(eigenvalues, dtype=float)))
-        inside = (ev > self.window[0]) & (ev < self.window[1])
-        self.eigenvalues = ev[inside]
-        self.eigenvectors = None
-        if eigenvectors is not None:
-            self.eigenvectors = eigenvectors[:, inside]
-        self.diagnostics = diagnostics or {}
-
-    def interior(self, guard_frac=DEFAULT_EDGE_GUARD):
-        """Eigenvalues further than guard_frac * window width from both endpoints.
-
-        Values hugging a window endpoint sit at the numerical band edge and
-        cannot be attributed to the defect at fixed resolution; counting only
-        interior values makes gap-eigenvalue counts resolution-stable.
-        """
-        a, b = self.window
-        g = guard_frac * (b - a)
-        ev = self.eigenvalues
-        return ev[(ev > a + g) & (ev < b - g)]
-
-    def __len__(self):
-        return len(self.eigenvalues)
-
-
-def _window_pair(window):
-    """Accept a GapWindow or an (alpha, beta) pair."""
-    if hasattr(window, "alpha"):
-        return float(window.alpha), float(window.beta)
-    a, b = window
-    return float(a), float(b)
 
 
 def supercell_wavevectors(d, L, N):
@@ -471,8 +434,9 @@ def _fiber_preconditioner(V, L, N):
     return precondition, sorted(rows.shape[1] for rows, _, _ in groups for _ in rows)
 
 
-def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
-    """Matrix-free shift-invert solve of the large 2D supercell, on numpy alone.
+def _iterative_window_2d(V, W, L, N, offs, alpha, beta):
+    """Matrix-free shift-invert solve of the large 2D supercell on the
+    planewaves offs, on numpy alone.
 
     The operator is the real form S of the dense route's H, applied by FFT
     from the same Fourier table (_real_form_matvec), as an
@@ -487,18 +451,14 @@ def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
     half-width from sigma); residual_bound bounds ||S v - lambda v|| after
     the closing Rayleigh-Ritz step with the true matvec.
     """
-    L = int(L)
-    offs = supercell_wavevectors(2, L, N)
     n = len(offs)
-    bloch.check_budget(n, max_planewaves)
-    alpha, beta = _window_pair(window)
     kscale = 2.0 * np.pi / (L * V.lattice.b)
     table, edge_ratio = _fourier_table(V, W, L, N, _coeff_grid(L, N))
     matvec, G = _real_form_matvec(table, offs, kscale, L)
     precondition, blocks = _fiber_preconditioner(V, L, N)
     op = eigcore.MatrixFree(n, matvec, precondition)
     res = eigcore.solve_window(op, alpha, beta, with_vectors=False)
-    diag = {
+    res.diagnostics = {
         "method": "shift-invert",
         "n_planewaves": n,
         "fft_grid": G,
@@ -511,11 +471,12 @@ def _iterative_window_2d(V, W, L, N, window, max_planewaves=MAX_PLANEWAVES):
         "window_complete": True,
         "residual_bound": res.residual_bound,
     }
-    return res.eigenvalues, diag
+    return res
 
 
 def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLANEWAVES):
-    """Gap eigenvalues of the supercell operator inside the window.
+    """Gap eigenvalues of the supercell operator inside the window: the
+    eigcore.EigResult of its windowed solve, with the route's diagnostics.
 
     method "dense" solves the assembled real form (assemble_supercell) with
     a windowed LAPACK call; "iterative" (2D only) uses the
@@ -530,35 +491,30 @@ def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLA
     if method not in ("auto", "dense", "iterative"):
         raise ValueError("supercell method %r is none of auto/dense/iterative" % (method,))
     lat = V.lattice
-    alpha, beta = _window_pair(window)
+    alpha, beta = eigcore.window_pair(window)
     offs = supercell_wavevectors(lat.d, L, N)
-    n = len(offs)
+    L, N, n = int(L), int(N), len(offs)
     bloch.check_budget(n, max_planewaves)
     if method == "auto" and lat.d == 1:
         op = assemble_fiber_form(V, W, L, N)
         res = eigcore.solve_window(op, alpha, beta, with_vectors=False)
-        diag = dict(op.info)
-        diag.update({
+        res.diagnostics = {
+            **op.info,
             "method": "fibers",
-            "L": int(L),
-            "N": int(N),
             "n_in_window": res.count,
             "residual_bound": res.residual_bound + op.tol,
             "lanczos_steps": res.lanczos_steps,
-        })
-        return SpectrumResult((alpha, beta), res.eigenvalues, diag)
-    if method == "auto":
-        method = "dense" if n <= DENSE_LIMIT else "iterative"
-    if method == "dense":
-        S, diag = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
+        }
+    elif method == "dense" or (method == "auto" and n <= DENSE_LIMIT):
+        S, info = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
         res = eigcore.solve_window(eigcore.SymmetricPencil(S), alpha, beta, with_vectors=False)
-        diag.update({"method": "dense", "L": int(L), "N": int(N)})
-        return SpectrumResult((alpha, beta), res.eigenvalues, diag)
-    if lat.d != 2:
+        res.diagnostics = {**info, "method": "dense"}
+    elif lat.d == 2:
+        res = _iterative_window_2d(V, W, L, N, offs, alpha, beta)
+    else:
         raise ValueError("iterative path is for d=2")
-    w, diag = _iterative_window_2d(V, W, L, N, (alpha, beta), max_planewaves=max_planewaves)
-    diag.update({"L": int(L), "N": int(N)})
-    return SpectrumResult((alpha, beta), w, diag)
+    res.diagnostics.update({"L": L, "N": N})
+    return res
 
 
 def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLANEWAVES):
@@ -568,14 +524,15 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     periodization carries a jump at the cell boundary; the resulting slow
     Fourier tail is kept on purpose (no aliasing refusal here) because the
     point of this variant is to show how breaking commensurability pollutes
-    the gap.  1D only.
+    the gap.  1D only; returns the eigcore.EigResult of the dense windowed
+    solve, with the route's diagnostics.
     """
     lat = V.lattice
     if lat.d != 1:
         raise ValueError("mismatched supercell is 1D only")
     if not (0 <= t < 1):
         raise ValueError("offset t must lie in [0, 1)")
-    alpha, beta = _window_pair(window)
+    alpha, beta = eigcore.window_pair(window)
     N = int(N)
     if N < 4 * (L + t):
         raise ValueError("resolution ratio N/(L+t) must be at least 4")
@@ -586,7 +543,7 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     table, edge_ratio = model.fourier_sample(lambda x: V(x) + W(x), 1, span, grid)
     S = _real_form(np.arange(-N, N + 1)[:, None], 2.0 * np.pi / span, table)
     res = eigcore.solve_window(eigcore.SymmetricPencil(S), alpha, beta, with_vectors=False)
-    diag = {
+    res.diagnostics = {
         "method": "dense-mismatched",
         "L": float(L),
         "t": float(t),
@@ -594,7 +551,7 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
         "edge_ratio": edge_ratio,
         "n_planewaves": n,
     }
-    return SpectrumResult((alpha, beta), res.eigenvalues, diag)
+    return res
 
 
 def convergence_scan(V, W, L_values, ratio, window, method="auto", max_planewaves=MAX_PLANEWAVES):

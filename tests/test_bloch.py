@@ -159,10 +159,17 @@ def test_fiber_budget_refused_before_assembly(V2d, monkeypatch):
     assert bloch.band_structure(V2d, M_q=2).fiber_classes == [171, 190]
 
 
-def test_band_structure_threads_agree(V1d):
-    a = bloch.band_structure(V1d, M_pw=12, M_q=8, threads=1)
-    b = bloch.band_structure(V1d, M_pw=12, M_q=8, threads=2)
-    assert np.array_equal(a.bands, b.bands)
+def test_band_structure_threads_agree(V1d, V2d, monkeypatch):
+    # each chunk of quasimomenta is its own stack of eigvalsh calls, so
+    # neither the chunk size nor the threads that spread the chunks change
+    # a bit of the bands (complex 1D fibers, real centred 2D ones)
+    for V, M_pw, M_q in ((V1d, 12, 16), (V2d, 4, 4)):
+        want = bloch.band_structure(V, M_pw=M_pw, M_q=M_q).bands
+        for chunk in (1, 2, 3, 4, 8, 16):
+            monkeypatch.setattr(bloch, "SWEEP_CHUNK", chunk)
+            for threads in (1, 2):
+                got = bloch.band_structure(V, M_pw=M_pw, M_q=M_q, threads=threads).bands
+                assert np.array_equal(got, want), (V.lattice.d, chunk, threads)
 
 
 def test_gap_1d_reference(gap1d):

@@ -760,3 +760,33 @@ def test_perfbench_tracer_still_sees_supercell_layers(tmp_path):
     import scipy.sparse.linalg
 
     assert supercell.spla is scipy.sparse.linalg
+
+
+@pytest.mark.parametrize("method, layer", [("galerkin", "fem1d.n_dof"),
+                                           ("dislocation", "fem1d.n_dof"),
+                                           ("augment", "augment.n_aug")])
+def test_perfbench_tracer_sees_p1_layers(tmp_path, method, layer):
+    # the P1 routes return eigcore's windowed result, whose length,
+    # residual bound and diagnostics the tracer's counters read
+    layers = _load_layers()
+    cfg = read_cfg(GOLDEN_1D)
+    cfg[method]["window"] = [-1.1442549263927626, -0.6450826051490102]
+    tracer = layers.Tracer()
+    run_id = tracer.begin_run()
+    with tracer.install():
+        assert cli.main([method, "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+    counters = tracer.counters[run_id]
+    for name in (layer, "eigcore.solve_window_calls", "eigcore.window_returned"):
+        assert counters[name] > 0, (name, counters)
+    metrics = layers.run_metrics([sp for sp in tracer.spans if sp[5] == run_id], counters)
+    assert metrics["trace.coverage"] >= 0.98, metrics
+
+
+def test_build_problem_leaves_perturbation_defaults_to_model(tmp_path):
+    # Perturbation defaults, converts and checks the config's terms itself
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg["perturbation"].append({"coefficient": 2, "factors": [[1, 0]]})
+    _, _, W = cli.build_problem(cfg)
+    assert W.terms == [(-1.0, [(2.0, 2)], (0.0,), 1.0), (2.0, [(1.0, 0)], (0.0,), 1.0)]
+    assert [type(x) for x in W.terms[1][1][0] + W.terms[1][2]] == [float, int, float]

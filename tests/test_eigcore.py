@@ -198,6 +198,43 @@ def test_window_requires_order():
         eigcore.solve_window(p, 1.0, -1.0)
 
 
+def test_window_result_interior():
+    # solve_window keeps its window; interior() drops the values within
+    # DEFAULT_EDGE_GUARD of the window's width from an end
+    p = eigcore.SymmetricPencil(np.diag([-0.5, 0.001, 0.5, 0.9999, 1.5]))
+    res = eigcore.solve_window(p, 0, 1, with_vectors=False)
+    assert res.window == (0.0, 1.0) and type(res.window[0]) is float
+    assert res.diagnostics == {}
+    assert np.array_equal(res.eigenvalues, [0.001, 0.5, 0.9999])
+    assert np.array_equal(res.interior(), [0.5])
+    assert np.array_equal(res.interior(0.0), res.eigenvalues)
+    # the guard band is closed: a value on its edge is not interior
+    assert np.array_equal(eigcore.interior_mask([0.25, 0.5, 0.75], (0.0, 1.0), 0.25),
+                          [False, True, False])
+    assert eigcore.window_pair([1, 2]) == (1.0, 2.0)
+
+
+def test_generalized_window_is_open():
+    # scipy's value subset is (lo, hi]; a value on hi stays out of the window
+    p = eigcore.SymmetricPencil(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+    for with_vectors in (False, True):
+        res = eigcore.solve_window(p, 1.0, 3.0, with_vectors=with_vectors)
+        assert np.array_equal(res.eigenvalues, [2.0])
+
+
+def test_tridiagonal_cholesky_matches_dense():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7):
+        d, e = 2.0 + rng.random(n), rng.uniform(-0.5, 0.5, n - 1)
+        ab = eigcore.tridiagonal_cholesky(d, e)
+        R = np.diag(ab[1]) + np.diag(ab[0, 1:], 1)
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        assert np.allclose(R, np.linalg.cholesky(T).T, rtol=0.0, atol=1e-14)
+        assert np.allclose(sla.cho_solve_banded((ab, False), T), np.eye(n), rtol=0.0, atol=1e-13)
+    with pytest.raises(np.linalg.LinAlgError):
+        eigcore.tridiagonal_cholesky(np.array([1.0, -1.0]), np.array([0.0]))
+
+
 # --- TridiagonalPencil: inertia-certified windowed solves, dense oracle ---
 
 

@@ -42,12 +42,6 @@ def test_hausdorff_symmetric():
     assert supercell.hausdorff(a, b) == supercell.hausdorff(b, a)
 
 
-def test_spectrum_result_window_and_interior():
-    res = supercell.SpectrumResult((0.0, 1.0), [-0.5, 0.001, 0.5, 0.9999, 1.5])
-    assert np.allclose(res.eigenvalues, [0.001, 0.5, 0.9999])
-    assert np.allclose(res.interior(), [0.5])
-
-
 def test_wavevectors_1d_and_ball_2d():
     m1 = supercell.supercell_wavevectors(1, 2, 8)
     assert m1.shape == (17, 1)
