@@ -29,12 +29,12 @@ Every form here comes from fem1d's one P1 kernel: the window circle uses
 its antiperiodic seam -1, the periodic fiber (fem_fiber) its quasiperiodic
 seam e^{iqb}, and the domain blocks are the circle forms restricted to the
 Dirichlet nodes.  augmented_spectrum returns its solve's eigcore.EigResult,
-as every windowed route does, with no use of the supercell module.
+eigenvectors included, as every P1 route does, with no use of supercell.
 
-How close the FEM projector is to the exact one is measured by a2_estimate,
-the H1 operator norm of their difference on the domain's P1 functions.  The
-difference has rank at most 2*M_q*J, so the norm is computed exactly from
-one eigenproblem of that size, with no sampling.
+a2_estimate(V, mesh, projector) measures a FEM projector against the
+planewave one of the same J, n_c and M_q: the H1 norm of their difference
+on the domain's P1 functions.  The difference has rank at most 2*M_q*J, so
+the norm is computed exactly from one eigenproblem of that size.
 """
 
 import functools
@@ -43,14 +43,21 @@ import numpy as np
 import scipy.linalg as sla
 
 from gapeig import bloch, eigcore, fem1d
-from gapeig.errors import NoGap, QGridAsymmetric, WindowTooSmall
+from gapeig.errors import BasisTooLarge, NoGap, QGridAsymmetric, WindowTooSmall
 
+# relative tolerance of the kernel's edge decay and of augmented_space's SVD
 DEFAULT_TAU = 1e-10
 # planewave cutoff of the reference fibers (source "planewave"): 2*M_pw + 1 modes
 DEFAULT_M_PW = 32
 # augmented_space keeps a projected direction when its residual-Gram
 # eigenvalue (its squared mass distance from the P1 space) exceeds SIGMA_TOL
 SIGMA_TOL = 1e-8
+# build_projector's budgets (BasisTooLarge before any fiber), from
+# tracemalloc peaks: a dense fiber pencil costs 70 B * n_c^2 and a whole
+# augment run (0.2 kB + 27 B * M_q * J) per window node M_q*n_c, so about
+# 0.6 and 0.7 GB (at n_c = 100) at the caps
+MAX_FIBER_NODES = 3000
+MAX_WINDOW_NODES = 50000
 
 
 def _cell_integrals(V, n_c):
@@ -78,11 +85,11 @@ def fem_fiber(V, q, n_c, J, integrals=None):
     return res.eigenvalues, res.eigenvectors
 
 
-def _planewave_cell_vectors(V, q, n_c, J, M_pw):
-    """Exact Bloch band functions at q sampled on the n_c period nodes."""
+def _planewave_cell_vectors(V, q, n_c, J):
+    """Exact Bloch band functions at q (DEFAULT_M_PW) sampled on the n_c period nodes."""
     lat = V.lattice
-    res = bloch.fiber_bands(V, np.atleast_1d(q), M_pw, J, with_vectors=True)
-    offs = bloch.fiber_offsets(1, M_pw)[:, 0]
+    res = bloch.fiber_bands(V, np.atleast_1d(q), DEFAULT_M_PW, J, with_vectors=True)
+    offs = bloch.fiber_offsets(1, DEFAULT_M_PW)[:, 0]
     x = np.arange(n_c) * (lat.b / n_c)
     # psi(x) = e^{iqx} sum_G c_G e^{i 2 pi m x / b} / sqrt(b)
     phases = np.exp(1j * np.outer(x, q + lat.reciprocal * offs)) / np.sqrt(lat.b)
@@ -112,15 +119,15 @@ class ProjectorKernel:
 
     No array of window length is stored.  rows and mass_rows unfold the rows
     of U and MU for a node range, coefficients folds U^T X and combine
-    unfolds U Y.  diagnostics report the measured orthonormality
-    defect, trace, decay and translation invariance; dense() materializes K
-    for small windows.
+    unfolds U Y, so P x = combine(coefficients(apply_mass(x))).
+    diagnostics report the measured orthonormality defect, trace, decay and
+    translation invariance; dense() materializes K for small windows.
     """
 
     # periods unfolded at a time when the Gram matrices are measured
     GRAM_CELLS = 8
 
-    def __init__(self, lattice, J, n_c, M_q, F, band_window, tau=DEFAULT_TAU):
+    def __init__(self, lattice, J, n_c, M_q, F, band_window):
         self.lattice = lattice
         self.J = J
         self.n_c = n_c
@@ -129,7 +136,6 @@ class ProjectorKernel:
         self.half_index = self.n_win // 2
         self.h = lattice.b / n_c
         self.band_window = band_window
-        self.tau = tau
         self.qs = bloch.midpoint_grid(lattice, M_q)[M_q // 2:]
         # unfolding phase of cell c and the i-th q, with the column scale
         cells = lattice.b * (np.arange(M_q) - M_q // 2)
@@ -194,10 +200,6 @@ class ProjectorKernel:
         G = np.matmul(self.F, Yq[:, :, 0] - 1j * Yq[:, :, 1])
         return (self.phases @ G.reshape(len(self.qs), -1)).real.reshape(self.n_win, m)
 
-    def project(self, x):
-        """Apply P = U U^T M = U (MU)^T to window coefficients."""
-        return self.combine(self.coefficients(self.apply_mass(x)))
-
     @functools.cached_property
     def grams(self):
         """(U^T MU, U^T U, (MU)^T MU), measured GRAM_CELLS periods of rows at a time."""
@@ -257,16 +259,17 @@ class ProjectorKernel:
         return worst
 
 
-def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw=DEFAULT_M_PW):
+def build_projector(V, J=1, n_c=100, M_q=64, source="fem"):
     """Build the discrete band projector for the lowest J bands of -d2/dx2 + V.
 
     source "fem" uses the periodic P1 fiber at the same resolution n_c as the
     computational mesh; source "planewave" samples the near-exact planewave
-    Bloch functions on the same nodes (used as the reference projector in
-    a2_estimate).  M_q must be even so the quasimomentum grid is symmetric
-    under q -> -q; the two members of each +-q pair enter through the real
-    and imaginary parts of the unfolded Bloch function, so only the fibers
-    at q > 0 are solved and kept.
+    Bloch functions (DEFAULT_M_PW) on the same nodes (used as the reference
+    projector in a2_estimate).  M_q must be even so the quasimomentum grid
+    is symmetric under q -> -q; the two members of each +-q pair enter
+    through the real and imaginary parts of the unfolded Bloch function, so
+    only the fibers at q > 0 are solved and kept.  BasisTooLarge, before
+    any fiber, above MAX_FIBER_NODES or MAX_WINDOW_NODES.
     """
     lat = V.lattice
     if lat.d != 1:
@@ -275,6 +278,9 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
         raise QGridAsymmetric("M_q must be an even integer >= 4 for a +-q symmetric grid")
     if source not in ("fem", "planewave"):
         raise ValueError("source must be 'fem' or 'planewave'")
+    if n_c > MAX_FIBER_NODES or M_q * n_c > MAX_WINDOW_NODES:
+        raise BasisTooLarge("n_c = %d and M_q * n_c = %d nodes exceed the budget of %d and %d"
+                            % (n_c, M_q * n_c, MAX_FIBER_NODES, MAX_WINDOW_NODES))
     qs = bloch.midpoint_grid(lat, M_q)[M_q // 2:]
     F = np.empty((len(qs), n_c, J), complex)
     lo_next = np.inf
@@ -284,7 +290,7 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
         if source == "fem":
             ev, vecs = fem_fiber(V, q, n_c, J + 1, integrals)
         else:
-            ev, vecs = _planewave_cell_vectors(V, q, n_c, J + 1, M_pw)
+            ev, vecs = _planewave_cell_vectors(V, q, n_c, J + 1)
         if ev[J] - ev[J - 1] <= bloch.DEGENERACY_TOL:
             raise NoGap("bands %d and %d degenerate at q=%.6f" % (J, J + 1, q))
         hi_band = max(hi_band, float(ev[J - 1]))
@@ -296,12 +302,12 @@ def build_projector(V, J=1, n_c=100, M_q=64, tau=DEFAULT_TAU, source="fem", M_pw
         # window mass: the cross term of q with -q is a vanishing geometric sum)
         norms = np.einsum("qkj,qkj->qj", F.conj(), _fiber_mass(lat, n_c, qs, F)).real
         F /= np.sqrt(norms)[:, None, :]
-    P = ProjectorKernel(lat, J, n_c, M_q, F, (hi_band, lo_next), tau)
+    P = ProjectorKernel(lat, J, n_c, M_q, F, (hi_band, lo_next))
     defect, trace = P.gram_defect()
     prof = P.decay_profile()
     far = prof[6:] if len(prof) > 6 else prof[-1:]
     edge = float(prof[-1])
-    if edge > 100.0 * tau:
+    if edge > 100.0 * DEFAULT_TAU:
         raise WindowTooSmall(
             "kernel has not decayed across the window: relative edge entry %.3e" % edge
         )
@@ -352,7 +358,7 @@ def augmented_space(projector, mesh, min_margin=1.0):
     """Select the projected directions that augment the truncated space.
 
     Couples the projector to the domain through C = U^T M restricted to the
-    domain nodes, compresses with an SVD at relative tolerance tau, then
+    domain nodes, compresses with an SVD at relative tolerance DEFAULT_TAU, then
     drops directions already representable in the P1 space: eigenvectors of
     the residual Gram I - Y^T M_dom^{-1} Y at or below SIGMA_TOL carry no
     new content.  Each kept v becomes v - phi M_dom^{-1} (M v)[idx], applied
@@ -379,7 +385,7 @@ def augmented_space(projector, mesh, min_margin=1.0):
     if s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > projector.tau * s[0]))
+        rank = int(np.sum(s > DEFAULT_TAU * s[0]))
     Q = Uq[:, :rank]
     if rank == 0:
         diag = {"rank_coupled": 0, "rank_kept": 0, "cross_mass": 0.0, "gram_min": None,
@@ -420,7 +426,7 @@ def augmented_space(projector, mesh, min_margin=1.0):
     return AugmentedSpace(mesh, projector, idx, U_keep, diag)
 
 
-def augmented_spectrum(V, W, aug, window, with_vectors=False):
+def augmented_spectrum(V, W, aug, window):
     """Gap eigenvalues of H on the augmented space.
 
     The forms live on the projector window circle (the W tail beyond the
@@ -428,8 +434,8 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     Dirichlet FEM tridiagonal, A bordered by its coupling to the retained
     directions and their Gram block and M by nothing (the directions'
     mass is the identity): an eigcore.TridiagonalPencil with n_aug columns.
-    Returns its windowed solve, an eigcore.EigResult, with the route's
-    diagnostics.
+    Returns its windowed solve, an eigcore.EigResult with the eigenvectors
+    in the augmented basis, with the route's diagnostics.
     """
     P = aug.projector
     idx = aug.idx
@@ -441,7 +447,7 @@ def augmented_spectrum(V, W, aug, window, with_vectors=False):
     pencil = eigcore.TridiagonalPencil(
         (dA[idx], oA[idx[:-1]]), (dM[idx], oM[idx[:-1]]), (AU[idx], 0.5 * (G + G.T))
     )
-    res = eigcore.solve_window(pencil, *eigcore.window_pair(window), with_vectors=with_vectors)
+    res = eigcore.solve_window(pencil, *eigcore.window_pair(window))
     res.diagnostics = {
         "method": "augmented",
         "n_fem": len(idx),
@@ -479,15 +485,15 @@ def localization_masses(aug, coeffs):
     return mass(x_lo, x_lo + strip) + mass(x_hi - strip, x_hi), mass(-strip, strip)
 
 
-def a2_estimate(V, mesh, J=1, M_q=64, M_pw=DEFAULT_M_PW, ref_source="planewave", projector=None):
+def a2_estimate(V, mesh, projector):
     """A2 = sup over unit-H1 P1 functions phi on the domain of ||(P_ref - P_fem) phi||_H1.
 
-    P_fem is the FEM-fiber projector at the mesh resolution, P_ref the
-    planewave-fiber projector on the same nodes.  A FEM projector built
-    already (build_projector with the same J, M_q and the mesh's n_c) can be
-    passed as projector to skip rebuilding it; a mismatch raises ValueError.
-    Decreasing values under mesh refinement are the practical certificate
-    that the augmentation converges.
+    P_fem is projector, a FEM-fiber projector (build_projector, source
+    "fem") at the mesh's n_c, and P_ref the planewave-fiber projector with
+    its J, n_c and M_q; ValueError for another source or n_c,
+    WindowTooSmall for a mesh outside its window.  Decreasing values under
+    mesh refinement are the practical certificate that the augmentation
+    converges.
 
     The value is exact, not sampled.  D = P_ref - P_fem maps domain
     coefficients x to B K^T x with B = [U_ref, U_fem] and
@@ -500,21 +506,16 @@ def a2_estimate(V, mesh, J=1, M_q=64, M_pw=DEFAULT_M_PW, ref_source="planewave",
     rows on the domain only, and F one period of rows at a time
     (fem1d.form_gram), never whole.
     """
-    n_c = mesh.n_c
-    if projector is None:
-        P_fem = build_projector(V, J=J, n_c=n_c, M_q=M_q, source="fem")
-    else:
-        got = (projector.J, projector.n_c, projector.M_q, projector.diagnostics.get("source"))
-        if got != (J, n_c, M_q, "fem"):
-            raise ValueError(
-                "projector has (J, n_c, M_q, source) = %r, a2_estimate needs %r"
-                % (got, (J, n_c, M_q, "fem"))
-            )
-        P_fem = projector
-    P_ref = build_projector(V, J=J, n_c=n_c, M_q=M_q, source=ref_source, M_pw=M_pw)
+    P_fem = projector
+    J, n_c, M_q = P_fem.J, P_fem.n_c, P_fem.M_q
+    source = P_fem.diagnostics.get("source")
+    if source != "fem" or mesh.n_c != n_c:
+        raise ValueError("a2_estimate needs a FEM projector at the mesh's n_c = %d, not a %r "
+                         "one at n_c = %d" % (mesh.n_c, source, n_c))
     idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + P_fem.half_index
     if idx[0] < 0 or idx[-1] >= P_fem.n_win:
         raise WindowTooSmall("mesh does not fit inside the projector window")
+    P_ref = build_projector(V, J=J, n_c=n_c, M_q=M_q, source="planewave")
     # H1 Gram of the window circle; on the mesh interior, the domain's (Dirichlet)
     h1 = tuple(k + m for k, m in zip(*P_fem.forms()))
     d, o, _ = h1
@@ -544,5 +545,5 @@ def a2_estimate(V, mesh, J=1, M_q=64, M_pw=DEFAULT_M_PW, ref_source="planewave",
         "estimate": float(np.sqrt(max(top, 0.0))),
         "n_c": int(n_c),
         "M_q": int(M_q),
-        "M_pw": int(M_pw),
+        "M_pw": DEFAULT_M_PW,
     }

@@ -331,14 +331,14 @@ class GapWindow:
         return "GapWindow(J=%d, alpha=%.6f, beta=%.6f)" % (self.J, self.alpha, self.beta)
 
 
-def find_gap(bs, J, gap_tol=GAP_TOL):
+def find_gap(bs, J):
     """Locate the spectral gap above the J-th band component.
 
     Consecutive bands whose sampled ranges touch, overlap, or are closer than
-    the grid resolution estimate are merged into one component; this is what
-    makes touching bands (conical points, folded free bands) report NoGap
-    instead of a spurious narrow window.  Band edges are the sampled grid
-    extrema; no off-grid refinement is performed.
+    the grid resolution estimate plus GAP_TOL are merged into one component;
+    this is what makes touching bands (conical points, folded free bands)
+    report NoGap instead of a spurious narrow window.  Band edges are the
+    sampled grid extrema; no off-grid refinement is performed.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -360,7 +360,7 @@ def find_gap(bs, J, gap_tol=GAP_TOL):
         est = _resolution_estimate(grid[..., j], p_top) + _resolution_estimate(
             grid[..., j + 1], p_bot
         )
-        closed.append(raw <= gap_tol + est)
+        closed.append(raw <= GAP_TOL + est)
     # connected components of index bands
     comps = []
     start = 0

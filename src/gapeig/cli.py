@@ -597,9 +597,12 @@ def _galerkin_rows(V, W, lat, p, window, rows, results):
 
     n_c = p.get("n_c", 100)
     t = p.get("t", 0.0)
+    try:  # every mesh is built, and an off-grid offset refused, before the reference solve
+        meshes = [(n, fem1d.symmetric_mesh(lat, n_c, n, t)) for n in _as_list(p["n_half"])]
+    except MeshOffsetError as e:
+        raise ConfigError(str(e)) from None
     ref = _reference_values(p["reference"], V, W, window) if "reference" in p else None
-    for n_half in _as_list(p["n_half"]):
-        mesh = fem1d.symmetric_mesh(lat, n_c, n_half, t)
+    for n_half, mesh in meshes:
         res = fem1d.galerkin_spectrum(V, W, mesh, window)
         reports = fem1d.classify_modes(
             mesh,
@@ -727,7 +730,7 @@ def run_augment(cfg, out_dir, threads):
     results = {"window": list(window), "runs": []}
     for L, t, mesh in meshes:
         aug = augment.augmented_space(P, mesh, min_margin=margin)
-        res = augment.augmented_spectrum(V, W, aug, window, with_vectors=True)
+        res = augment.augmented_spectrum(V, W, aug, window)
         for i, ev in enumerate(res.eigenvalues):
             mb, mk = augment.localization_masses(aug, res.eigenvectors[:, i])
             rows.append((L, t, n_c, M_q, ev, mb, mk, fem1d.mode_label(ev, res.window, ref)))
@@ -742,7 +745,7 @@ def run_augment(cfg, out_dir, threads):
                 "certificate": _certificate(res.diagnostics),
             }
         )
-    a2 = augment.a2_estimate(V, meshes[0][2], J=J, M_q=M_q, projector=P)
+    a2 = augment.a2_estimate(V, meshes[0][2], P)
     report = {
         "idempotency_residual": P.diagnostics["idempotency_residual"],
         "kernel_decay": P.diagnostics["decay_at_6_periods"],

@@ -708,9 +708,11 @@ class EigResult:
     def __len__(self):
         return len(self.eigenvalues)
 
-    def interior(self, guard_frac=DEFAULT_EDGE_GUARD):
+    def interior(self):
         """The eigenvalues away from both window ends (interior_mask)."""
-        return self.eigenvalues[interior_mask(self.eigenvalues, self.window, guard_frac)]
+        if self.window is None:
+            raise ValueError("interior() needs a windowed result; this one has no window")
+        return self.eigenvalues[interior_mask(self.eigenvalues, self.window)]
 
 
 def window_pair(window):

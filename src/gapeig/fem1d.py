@@ -20,16 +20,21 @@ Every pencil here is tridiagonal and stays so: it is an
 eigcore.TridiagonalPencil, whose windowed solves never form an n x n matrix
 and carry an exact inertia count of the eigenvalues in the window
 (diagnostics "n_in_window", next to "residual_bound"); the spectra are
-those solves' eigcore.EigResult, with no use of the supercell module.
+those solves' eigcore.EigResult, eigenvectors included, with no use of
+the supercell module.  Mesh1D refuses more than MAX_NODES nodes.
 """
 
 import numpy as np
 
 from gapeig import eigcore
-from gapeig.errors import MeshOffsetError
+from gapeig.errors import BasisTooLarge, MeshOffsetError
 
 GAUSS_POINTS = 10
 MATCH_TOL = 0.02
+# the most nodes a mesh may hold (Mesh1D raises BasisTooLarge above it):
+# galerkin_spectrum and classify_modes peaked at 1.6 kB per node under
+# tracemalloc, so about 0.8 GB at the cap
+MAX_NODES = 500000
 
 
 class Mesh1D:
@@ -38,7 +43,7 @@ class Mesh1D:
     Node positions are i*h for integer i in [i_lo, i_hi], h = b/n_c, so mesh
     endpoints are always commensurate with the element size; offsets that do
     not land on the element grid raise MeshOffsetError.  The domain must span
-    at least four periods.
+    at least four periods and hold at most MAX_NODES nodes (BasisTooLarge).
     """
 
     def __init__(self, b, n_c, i_lo, i_hi):
@@ -53,6 +58,9 @@ class Mesh1D:
         self.i_hi = int(round(i_hi))
         if self.i_hi - self.i_lo < 4 * self.n_c:
             raise ValueError("domain must span at least 4 periods")
+        if self.n_nodes > MAX_NODES:
+            raise BasisTooLarge("mesh of %d nodes exceeds the budget of %d"
+                                % (self.n_nodes, MAX_NODES))
         self.h = self.b / self.n_c
 
     @property
@@ -190,24 +198,22 @@ def assemble_galerkin(V, W, mesh):
     return _dirichlet_pencil(mesh, lambda x: V(x) + W(x))
 
 
-def _spectrum(pencil, window, with_vectors, extra_diag):
+def _spectrum(pencil, window, extra_diag):
     """The pencil's windowed solve (an eigcore.EigResult) with its diagnostics."""
-    res = eigcore.solve_window(pencil, *eigcore.window_pair(window), with_vectors=with_vectors)
+    res = eigcore.solve_window(pencil, *eigcore.window_pair(window))
     res.diagnostics = {"n_dof": pencil.n, "n_in_window": res.count,
                        "residual_bound": res.residual_bound, **extra_diag}
     return res
 
 
-def galerkin_spectrum(V, W, mesh, window, with_vectors=True):
+def galerkin_spectrum(V, W, mesh, window):
     """Eigenvalues of the truncated Galerkin operator inside the window.
 
     Expect pollution: some of these are spurious boundary modes, which is
     what classify_modes is for.
     """
     pencil = assemble_galerkin(V, W, mesh)
-    return _spectrum(
-        pencil, window, with_vectors, {"method": "galerkin", "h": mesh.h, "n_c": mesh.n_c}
-    )
+    return _spectrum(pencil, window, {"method": "galerkin", "h": mesh.h, "n_c": mesh.n_c})
 
 
 def interval_mass(mesh, coeffs, lo, hi, interior=True):
@@ -244,24 +250,23 @@ def interval_mass(mesh, coeffs, lo, hi, interior=True):
     return float(np.sum(seg))
 
 
-def boundary_mass(mesh, coeffs, R=None):
-    """Mass of a P1 eigenfunction within distance R of either endpoint (default 2b)."""
-    if R is None:
-        R = 2.0 * mesh.b
-    if not (0 < R < 0.5 * (mesh.x_hi - mesh.x_lo)):
-        raise ValueError("R must lie in (0, half the domain length)")
-    return interval_mass(mesh, coeffs, mesh.x_lo, mesh.x_lo + R) + interval_mass(
-        mesh, coeffs, mesh.x_hi - R, mesh.x_hi
+def boundary_mass(mesh, coeffs):
+    """Mass of a P1 eigenfunction on the two end strips of width 2b.
+
+    Every mesh spans at least four periods, so the strips do not overlap.
+    """
+    strip = 2.0 * mesh.b
+    return interval_mass(mesh, coeffs, mesh.x_lo, mesh.x_lo + strip) + interval_mass(
+        mesh, coeffs, mesh.x_hi - strip, mesh.x_hi
     )
 
 
-def compact_mass(mesh, coeffs, K=None):
-    """Mass of a P1 eigenfunction inside the compact set K (default central 4 periods)."""
-    if K is None:
-        K = (-2.0 * mesh.b, 2.0 * mesh.b)
-    lo, hi = K
-    if not (mesh.x_lo <= lo < hi <= mesh.x_hi):
-        raise ValueError("K must be a nonempty interval inside the domain")
+def compact_mass(mesh, coeffs):
+    """Mass of a P1 eigenfunction on the compact set (-2b, 2b), the central
+    four periods; ValueError for a mesh that does not contain it."""
+    lo, hi = -2.0 * mesh.b, 2.0 * mesh.b
+    if not (mesh.x_lo <= lo and hi <= mesh.x_hi):
+        raise ValueError("the compact set (-2b, 2b) is not inside the domain")
     return interval_mass(mesh, coeffs, lo, hi)
 
 
@@ -306,30 +311,22 @@ def mode_label(
 
 
 def classify_modes(
-    mesh,
-    result,
-    reference,
-    match_tol=MATCH_TOL,
-    edge_guard_frac=eigcore.DEFAULT_EDGE_GUARD,
-    R=None,
-    K=None,
+    mesh, result, reference, match_tol=MATCH_TOL, edge_guard_frac=eigcore.DEFAULT_EDGE_GUARD
 ):
     """Label windowed Galerkin eigenvalues by mode_label, with their masses.
 
     reference None gives "interior"/"undetermined" labels only.  Each
     report carries the boundary and compact masses of the eigenfunction.
     """
-    if result.eigenvectors is None:
-        raise ValueError("classification needs eigenvectors; solve with with_vectors=True")
     reports = []
     for i, ev in enumerate(result.eigenvalues):
         c = result.eigenvectors[:, i]
         cls = mode_label(ev, result.window, reference, match_tol, edge_guard_frac)
-        reports.append(LocalizationReport(ev, boundary_mass(mesh, c, R), compact_mass(mesh, c, K), cls))
+        reports.append(LocalizationReport(ev, boundary_mass(mesh, c), compact_mass(mesh, c), cls))
     return reports
 
 
-def dislocation_spectrum(V, kind, t, window, n_periods=40, n_c=100, with_vectors=False):
+def dislocation_spectrum(V, kind, t, window, n_periods=40, n_c=100):
     """Spectrum of a dislocated periodic operator inside the window.
 
     kind "halfline+" / "halfline-" is -d^2/dx^2 + V(x +- t b) on
@@ -353,12 +350,8 @@ def dislocation_spectrum(V, kind, t, window, n_periods=40, n_c=100, with_vectors
         pot = lambda x: np.where(x < 0, V(x + 0.5 * tb), V(x - 0.5 * tb))
     else:
         raise ValueError("kind must be 'halfline+', 'halfline-', or 'junction'")
-    pencil = _dirichlet_pencil(mesh, pot)
-    result = _spectrum(
-        pencil,
+    return _spectrum(
+        _dirichlet_pencil(mesh, pot),
         window,
-        with_vectors,
         {"method": "dislocation", "kind": kind, "t": float(t), "n_periods": int(n_periods)},
     )
-    result.mesh = mesh
-    return result

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from gapeig import augment, bloch, fem1d, model, supercell
-from gapeig.errors import QGridAsymmetric, WindowTooSmall
+from gapeig.errors import BasisTooLarge, QGridAsymmetric, WindowTooSmall
 
 REF_1D = (-1.0451627964356383, -0.6541194618386763)
 WIN_1D = (-1.1442549263927626, -0.6450826051490102)
@@ -36,14 +36,19 @@ def test_kernel_symmetric(proj_small):
     assert np.max(np.abs(K - K.T)) <= 1e-10
 
 
+def project(P, x):
+    """P x = U (MU)^T x for window coefficients x."""
+    return P.combine(P.coefficients(P.apply_mass(x)))
+
+
 def test_idempotency(proj_small, proj_full):
     assert proj_small.diagnostics["idempotency_residual"] <= 1e-6
     assert proj_full.diagnostics["idempotency_residual"] <= 1e-6
     # applying P twice equals applying it once, on random vectors
     rng = np.random.default_rng(0)
     x = rng.standard_normal(proj_small.n_win)
-    once = proj_small.project(x)
-    twice = proj_small.project(once)
+    once = project(proj_small, x)
+    twice = project(proj_small, once)
     assert np.max(np.abs(twice - once)) <= 1e-10 * np.max(np.abs(once))
 
 
@@ -78,7 +83,7 @@ def unfolded_columns(P):
 
 @pytest.mark.parametrize("source", ["fem", "planewave"])
 def test_bloch_form_matches_unfolded_columns(V1d, source):
-    # rows, mass_rows, coefficients, combine and project against the
+    # rows, mass_rows, coefficients, combine and P x against the
     # explicitly unfolded columns; node ranges start and end mid-period
     P = augment.build_projector(V1d, J=1, n_c=40, M_q=16, source=source)
     U, MU = unfolded_columns(P)
@@ -97,7 +102,7 @@ def test_bloch_form_matches_unfolded_columns(V1d, source):
     close(P.coefficients(X), U.T @ X)
     close(P.combine(Y), U @ Y)
     close(P.combine(Y[:, 0]), U @ Y[:, 0])
-    close(P.project(X[:, 0]), U @ (MU.T @ X[:, 0]))
+    close(project(P, X[:, 0]), U @ (MU.T @ X[:, 0]))
 
 
 def stored_arrays(obj):
@@ -125,7 +130,7 @@ def test_projector_memory(V1d, lat1d, proj_small):
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        augment.a2_estimate(V1d, mesh, M_q=64, projector=P)
+        augment.a2_estimate(V1d, mesh, P)
         a2_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -160,6 +165,19 @@ def test_window_too_small_at_build(V1d):
     # 4 periods cannot contain the decayed kernel
     with pytest.raises(WindowTooSmall):
         augment.build_projector(V1d, J=1, n_c=40, M_q=4)
+
+
+@pytest.mark.parametrize("budget, cap", [("MAX_FIBER_NODES", 39),
+                                         ("MAX_WINDOW_NODES", 16 * 40 - 1)])
+def test_projector_budgets(V1d, monkeypatch, budget, cap):
+    # n_c = 40, M_q = 16 is one node over the lowered budget: refused before any fiber
+    def no_fiber(*args):
+        raise AssertionError("a fiber was solved above the budget")
+
+    monkeypatch.setattr(augment, budget, cap)
+    monkeypatch.setattr(augment, "fem_fiber", no_fiber)
+    with pytest.raises(BasisTooLarge, match="budget"):
+        augment.build_projector(V1d, J=1, n_c=40, M_q=16)
 
 
 def test_window_margin_enforced(V1d, lat1d, proj_small):
@@ -198,7 +216,7 @@ def test_augmented_basis_orthogonal_to_p1_space(lat1d, proj_full, t):
 def test_fem_and_planewave_sources_agree(V1d):
     # two independent constructions of the same spectral projector
     Pf = augment.build_projector(V1d, J=1, n_c=40, M_q=16, source="fem")
-    Pp = augment.build_projector(V1d, J=1, n_c=40, M_q=16, source="planewave", M_pw=24)
+    Pp = augment.build_projector(V1d, J=1, n_c=40, M_q=16, source="planewave")
     diff = np.max(np.abs(Pf.dense() - Pp.dense()))
     assert diff <= 5e-3  # FEM fiber carries the O(h^2) band error
 
@@ -224,7 +242,7 @@ def dense_augmented_pencil(V, W, aug):
 def test_augmented_spectrum_matches_dense_oracle(V1d, W1d, lat1d, proj_small):
     for t in (0.0, 0.5):
         aug = augment.augmented_space(proj_small, fem1d.symmetric_mesh(lat1d, 40, 3, t))
-        res = augment.augmented_spectrum(V1d, W1d, aug, WIN_1D, with_vectors=True)
+        res = augment.augmented_spectrum(V1d, W1d, aug, WIN_1D)
         A, M = dense_augmented_pencil(V1d, W1d, aug)
         want = sla.eigh(A, M, subset_by_value=WIN_1D, eigvals_only=True)
         assert aug.n_aug > 0
@@ -355,11 +373,11 @@ def dense_a2(V1d, lat1d):
     idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + P_fem.half_index
     E = np.zeros((P_fem.n_win, len(idx)))
     E[idx, np.arange(len(idx))] = 1.0
-    D = P_ref.project(E) - P_fem.project(E)
+    D = project(P_ref, E) - project(P_fem, E)
     G_win = sum(fem1d.dense_form(f) for f in P_fem.forms())
     G_dom = G_win[np.ix_(idx, idx)]
     U_dom = np.hstack([P.rows(idx[0], idx[-1] + 1) for P in (P_fem, P_ref)])
-    exact = augment.a2_estimate(V1d, mesh, M_q=16, projector=P_fem)["estimate"]
+    exact = augment.a2_estimate(V1d, mesh, P_fem)["estimate"]
     return D, G_win, G_dom, U_dom, exact
 
 
@@ -384,29 +402,33 @@ def test_a2_bounds_sampled_ratios(dense_a2):
     assert max(ratios) >= 0.5 * exact
 
 
-def test_a2_identical_kernels_zero(V1d, lat1d):
-    mesh = fem1d.symmetric_mesh(lat1d, 50, 3)
-    out = augment.a2_estimate(V1d, mesh, M_q=16, ref_source="fem")
+def test_a2_identical_kernels_zero(V1d, lat1d, proj_small, monkeypatch):
+    # with the FEM projector as its own reference, the two terms cancel
+    monkeypatch.setattr(augment, "build_projector", lambda *args, **kwargs: proj_small)
+    out = augment.a2_estimate(V1d, fem1d.symmetric_mesh(lat1d, 40, 3), proj_small)
     assert out["estimate"] <= 1e-10
 
 
 def test_a2_reuses_projector(V1d, lat1d, proj_small):
+    # a2_estimate measures the FEM projector it is given, at the mesh's n_c
+    # and inside its window
     mesh = fem1d.symmetric_mesh(lat1d, 40, 3)
-    fresh = augment.a2_estimate(V1d, mesh, M_q=16)
-    reused = augment.a2_estimate(V1d, mesh, M_q=16, projector=proj_small)
-    assert reused == fresh
+    out = augment.a2_estimate(V1d, mesh, proj_small)
+    assert (out["n_c"], out["M_q"], out["M_pw"]) == (40, 16, augment.DEFAULT_M_PW)
+    assert 0 < out["estimate"] < 1
     with pytest.raises(ValueError):
-        augment.a2_estimate(V1d, fem1d.symmetric_mesh(lat1d, 50, 3), M_q=16, projector=proj_small)
+        augment.a2_estimate(V1d, fem1d.symmetric_mesh(lat1d, 50, 3), proj_small)
+    planewave = augment.build_projector(V1d, J=1, n_c=40, M_q=16, source="planewave")
     with pytest.raises(ValueError):
-        augment.a2_estimate(V1d, mesh, M_q=32, projector=proj_small)
-    with pytest.raises(ValueError):
-        augment.a2_estimate(V1d, mesh, J=2, M_q=16, projector=proj_small)
+        augment.a2_estimate(V1d, mesh, planewave)
+    with pytest.raises(WindowTooSmall):
+        augment.a2_estimate(V1d, fem1d.symmetric_mesh(lat1d, 40, 9), proj_small)
 
 
 def test_a2_decreases_with_refinement(V1d, lat1d):
     ests = []
     for n_c in (50, 200):
         mesh = fem1d.symmetric_mesh(lat1d, n_c, 3)
-        out = augment.a2_estimate(V1d, mesh, M_q=16)
+        out = augment.a2_estimate(V1d, mesh, augment.build_projector(V1d, n_c=n_c, M_q=16))
         ests.append(out["estimate"])
     assert ests[0] >= 2.0 * ests[1]

@@ -516,6 +516,49 @@ def test_augment_domain_outside_window_exit2(tmp_path, capsys, edit, words):
     assert "config error" in err and words in err
 
 
+@pytest.mark.parametrize("method", ["galerkin", "pollution-scan"])
+def test_galerkin_offset_off_grid_exit2(tmp_path, capsys, monkeypatch, method):
+    # t = 0.333 is not a multiple of 1/n_c: refused as augment refuses it,
+    # before the reference supercell is solved
+    def no_reference(*args):
+        raise AssertionError("the reference was solved before the meshes were checked")
+
+    monkeypatch.setattr(cli, "_reference_values", no_reference)
+    cfg = read_cfg(GOLDEN_1D)
+    cfg[method].update(window=[-1.144, -0.645], t=0.333, n_c=100, reference={"L": 20})
+    out = tmp_path / "out"
+    assert cli.main([method, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert "config error" in err and "t = 0.333" in err
+
+
+@pytest.mark.parametrize(
+    "method, module, budget",
+    [("galerkin", "fem1d", "MAX_NODES"), ("dislocation", "fem1d", "MAX_NODES"),
+     ("augment", "augment", "MAX_FIBER_NODES")],
+)
+def test_p1_budget_exit3(tmp_path, monkeypatch, method, module, budget):
+    # a P1 size above its budget is a numerical error, as the planewave
+    # budget is, raised before any pencil or fiber is formed
+    from gapeig import eigcore, fem1d
+
+    mod = {"fem1d": fem1d, "augment": augment}[module]
+    monkeypatch.setattr(mod, budget, 30)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved above the budget")
+
+    monkeypatch.setattr(eigcore, "solve_window", no_solve)
+    monkeypatch.setattr(eigcore, "solve_lowest", no_solve)
+    cfg = json.loads(json.dumps(SMALL_CFG))
+    cfg[method]["window"] = [-1.144, -0.645]
+    out = str(tmp_path / "out")
+    assert cli.main([method, "--config", write_cfg(tmp_path, cfg), "--out", out]) == 3
+    s = read_summary(out)
+    assert s["error"] == "BasisTooLarge" and "budget" in s["message"]
+
+
 def test_mismatched_supercell_below_resolution_exit2(tmp_path, capsys):
     # round(4 * 3) = 12 < 4 * (3 + 0.5): refused before any solve
     cfg = json.loads(json.dumps(SMALL_CFG))

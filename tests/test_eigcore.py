@@ -207,11 +207,21 @@ def test_window_result_interior():
     assert res.diagnostics == {}
     assert np.array_equal(res.eigenvalues, [0.001, 0.5, 0.9999])
     assert np.array_equal(res.interior(), [0.5])
-    assert np.array_equal(res.interior(0.0), res.eigenvalues)
+    assert np.array_equal(eigcore.interior_mask(res.eigenvalues, res.window, 0.0),
+                          [True, True, True])
     # the guard band is closed: a value on its edge is not interior
     assert np.array_equal(eigcore.interior_mask([0.25, 0.5, 0.75], (0.0, 1.0), 0.25),
                           [False, True, False])
     assert eigcore.window_pair([1, 2]) == (1.0, 2.0)
+
+
+def test_interior_needs_a_window():
+    # solve_lowest and solve_pencil results have no window to guard
+    p = eigcore.SymmetricPencil(np.diag([1.0, 2.0, 3.0]))
+    for res in (eigcore.solve_lowest(p, 2), eigcore.solve_pencil(p)):
+        assert res.window is None
+        with pytest.raises(ValueError, match="no window"):
+            res.interior()
 
 
 def test_generalized_window_is_open():

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 from gapeig import fem1d, model
-from gapeig.errors import MeshOffsetError
+from gapeig.errors import BasisTooLarge, MeshOffsetError
 
 # 1D reference gap eigenvalues (converged supercell, see test_supercell)
 REF_1D = (-1.0451627964356383, -0.6541194618386763)
@@ -47,13 +47,23 @@ def test_mesh_minimum_span(lat1d):
         fem1d.Mesh1D(lat1d.b, 10, 0, 30)
 
 
+def test_mesh_node_budget(lat1d, monkeypatch):
+    # 4 periods of 10 elements are 41 nodes: at the budget, and one period more is refused
+    monkeypatch.setattr(fem1d, "MAX_NODES", 41)
+    assert fem1d.halfline_mesh(lat1d, 10, 4).n_nodes == 41
+    with pytest.raises(BasisTooLarge, match="51 nodes"):
+        fem1d.halfline_mesh(lat1d, 10, 5)
+    with pytest.raises(BasisTooLarge):
+        fem1d.symmetric_mesh(lat1d, 10, 2, t=0.1)
+
+
 def test_laplacian_matches_closed_form():
     # -u'' on (0, pi): lattice b = pi/8, 8 periods, V = W = 0
     lat = model.Lattice(1, np.pi / 8.0)
     free = model.PeriodicPotential(lat, [])
     none = model.Perturbation(lat, [])
     mesh = fem1d.halfline_mesh(lat, 10, 8)
-    res = fem1d.galerkin_spectrum(free, none, mesh, (0.0, 30.0), with_vectors=False)
+    res = fem1d.galerkin_spectrum(free, none, mesh, (0.0, 30.0))
     want = p1_dirichlet_eigenvalues(np.pi, 80, 10)
     want = want[want < 30.0]
     assert np.allclose(res.eigenvalues, want, rtol=1e-12)
@@ -76,12 +86,8 @@ def test_form_gram_matches_dense(V1d, block):
 def test_quadrature_self_refinement(V1d, W1d, lat1d):
     # halving h changes window eigenvalues at the expected O(h^2) rate
     win = WIN_1D
-    r1 = fem1d.galerkin_spectrum(
-        V1d, W1d, fem1d.symmetric_mesh(lat1d, 100, 5), win, with_vectors=False
-    )
-    r2 = fem1d.galerkin_spectrum(
-        V1d, W1d, fem1d.symmetric_mesh(lat1d, 200, 5), win, with_vectors=False
-    )
+    r1 = fem1d.galerkin_spectrum(V1d, W1d, fem1d.symmetric_mesh(lat1d, 100, 5), win)
+    r2 = fem1d.galerkin_spectrum(V1d, W1d, fem1d.symmetric_mesh(lat1d, 200, 5), win)
     m1 = r1.eigenvalues[np.argmin(np.abs(r1.eigenvalues - REF_1D[0]))]
     m2 = r2.eigenvalues[np.argmin(np.abs(r2.eigenvalues - REF_1D[0]))]
     assert abs(m1 - REF_1D[0]) > 3.0 * abs(m2 - REF_1D[0])
@@ -125,12 +131,21 @@ def test_mass_norm_of_eigenvectors(V1d, W1d, lat1d):
 
 
 def test_boundary_mass_validation(lat1d):
-    mesh = fem1d.symmetric_mesh(lat1d, 10, 2)
+    # a half-line mesh [0, 8b] does not contain the compact set (-2b, 2b)
+    mesh = fem1d.halfline_mesh(lat1d, 10, 8)
     c = np.ones(mesh.n_nodes - 2)
     with pytest.raises(ValueError):
-        fem1d.boundary_mass(mesh, c, R=1000.0)
-    with pytest.raises(ValueError):
-        fem1d.compact_mass(mesh, c, K=(0.0, 1000.0))
+        fem1d.compact_mass(mesh, c)
+
+
+def test_masses_on_four_periods(lat1d):
+    # on the shortest domain, [-2b, 2b], the two end strips of width 2b meet
+    # in the middle and the compact set is the whole domain
+    mesh = fem1d.symmetric_mesh(lat1d, 10, 2)
+    c = np.random.default_rng(3).standard_normal(mesh.n_nodes - 2)
+    total = fem1d.interval_mass(mesh, c, mesh.x_lo, mesh.x_hi)
+    assert fem1d.boundary_mass(mesh, c) == pytest.approx(total, rel=1e-14)
+    assert fem1d.compact_mass(mesh, c) == pytest.approx(total, rel=1e-14)
 
 
 def test_classification(V1d, W1d, lat1d, reference1d):
@@ -240,7 +255,8 @@ def test_dislocation_kinds_and_validation(V1d, window1d):
     with pytest.raises(ValueError):
         fem1d.dislocation_spectrum(V1d, "halfline+", 0.5, window1d, n_periods=10)
     res = fem1d.dislocation_spectrum(V1d, "junction", 0.5, window1d, n_periods=20)
-    assert res.mesh.x_lo == pytest.approx(-20 * 2 * np.pi)
+    # the junction spans [-20b, 20b]: 4000 elements, 3999 interior nodes
+    assert res.diagnostics["n_dof"] == 2 * 20 * 100 - 1
     assert len(res.eigenvalues) > 0
 
 
