@@ -8,9 +8,10 @@ augmented finite element method (pollution-free), together with diagnostics
 that detect and classify spurious modes.
 
 Importing the package loads no module but errors: import the ones you use
-(from gapeig import bloch).  model, eigcore, bloch and supercell need numpy
-alone; fem1d and augment bring in scipy.linalg and no other part of
-scipy.
+(from gapeig import bloch).  Every module needs numpy alone at import.
+The P1 pencils of fem1d and augment are solved by LAPACK routines that
+gapeig.lapack loads on first use from scipy's compiled LAPACK wrappers,
+scipy.linalg._flapack, without importing any scipy package.
 """
 
 from gapeig.errors import (

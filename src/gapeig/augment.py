@@ -40,9 +40,8 @@ the norm is computed exactly from one eigenproblem of that size.
 import functools
 
 import numpy as np
-import scipy.linalg as sla
 
-from gapeig import bloch, eigcore, fem1d
+from gapeig import bloch, eigcore, fem1d, lapack
 from gapeig.errors import BasisTooLarge, NoGap, QGridAsymmetric, WindowTooSmall
 
 # relative tolerance of the kernel's edge decay and of augmented_space's SVD
@@ -55,9 +54,11 @@ SIGMA_TOL = 1e-8
 # build_projector's budgets (BasisTooLarge before any fiber), from
 # tracemalloc peaks: a dense fiber pencil costs 70 B * n_c^2 and a whole
 # augment run (0.2 kB + 27 B * M_q * J) per window node M_q*n_c, so about
-# 0.6 and 0.7 GB (at n_c = 100) at the caps
+# 0.6 GB at the fiber cap, 10 MB at the window-node cap and 0.7 GB at the
+# cap on window nodes times the projector's rank M_q*J
 MAX_FIBER_NODES = 3000
 MAX_WINDOW_NODES = 50000
+MAX_WINDOW_RANK = 25_000_000
 
 
 def _cell_integrals(V, n_c):
@@ -269,7 +270,8 @@ def build_projector(V, J=1, n_c=100, M_q=64, source="fem"):
     is symmetric under q -> -q; the two members of each +-q pair enter
     through the real and imaginary parts of the unfolded Bloch function, so
     only the fibers at q > 0 are solved and kept.  BasisTooLarge, before
-    any fiber, above MAX_FIBER_NODES or MAX_WINDOW_NODES.
+    any fiber, above MAX_FIBER_NODES, MAX_WINDOW_NODES or MAX_WINDOW_RANK
+    (window nodes times M_q*J).
     """
     lat = V.lattice
     if lat.d != 1:
@@ -278,9 +280,12 @@ def build_projector(V, J=1, n_c=100, M_q=64, source="fem"):
         raise QGridAsymmetric("M_q must be an even integer >= 4 for a +-q symmetric grid")
     if source not in ("fem", "planewave"):
         raise ValueError("source must be 'fem' or 'planewave'")
-    if n_c > MAX_FIBER_NODES or M_q * n_c > MAX_WINDOW_NODES:
-        raise BasisTooLarge("n_c = %d and M_q * n_c = %d nodes exceed the budget of %d and %d"
-                            % (n_c, M_q * n_c, MAX_FIBER_NODES, MAX_WINDOW_NODES))
+    nodes = M_q * n_c
+    if n_c > MAX_FIBER_NODES or nodes > MAX_WINDOW_NODES or nodes * M_q * J > MAX_WINDOW_RANK:
+        raise BasisTooLarge("n_c = %d, M_q * n_c = %d nodes and nodes * M_q * J = %d exceed the "
+                            "budgets of %d, %d and %d" % (n_c, nodes, nodes * M_q * J,
+                                                          MAX_FIBER_NODES, MAX_WINDOW_NODES,
+                                                          MAX_WINDOW_RANK))
     qs = bloch.midpoint_grid(lat, M_q)[M_q // 2:]
     F = np.empty((len(qs), n_c, J), complex)
     lo_next = np.inf
@@ -381,7 +386,7 @@ def augmented_space(projector, mesh, min_margin=1.0):
     idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + projector.half_index
     # C^T = (MU)[idx], the domain's mass rows of the projector
     MU_dom = projector.mass_rows(idx[0], idx[-1] + 1)
-    Uq, s, _ = sla.svd(MU_dom.T, full_matrices=False)
+    Uq, s, _ = lapack.svd(MU_dom.T)
     if s[0] == 0.0:
         rank = 0
     else:
@@ -395,13 +400,13 @@ def augmented_space(projector, mesh, min_margin=1.0):
     # mass inner product: R = I - Y^T M_dom^{-1} Y with Y = (MU)[idx] Q the
     # domain mass moments
     Y = MU_dom @ Q
-    # the mass form on the domain nodes (Dirichlet), in cho_solve_banded's upper storage
+    # the mass form on the domain nodes (Dirichlet), its banded Cholesky factor
     d, o, _ = projector.mass_form
-    chol = (eigcore.tridiagonal_cholesky(d[idx], o[idx[:-1]]), False)
-    Z = sla.cho_solve_banded(chol, Y)
+    chol = eigcore.tridiagonal_cholesky(d[idx], o[idx[:-1]])
+    Z = lapack.cho_solve_banded(chol, Y)
     R = np.eye(rank) - Y.T @ Z
     R = 0.5 * (R + R.T)
-    lam, E = sla.eigh(R)
+    lam, E = lapack.eigh(R)
     keep = lam > SIGMA_TOL
     # only the kept directions are unfolded over the window
     V_keep = projector.combine(Q @ E[:, keep])
@@ -412,9 +417,9 @@ def augmented_space(projector, mesh, min_margin=1.0):
     # (1 - Pi_h) v twice; the first pass reuses Z, the moments' solve
     U_keep = V_keep
     U_keep[idx] -= Z @ E[:, keep]
-    U_keep[idx] -= sla.cho_solve_banded(chol, projector.apply_mass(U_keep)[idx])
+    U_keep[idx] -= lapack.cho_solve_banded(chol, projector.apply_mass(U_keep)[idx])
     G = U_keep.T @ projector.apply_mass(U_keep)
-    U_keep = sla.solve_triangular(np.linalg.cholesky(0.5 * (G + G.T)), U_keep.T, lower=True).T
+    U_keep = lapack.solve_triangular(np.linalg.cholesky(0.5 * (G + G.T)), U_keep.T, lower=True).T
     diag = {
         "rank_coupled": rank,
         "rank_kept": int(np.sum(keep)),
@@ -529,11 +534,11 @@ def a2_estimate(V, mesh, projector):
     K = np.empty((len(idx), 2 * r), order="F")
     K[:, :r] = P_ref.mass_rows(*dom)
     np.negative(P_fem.mass_rows(*dom), out=K[:, r:])
-    K = sla.lapack.dtbtrs(chol, K, trans="T", overwrite_b=True)[0]
+    K = lapack.dtbtrs(chol, K, trans="T", overwrite_b=True)[0]
     # LAPACK's QR directly: scipy's qr(mode="r") would return R with all
     # len(idx) rows
-    lwork = int(sla.lapack.dgeqrf_lwork(*K.shape)[0])
-    Rt = np.triu(sla.lapack.dgeqrf(K, lwork=lwork, overwrite_a=True)[0][: 2 * r]).T
+    lwork = int(lapack.dgeqrf_lwork(*K.shape)[0])
+    Rt = np.triu(lapack.dgeqrf(K, lwork=lwork, overwrite_a=True)[0][: 2 * r]).T
 
     def rows(lo, hi):
         # rows of F = B R^T: the two projectors' terms cancel here, before

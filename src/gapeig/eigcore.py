@@ -14,8 +14,8 @@ dispatches on the type (solve_lowest takes the first two):
   well).  The standard
   problem (B=None: Bloch fibers, real supercell forms) goes through numpy's
   LAPACK (numpy.linalg.eigh), full spectrum first and then the window or
-  the k lowest; the generalized problem uses scipy.linalg.eigh's subset
-  drivers.
+  the k lowest; the generalized problem uses LAPACK's subset drivers
+  (*gvx) through gapeig.lapack.
 - TridiagonalPencil: real symmetric tridiagonal (A, M), A optionally
   bordered by k dense columns and their k x k corner, with the identity as
   the mass of the k border unknowns: M = blockdiag(T_M, I_k).  Every P1
@@ -65,17 +65,18 @@ TridiagonalPencil, DiagonalLowRank and MatrixFree are real symmetric, so
 the Lanczos runs in real arithmetic; only a dense SymmetricPencil (a
 complex Bloch fiber) is ever complex.
 
-scipy.linalg, the only part of scipy used here, is imported inside the
-functions that use it (the generalized dense solve and the tridiagonal
-factorizations), never at module level: a Bloch sweep and a
-DiagonalLowRank or MatrixFree solve need only numpy, and
-importing scipy.linalg (which loads its own copy of numpy's namespace) takes
-longer than a whole 1D gap sweep, so a process that only locates a gap
-would spend most of its time importing.
+The generalized dense solve and the tridiagonal factorizations call LAPACK
+through gapeig.lapack, which loads scipy's compiled LAPACK wrappers on
+first use and imports no scipy package: a Bloch sweep and a
+DiagonalLowRank or MatrixFree solve need only numpy, so a process that only
+locates a gap loads no part of scipy, and one that solves P1 pencils loads
+that one extension, not scipy.linalg, whose import (0.25 s, 28 MB) took
+longer than its solves.
 """
 
 import numpy as np
 
+from gapeig import lapack
 from gapeig.errors import InvalidMatrix, NotConverged, PencilNotDefinite, ResolutionError
 
 SYMMETRY_TOL = 1e-12
@@ -220,15 +221,14 @@ def _border(border, n_t):
 
 def tridiagonal_cholesky(d, e):
     """Upper Cholesky factor R (RᵀR = T) of the symmetric tridiagonal
-    T = (d, e) in LAPACK's upper band storage, which cho_solve_banded and
-    dtbtrs take: row 1 its diagonal, row 0 its superdiagonal after one
-    unused entry.  LinAlgError when T is not positive definite."""
-    from scipy.linalg import cholesky_banded
-
+    T = (d, e) in LAPACK's upper band storage (dpbtrf), which
+    lapack.cho_solve_banded and dtbtrs take: row 1 its diagonal, row 0 its
+    superdiagonal after one unused entry.  LinAlgError when T is not
+    positive definite."""
     ab = np.zeros((2, len(d)))
     ab[0, 1:] = e
     ab[1] = d
-    return cholesky_banded(ab)
+    return lapack.cholesky_banded(ab)
 
 
 def _bordered_product(d, e, border, X):
@@ -250,12 +250,10 @@ def _tridiagonal_solver(d, e):
     tridiagonal (d, e): LAPACK's LU with partial pivoting (dgttrf, then
     dgttrs per block), O(n) to factor and O(n) per column.
 
-    scipy's dgttrf wrapper takes n >= 3 only, so a smaller T is padded to
+    The f2py dgttrf wrapper takes n >= 3 only, so a smaller T is padded to
     3 rows with a decoupled identity, whose rows solve to zero.
     LinAlgError when T is exactly singular.
     """
-    from scipy.linalg import lapack
-
     n = len(d)
     pad = max(0, 3 - n)
     if pad:
@@ -761,18 +759,14 @@ def _solve_dense(pencil, with_vectors, by_value=None, by_index=None):
     open interval) or by_index (first and last 0-based index) selects.
 
     The standard problem takes numpy's LAPACK over the full spectrum and then
-    selects; the generalized one takes scipy's subset drivers, whose value
-    subset is half open, (lo, hi], so hi is cut off here.
+    selects; the generalized one takes LAPACK's subset drivers
+    (lapack.eigh_generalized), whose value subset is half open, (lo, hi], so
+    hi is cut off here.
     """
     A, B = pencil.A, pencil.B
     keep = slice(None)
     if B is not None:
-        import scipy.linalg as sla
-
-        driver = None if by_value is None and by_index is None else "gvx"
-        out = sla.eigh(A, B, subset_by_value=by_value, subset_by_index=by_index, driver=driver,
-                       eigvals_only=not with_vectors)
-        w, V = out if with_vectors else (out, None)
+        w, V = lapack.eigh_generalized(A, B, with_vectors, by_value, by_index)
     else:
         w, V = np.linalg.eigh(A) if with_vectors else (np.linalg.eigvalsh(A), None)
         if by_index is not None:

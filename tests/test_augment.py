@@ -167,17 +167,28 @@ def test_window_too_small_at_build(V1d):
         augment.build_projector(V1d, J=1, n_c=40, M_q=4)
 
 
-@pytest.mark.parametrize("budget, cap", [("MAX_FIBER_NODES", 39),
-                                         ("MAX_WINDOW_NODES", 16 * 40 - 1)])
-def test_projector_budgets(V1d, monkeypatch, budget, cap):
-    # n_c = 40, M_q = 16 is one node over the lowered budget: refused before any fiber
-    def no_fiber(*args):
-        raise AssertionError("a fiber was solved above the budget")
+def _no_fiber(*args):
+    raise AssertionError("a fiber was solved above the budget")
 
+
+@pytest.mark.parametrize("budget, cap", [("MAX_FIBER_NODES", 39),
+                                         ("MAX_WINDOW_NODES", 16 * 40 - 1),
+                                         ("MAX_WINDOW_RANK", 16 * 40 * 16 - 1)])
+def test_projector_budgets(V1d, monkeypatch, budget, cap):
+    # n_c = 40, M_q = 16 is one unit over the lowered budget: refused before any fiber
     monkeypatch.setattr(augment, budget, cap)
-    monkeypatch.setattr(augment, "fem_fiber", no_fiber)
+    monkeypatch.setattr(augment, "fem_fiber", _no_fiber)
     with pytest.raises(BasisTooLarge, match="budget"):
         augment.build_projector(V1d, J=1, n_c=40, M_q=16)
+
+
+def test_coarse_cell_many_periods_over_rank_budget(V1d, monkeypatch):
+    # n_c = 2 with M_q = 25000 is within the window-node cap, but its Gram
+    # matrices of order M_q would take about 15 GB: the rank budget refuses it
+    monkeypatch.setattr(augment, "fem_fiber", _no_fiber)
+    assert 2 * 25000 <= augment.MAX_WINDOW_NODES
+    with pytest.raises(BasisTooLarge, match="budget"):
+        augment.build_projector(V1d, J=1, n_c=2, M_q=25000)
 
 
 def test_window_margin_enforced(V1d, lat1d, proj_small):

@@ -654,13 +654,12 @@ def test_gap_loads_no_scipy(tmp_path):
     assert _loaded_after(tmp_path, ["gap"], ("scipy", "concurrent")) == "[]"
 
 
-def test_p1_subcommands_load_no_scipy_sparse(tmp_path):
-    # the P1 pencils are factored by LAPACK's tridiagonal LU, which ships in
-    # scipy.linalg: the subcommands that solve them load no scipy.sparse
+def test_p1_subcommands_load_only_scipy_flapack(tmp_path):
+    # the P1 pencils are factored by LAPACK's tridiagonal LU, which gapeig.lapack
+    # reaches in scipy's compiled LAPACK wrappers: the subcommands that solve
+    # them load that extension and no scipy package
     methods = ["gap", "galerkin", "pollution-scan", "dislocation", "augment"]
-    loaded = _loaded_after(tmp_path, methods, ("scipy",))
-    assert "'scipy.linalg'" in loaded
-    assert "scipy.sparse" not in loaded
+    assert _loaded_after(tmp_path, methods, ("scipy",)) == "['scipy.linalg._flapack']"
 
 
 def test_supercell_1d_loads_no_scipy(tmp_path):
