@@ -74,16 +74,16 @@ def fem_fiber(V, q, n_c, J, integrals=None):
     integrals are V's _cell_integrals, which do not depend on q: a sweep
     over quasimomenta computes them once and passes them in (None computes
     them here).  Eigenvectors are mass-orthonormal, so each band function
-    carries unit mass per period.
+    carries unit mass per period.  The fiber pencil is Hermitian with a
+    positive definite mass by construction, so it goes straight to LAPACK's
+    index-subset driver (lapack.eigh_generalized).
     """
     b = V.lattice.b
     if integrals is None:
         integrals = _cell_integrals(V, n_c)
     forms = fem1d.p1_forms(n_c, b / n_c, np.exp(1j * q * b), integrals)
     A, M = (fem1d.dense_form(f) for f in forms)
-    pencil = eigcore.SymmetricPencil(A, M)
-    res = eigcore.solve_lowest(pencil, J, with_vectors=True)
-    return res.eigenvalues, res.eigenvectors
+    return lapack.eigh_generalized(A, M, True, by_index=(0, J - 1))
 
 
 def _planewave_cell_vectors(V, q, n_c, J):
@@ -386,7 +386,7 @@ def augmented_space(projector, mesh, min_margin=1.0):
     idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + projector.half_index
     # C^T = (MU)[idx], the domain's mass rows of the projector
     MU_dom = projector.mass_rows(idx[0], idx[-1] + 1)
-    Uq, s, _ = lapack.svd(MU_dom.T)
+    Uq, s, _ = np.linalg.svd(MU_dom.T, full_matrices=False)
     if s[0] == 0.0:
         rank = 0
     else:
@@ -406,7 +406,7 @@ def augmented_space(projector, mesh, min_margin=1.0):
     Z = lapack.cho_solve_banded(chol, Y)
     R = np.eye(rank) - Y.T @ Z
     R = 0.5 * (R + R.T)
-    lam, E = lapack.eigh(R)
+    lam, E = np.linalg.eigh(R)
     keep = lam > SIGMA_TOL
     # only the kept directions are unfolded over the window
     V_keep = projector.combine(Q @ E[:, keep])
@@ -419,7 +419,7 @@ def augmented_space(projector, mesh, min_margin=1.0):
     U_keep[idx] -= Z @ E[:, keep]
     U_keep[idx] -= lapack.cho_solve_banded(chol, projector.apply_mass(U_keep)[idx])
     G = U_keep.T @ projector.apply_mass(U_keep)
-    U_keep = lapack.solve_triangular(np.linalg.cholesky(0.5 * (G + G.T)), U_keep.T, lower=True).T
+    U_keep = np.linalg.solve(np.linalg.cholesky(0.5 * (G + G.T)), U_keep.T).T
     diag = {
         "rank_coupled": rank,
         "rank_kept": int(np.sum(keep)),

@@ -119,7 +119,6 @@ SCHEMA = {
                 "additionalProperties": False,
             },
         },
-        "threads": {"type": "integer", "minimum": 1},
         "bands": {
             "type": "object",
             "properties": {
@@ -160,8 +159,6 @@ SCHEMA = {
                 "n_half": _one_or_list("integer", minimum=2),
                 "t": {"type": "number", "minimum": 0},
                 "reference": _REFERENCE,
-                "match_tol": {"type": "number", "exclusiveMinimum": 0},
-                "edge_guard": {"type": "number", "minimum": 0},
             },
             "required": ["window", "n_half"],
             "additionalProperties": False,
@@ -210,8 +207,6 @@ SCHEMA = {
                 "n_half": {"type": "array", "items": {"type": "integer", "minimum": 2}},
                 "t": {"type": "number", "minimum": 0},
                 "reference": _REFERENCE,
-                "match_tol": {"type": "number", "exclusiveMinimum": 0},
-                "edge_guard": {"type": "number", "minimum": 0},
             },
             "required": ["window", "n_half", "reference"],
             "additionalProperties": False,
@@ -607,13 +602,7 @@ def _galerkin_rows(V, W, lat, p, window, rows, results):
     ref = _reference_values(p["reference"], V, W, window) if "reference" in p else None
     for n_half, mesh in meshes:
         res = fem1d.galerkin_spectrum(V, W, mesh, window)
-        reports = fem1d.classify_modes(
-            mesh,
-            res,
-            ref,
-            match_tol=p.get("match_tol", fem1d.MATCH_TOL),
-            edge_guard_frac=p.get("edge_guard", eigcore.DEFAULT_EDGE_GUARD),
-        )
+        reports = fem1d.classify_modes(mesh, res, ref)
         for r in reports:
             rows.append(
                 (n_half, t, n_c, mesh.h, r.eigenvalue, r.mu_boundary, r.mu_compact, r.classification)
@@ -788,11 +777,11 @@ def main(argv=None):
     ap.add_argument("method", choices=METHODS)
     ap.add_argument("--config", required=True, help="JSON experiment description")
     ap.add_argument("--out", default=".", help="output directory (default: current)")
-    ap.add_argument("--threads", type=int, default=None, help="worker threads for fiber sweeps")
+    ap.add_argument("--threads", type=int, default=1, help="worker threads for fiber sweeps")
     args = ap.parse_args(argv)
 
     try:
-        if args.threads is not None and args.threads < 1:
+        if args.threads < 1:
             raise ConfigError("--threads must be at least 1, got %d" % args.threads)
         cfg = load_config(args.config)
         if args.method not in ("bands", "gap") and args.method not in cfg:
@@ -801,7 +790,6 @@ def main(argv=None):
             raise ConfigError("%s runs 1D finite elements; the config has d = %d"
                               % (args.method, cfg["lattice"]["d"]))
         os.makedirs(args.out, exist_ok=True)
-        threads = cfg.get("threads", 1) if args.threads is None else args.threads
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2
@@ -809,7 +797,7 @@ def main(argv=None):
     summary_path = os.path.join(args.out, "summary.json")
     t0 = time.perf_counter()
     try:
-        results, diagnostics, files = RUNNERS[args.method](cfg, args.out, threads)
+        results, diagnostics, files = RUNNERS[args.method](cfg, args.out, args.threads)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2

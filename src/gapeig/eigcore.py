@@ -14,8 +14,8 @@ dispatches on the type (solve_lowest takes the first two):
   well).  The standard
   problem (B=None: Bloch fibers, real supercell forms) goes through numpy's
   LAPACK (numpy.linalg.eigh), full spectrum first and then the window or
-  the k lowest; the generalized problem uses LAPACK's subset drivers
-  (*gvx) through gapeig.lapack.
+  the k lowest; the generalized problem goes through gapeig.lapack, its
+  full spectrum (*gvd) and then the window, or the k lowest alone (*gvx).
 - TridiagonalPencil: real symmetric tridiagonal (A, M), A optionally
   bordered by k dense columns and their k x k corner, with the identity as
   the mass of the k border unknowns: M = blockdiag(T_M, I_k).  Every P1
@@ -758,15 +758,14 @@ def _solve_dense(pencil, with_vectors, by_value=None, by_index=None):
     """Dense solve of a SymmetricPencil, all of it or the part by_value (an
     open interval) or by_index (first and last 0-based index) selects.
 
-    The standard problem takes numpy's LAPACK over the full spectrum and then
-    selects; the generalized one takes LAPACK's subset drivers
-    (lapack.eigh_generalized), whose value subset is half open, (lo, hi], so
-    hi is cut off here.
+    The standard problem takes numpy's LAPACK and the generalized one
+    gapeig.lapack's *gvd, each over the full spectrum, which by_value then
+    windows; a generalized by_index goes to the index-subset *gvx driver.
     """
     A, B = pencil.A, pencil.B
     keep = slice(None)
     if B is not None:
-        w, V = lapack.eigh_generalized(A, B, with_vectors, by_value, by_index)
+        w, V = lapack.eigh_generalized(A, B, with_vectors, by_index)
     else:
         w, V = np.linalg.eigh(A) if with_vectors else (np.linalg.eigvalsh(A), None)
         if by_index is not None:

@@ -288,19 +288,17 @@ class LocalizationReport:
         )
 
 
-def mode_label(
-    eigenvalue, window, reference, match_tol=MATCH_TOL, edge_guard_frac=eigcore.DEFAULT_EDGE_GUARD
-):
+def mode_label(eigenvalue, window, reference, match_tol=MATCH_TOL):
     """Class of one eigenvalue in the window (alpha, beta).
 
-    A value hugging a window endpoint (within edge_guard_frac of the window
-    width) is "undetermined", since at fixed mesh size the numerical band
-    edge intrudes slightly into the window and such values cannot be
-    attributed either way.  Otherwise it is "interior" when reference is
-    None, "true" within match_tol of a pollution-free reference eigenvalue,
-    and "spurious" when no reference value is that close.
+    A value hugging a window endpoint (eigcore.interior_mask's guard) is
+    "undetermined", since at fixed mesh size the numerical band edge
+    intrudes slightly into the window and such values cannot be attributed
+    either way.  Otherwise it is "interior" when reference is None, "true"
+    within match_tol of a pollution-free reference eigenvalue, and
+    "spurious" when no reference value is that close.
     """
-    if not eigcore.interior_mask(eigenvalue, window, edge_guard_frac):
+    if not eigcore.interior_mask(eigenvalue, window):
         return "undetermined"
     if reference is None:
         return "interior"
@@ -310,9 +308,7 @@ def mode_label(
     return "spurious"
 
 
-def classify_modes(
-    mesh, result, reference, match_tol=MATCH_TOL, edge_guard_frac=eigcore.DEFAULT_EDGE_GUARD
-):
+def classify_modes(mesh, result, reference, match_tol=MATCH_TOL):
     """Label windowed Galerkin eigenvalues by mode_label, with their masses.
 
     reference None gives "interior"/"undetermined" labels only.  Each
@@ -321,7 +317,7 @@ def classify_modes(
     reports = []
     for i, ev in enumerate(result.eigenvalues):
         c = result.eigenvectors[:, i]
-        cls = mode_label(ev, result.window, reference, match_tol, edge_guard_frac)
+        cls = mode_label(ev, result.window, reference, match_tol)
         reports.append(LocalizationReport(ev, boundary_mass(mesh, c), compact_mass(mesh, c), cls))
     return reports
 

@@ -9,12 +9,15 @@ scipy, and the module is registered under its own name in sys.modules.
 Whichever of this module and scipy.linalg loads it first, the other reuses
 that entry, so both call the same routine objects.
 
-The compiled routines are attributes of this module (lapack.dgttrf, PEP
-562).  The functions below stand in for the scipy.linalg functions gapeig
-used: each calls the routine scipy.linalg calls, with the arguments it
-passes, and keeps its checks (finite inputs, as check_finite=True does, and
-LAPACK's info as LinAlgError or ValueError).  They take double precision
-real input, or complex where stated.
+Only what numpy.linalg lacks goes through here; gapeig takes everything
+else (dense svd, eigh, Cholesky, solve) from numpy.  The compiled routines
+are attributes of this module (lapack.dgttrf, PEP 562).  The functions
+below cover the banded Cholesky factorization and solve and the generalized
+Hermitian eigenproblem, all of it or an index subset: each calls the
+routine scipy.linalg calls, with the arguments it passes, and keeps its
+checks (finite inputs, as check_finite=True does, and LAPACK's info as
+LinAlgError or ValueError).  They take double precision real input, or
+complex where stated.
 """
 
 import importlib.machinery
@@ -95,62 +98,12 @@ def cho_solve_banded(cb, b):
     return x
 
 
-def solve_triangular(a, b, lower=False):
-    """Solution x of a x = b for a triangular a (dtrtrs).  Like scipy, a
-    C-ordered a is passed transposed, as the transposed system."""
-    a, b = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected square matrix")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("shapes of a %s and b %s are incompatible" % (a.shape, b.shape))
-    if b.size == 0:
-        # dtrtrs refuses n = 0 (augmented_space keeping no direction)
-        return np.zeros(b.shape)
-    if a.flags.f_contiguous:
-        x, info = _flapack().dtrtrs(a, b, overwrite_b=False, lower=lower, trans=0, unitdiag=False)
-    else:
-        x, info = _flapack().dtrtrs(a.T, b, overwrite_b=False, lower=not lower, trans=True,
-                                    unitdiag=False)
-    _check(info, "trtrs", "singular matrix: resolution failed at diagonal %d")
-    return x
-
-
-def svd(a):
-    """Thin singular value decomposition (u, s, vt) of a real matrix (dgesdd)."""
-    a = np.asarray_chkfinite(a)
-    if a.ndim != 2:
-        raise ValueError("expected matrix")
-    m, n = a.shape
-    if max(m, n) * min(m, n) > _INT32_MAX:
-        raise ValueError("indexing a %d x %d matrix would overflow 32-bit LAPACK" % (m, n))
-    flapack = _flapack()
-    (lwork,) = _lwork(flapack.dgesdd_lwork, m, n, compute_uv=True, full_matrices=False)
-    u, s, vt, info = flapack.dgesdd(a, compute_uv=True, lwork=lwork, full_matrices=False,
-                                    overwrite_a=False)
-    _check(info, "gesdd", "SVD did not converge (info %d)")
-    return u, s, vt
-
-
-def eigh(a):
-    """All eigenvalues, ascending, and eigenvectors of a real symmetric
-    matrix, from its lower triangle (dsyevr)."""
-    a = np.asarray_chkfinite(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError('expected square "a" matrix')
-    flapack = _flapack()
-    lwork, liwork = _lwork(flapack.dsyevr_lwork, n=a.shape[0], lower=True)
-    w, v, _, _, info = flapack.dsyevr(a=a, overwrite_a=False, lower=True, compute_v=1,
-                                      lwork=lwork, liwork=liwork)
-    _check(info, "syevr", "dsyevr failed: internal error %d")
-    return w, v
-
-
-def eigh_generalized(a, b, with_vectors, by_value=None, by_index=None):
+def eigh_generalized(a, b, with_vectors, by_index=None):
     """Eigenvalues, ascending, and (with_vectors) b-orthonormal eigenvectors
     of the Hermitian pencil (a, b), b positive definite, from the lower
-    triangles; real or complex.  All of them (*gvd), or those in the half
-    open interval by_value = (lo, hi] or with the 0-based indices
-    by_index = (first, last) (*gvx).  Returns (w, v), v None without vectors."""
+    triangles; real or complex.  All of them (*gvd), or those with the
+    0-based indices by_index = (first, last) (*gvx).  Returns (w, v), v None
+    without vectors."""
     a, b = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
         raise ValueError("expected square a and b of one shape")
@@ -162,27 +115,21 @@ def eigh_generalized(a, b, with_vectors, by_value=None, by_index=None):
     flapack = _flapack()
     args = {"overwrite_a": False, "overwrite_b": False, "itype": 1, "uplo": "L",
             "jobz": "V" if with_vectors else "N"}
-    if by_index is not None:
+    if by_index is None:
+        driver = prefix + "gvd"
+    else:
         lo, hi = (int(x) for x in by_index)
         if not 0 <= lo <= hi < n:
             raise ValueError("eigenvalue indices %s outside [0, %d]" % ((lo, hi), n - 1))
-        args.update(range="I", il=lo + 1, iu=hi + 1)
-    elif by_value is not None:
-        lo, hi = by_value
-        if not -np.inf <= lo < hi <= np.inf:
-            raise ValueError("eigenvalue bounds %s are not valid" % ((lo, hi),))
-        args.update(range="V", vl=lo, vu=hi)
-    if "range" in args:
         driver = prefix + "gvx"
-        (args["lwork"],) = _lwork(getattr(flapack, driver + "_lwork"), n, uplo="L")
-    else:
-        driver = prefix + "gvd"
+        (lwork,) = _lwork(getattr(flapack, driver + "_lwork"), n, uplo="L")
+        args.update(range="I", il=lo + 1, iu=hi + 1, lwork=lwork)
     w, v, *other, info = getattr(flapack, driver)(a=a, b=b, **args)
     if info > n:
         raise np.linalg.LinAlgError("the leading minor of order %d of B is not positive definite"
                                     % (info - n))
     if info != 0:
         raise np.linalg.LinAlgError("%s failed: info %d" % (driver, info))
-    # the subset drivers return the m values found first
+    # the subset driver returns the m values found first
     m = other[0] if other else n
     return w[:m], v[:, :m] if with_vectors else None

@@ -270,8 +270,8 @@ def _compress_perturbation(w, N, g):
     BᴴB = diag(sqrt|w|) D diag(sqrt|w|)/g with D the Dirichlet kernel of
     p - q, so its eigendecomposition BᴴB = U diag(s^2) Uᴴ gives BBᴴ ~ Z Zᴴ,
     Z = B U_k, keeping the s^2 above RANK_TOL of the largest; each column
-    of Z is one FFT.  Every column is the transform of a real grid
-    function, so K Z = conj(Z) (K maps mode m to -m), and in the real form
+    of Z is one real FFT, since it is the transform of a real grid
+    function.  So K Z = conj(Z) (K maps mode m to -m), and in the real form
     (_real_form) Uᴴ Z = e^{-i pi/4} R with R = Re Z - Im Z real.  Returns
     (R, sign, support, dropped): Uᴴ W U ~ -R diag(sign) Rᵀ, support the
     number of grid points kept and dropped a bound on the spectral norm of
@@ -297,8 +297,10 @@ def _compress_perturbation(w, N, g):
         dropped += float(np.max(s2[~keep], initial=0.0))
         full = np.zeros((g, int(np.count_nonzero(keep))))
         full[S] = root[:, None] * U[:, keep]
-        # F_mp = (-1)^m e^{-2 pi i m p/g}/sqrt(g): the cell starts at -Lb/2
-        cols.append(np.fft.fft(full, axis=0)[ms % g] * phase[:, None])
+        # F_mp = (-1)^m e^{-2 pi i m p/g}/sqrt(g): the cell starts at -Lb/2;
+        # a real column's mode -m is the conjugate of its mode m (g > 4N)
+        pos = np.fft.rfft(full, axis=0)[:N + 1]
+        cols.append(np.concatenate([pos[:0:-1].conj(), pos]) * phase[:, None])
         sign += [-w_sign] * full.shape[1]
     Z = np.hstack(cols)
     return Z.real - Z.imag, np.array(sign), int(np.count_nonzero(kept)), dropped

@@ -284,6 +284,28 @@ def test_augmented_spectrum_offset_family(V1d, W1d, lat1d, proj_full, reference1
     assert supercell.hausdorff(interior, reference1d) <= 2e-3
 
 
+# augment's values and classes on the benchmark problem at L = 16, n_c = 100,
+# M_q = 64, frozen from an earlier implementation of the route: a refactor
+# must keep them to roundoff (criterion 6 checks the values to 0.02 only)
+FROZEN_AUGMENT = {
+    0.0: ([-1.1435431284312583, -1.1435402343820789, -1.0444525590547118, -0.653222573415164],
+          ["undetermined"] * 2 + ["true"] * 2),
+    0.5: ([-1.1441527670180534, -1.1441438896803104, -1.1435008435159542, -1.1434984851351881,
+           -1.0444525590547094, -0.6532225736785454],
+          ["undetermined"] * 4 + ["true"] * 2),
+}
+
+
+@pytest.mark.parametrize("t", sorted(FROZEN_AUGMENT))
+def test_augmented_spectrum_frozen(V1d, W1d, lat1d, proj_full, t):
+    values, classes = FROZEN_AUGMENT[t]
+    aug = augment.augmented_space(proj_full, fem1d.symmetric_mesh(lat1d, 100, 8, t))
+    res = augment.augmented_spectrum(V1d, W1d, aug, WIN_1D)
+    assert len(res.eigenvalues) == len(values)
+    assert np.max(np.abs(res.eigenvalues - values)) <= 1e-12
+    assert [fem1d.mode_label(ev, res.window, REF_1D) for ev in res.eigenvalues] == classes
+
+
 def test_augmented_values_domain_independent(V1d, W1d, lat1d, proj_full):
     # the interior values do not move when the domain grows or shifts: the
     # signature of a pollution-free family

@@ -551,6 +551,8 @@ def test_p1_budget_exit3(tmp_path, monkeypatch, method, module, budget):
 
     monkeypatch.setattr(eigcore, "solve_window", no_solve)
     monkeypatch.setattr(eigcore, "solve_lowest", no_solve)
+    # the projector's fibers are solved by fem_fiber, not through eigcore
+    monkeypatch.setattr(augment, "fem_fiber", no_solve)
     cfg = json.loads(json.dumps(SMALL_CFG))
     cfg[method]["window"] = [-1.144, -0.645]
     out = str(tmp_path / "out")
@@ -809,20 +811,25 @@ def test_perfbench_tracer_still_sees_supercell_layers(tmp_path):
                                            ("augment", "augment.n_aug")])
 def test_perfbench_tracer_sees_p1_layers(tmp_path, method, layer):
     # the P1 routes return eigcore's windowed result, whose length,
-    # residual bound and diagnostics the tracer's counters read
+    # residual bound and diagnostics the tracer's counters read.  Coverage
+    # is a timing ratio, so its bound holds for the median of three runs,
+    # which one run on a busy host can miss
     layers = _load_layers()
     cfg = read_cfg(GOLDEN_1D)
     cfg[method]["window"] = [-1.1442549263927626, -0.6450826051490102]
+    config = write_cfg(tmp_path, cfg)
     tracer = layers.Tracer()
-    run_id = tracer.begin_run()
-    with tracer.install():
-        assert cli.main([method, "--config", write_cfg(tmp_path, cfg),
-                         "--out", str(tmp_path / "out")]) == 0
-    counters = tracer.counters[run_id]
-    for name in (layer, "eigcore.solve_window_calls", "eigcore.window_returned"):
-        assert counters[name] > 0, (name, counters)
-    metrics = layers.run_metrics([sp for sp in tracer.spans if sp[5] == run_id], counters)
-    assert metrics["trace.coverage"] >= 0.98, metrics
+    coverage = []
+    for run in range(3):
+        run_id = tracer.begin_run()
+        with tracer.install():
+            assert cli.main([method, "--config", config, "--out", str(tmp_path / str(run))]) == 0
+        counters = tracer.counters[run_id]
+        for name in (layer, "eigcore.solve_window_calls", "eigcore.window_returned"):
+            assert counters[name] > 0, (name, counters)
+        metrics = layers.run_metrics([sp for sp in tracer.spans if sp[5] == run_id], counters)
+        coverage.append(metrics["trace.coverage"])
+    assert sorted(coverage)[1] >= 0.98, coverage
 
 
 def test_build_problem_leaves_perturbation_defaults_to_model(tmp_path):
