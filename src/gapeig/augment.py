@@ -30,6 +30,8 @@ its antiperiodic seam -1, the periodic fiber (fem_fiber) its quasiperiodic
 seam e^{iqb}, and the domain blocks are the circle forms restricted to the
 Dirichlet nodes.  augmented_spectrum returns its solve's eigcore.EigResult,
 eigenvectors included, as every P1 route does, with no use of supercell.
+AugmentedSpace.node_values turns its eigenvectors into values at the domain
+mesh's nodes, which fem1d.localize measures as it measures Galerkin modes.
 
 a2_estimate(V, mesh, projector) measures a FEM projector against the
 planewave one of the same J, n_c and M_q: the H1 norm of their difference
@@ -59,6 +61,9 @@ SIGMA_TOL = 1e-8
 MAX_FIBER_NODES = 3000
 MAX_WINDOW_NODES = 50000
 MAX_WINDOW_RANK = 25_000_000
+# the fewest periods augmented_space leaves between the domain and each edge
+# of the projector window (WindowTooSmall below it)
+WINDOW_MARGIN = 1.0
 
 
 def _cell_integrals(V, n_c):
@@ -352,6 +357,18 @@ class AugmentedSpace:
     def n_aug(self):
         return self.U_keep.shape[1]
 
+    def node_values(self, coeffs):
+        """Values at every domain mesh node, end nodes included, of the
+        functions with augmented-basis coefficients coeffs (a vector or its
+        columns): the fem1d.Mesh1D convention of the mass functions.  The
+        hat part fills the interior nodes; the u_k do not vanish at the ends.
+        """
+        nf = len(self.idx)
+        half = self.projector.half_index
+        values = self.U_keep[self.mesh.i_lo + half:self.mesh.i_hi + half + 1] @ coeffs[nf:]
+        values[1:-1] += coeffs[:nf]
+        return values
+
 
 def window_margins(mesh, M_q):
     """Periods between the mesh's two ends and the edges of the M_q-period window."""
@@ -359,7 +376,7 @@ def window_margins(mesh, M_q):
     return (mesh.i_lo + half) / mesh.n_c, (half - mesh.i_hi) / mesh.n_c
 
 
-def augmented_space(projector, mesh, min_margin=1.0):
+def augmented_space(projector, mesh):
     """Select the projected directions that augment the truncated space.
 
     Couples the projector to the domain through C = U^T M restricted to the
@@ -371,17 +388,19 @@ def augmented_space(projector, mesh, min_margin=1.0):
     made mass-orthonormal by the Cholesky factor of the kept Gram.
     Diagnostics report cross_mass, the (A1) cross term of the v, and
     gram_min, the smallest kept residual-Gram eigenvalue (None if none).
+    WindowTooSmall when the domain comes within WINDOW_MARGIN periods of
+    either window edge.
     """
     if not isinstance(mesh, fem1d.Mesh1D):
         raise TypeError("mesh must be a Mesh1D")
     if mesh.n_c != projector.n_c:
         raise ValueError("mesh and projector must share n_c")
     margin_lo, margin_hi = window_margins(mesh, projector.M_q)
-    if margin_lo < min_margin or margin_hi < min_margin:
+    if min(margin_lo, margin_hi) < WINDOW_MARGIN:
         raise WindowTooSmall(
             "window of %d periods leaves margins (%.2f, %.2f) around the domain; "
             "need at least %.2f periods (increase M_q)"
-            % (projector.M_q, margin_lo, margin_hi, min_margin)
+            % (projector.M_q, margin_lo, margin_hi, WINDOW_MARGIN)
         )
     idx = np.arange(mesh.i_lo + 1, mesh.i_hi) + projector.half_index
     # C^T = (MU)[idx], the domain's mass rows of the projector
@@ -463,31 +482,6 @@ def augmented_spectrum(V, W, aug, window):
         "residual_bound": res.residual_bound,
     }
     return res
-
-
-def localization_masses(aug, coeffs):
-    """(mu_boundary, mu_compact) of an augmented eigenvector coeffs.
-
-    The eigenfunction, sum_i c_i phi_i + sum_k c_k u_k, lives on the window
-    circle (node i at (i - half_index)*h, the antiperiodic seam closing it);
-    mu_boundary is its mass on the domain's two end strips of width 2b,
-    mu_compact its mass on (-2b, 2b).
-    """
-    P = aug.projector
-    full = np.zeros(P.n_win)
-    nf = len(aug.idx)
-    full[aug.idx] = coeffs[:nf]
-    if aug.n_aug:
-        full += aug.U_keep @ coeffs[nf:]
-    line = fem1d.Mesh1D(P.lattice.b, P.n_c, -P.half_index, P.half_index)
-    vals = np.concatenate([full, [-full[0]]])
-
-    def mass(lo, hi):
-        return fem1d.interval_mass(line, vals, lo, hi, interior=False)
-
-    strip = 2 * P.lattice.b
-    x_lo, x_hi = aug.mesh.x_lo, aug.mesh.x_hi
-    return mass(x_lo, x_lo + strip) + mass(x_hi - strip, x_hi), mass(-strip, strip)
 
 
 def a2_estimate(V, mesh, projector):

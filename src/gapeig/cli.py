@@ -146,7 +146,6 @@ SCHEMA = {
                 "ratio": {"type": "number", "minimum": 4},
                 "t": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "method": {"enum": ["auto", "dense", "iterative"]},
-                "max_planewaves": {"type": "integer", "minimum": 1},
             },
             "required": ["window", "L"],
             "additionalProperties": False,
@@ -193,7 +192,6 @@ SCHEMA = {
                 "M_q": {"type": "integer", "minimum": 4, "multipleOf": 2},
                 "L": _one_or_list("integer", minimum=4, multipleOf=2),
                 "t": _one_or_list("number", minimum=0),
-                "window_margin": {"type": "number", "minimum": 0},
                 "reference": _REFERENCE,
             },
             "required": ["window", "L"],
@@ -509,7 +507,6 @@ def run_supercell(cfg, out_dir, threads):
     _, V, W = build_problem(cfg)
     p = cfg["supercell"]
     window = resolve_window(p["window"], out_dir)
-    mp = p.get("max_planewaves", supercell.MAX_PLANEWAVES)
     Ls = _as_list(p["L"])
     ratio = p.get("ratio", 16)
     t = p.get("t", 0.0)
@@ -533,7 +530,7 @@ def run_supercell(cfg, out_dir, threads):
     results = {"window": list(window), "runs": []}
     diag = {}
     if len(Ls) > 1:
-        scan = supercell.convergence_scan(V, W, Ls, ratio, window, method=method, max_planewaves=mp)
+        scan = supercell.convergence_scan(V, W, Ls, ratio, window, method=method)
         for row in scan:
             for ev, cls in _edge_classes(row["eigenvalues"], window):
                 rows.append((row["L"], row["N"], 0.0, ev, cls))
@@ -555,9 +552,9 @@ def run_supercell(cfg, out_dir, threads):
                     "supercell ratio %g gives N = %d < 4*(L + t) = %g at L = %d, t = %g; "
                     "raise ratio" % (ratio, N, 4 * (L + t), L, t)
                 )
-            res = supercell.mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=mp)
+            res = supercell.mismatched_supercell_spectrum(V, W, L, t, N, window)
         else:
-            res = supercell.supercell_spectrum(V, W, L, N, window, method=method, max_planewaves=mp)
+            res = supercell.supercell_spectrum(V, W, L, N, window, method=method)
         for ev, cls in _edge_classes(res.eigenvalues, res.window):
             rows.append((L, N, t, ev, cls))
         run = {"L": L, "N": N, "t": t, "eigenvalues": res.eigenvalues, "interior": res.interior()}
@@ -603,10 +600,7 @@ def _galerkin_rows(V, W, lat, p, window, rows, results):
     for n_half, mesh in meshes:
         res = fem1d.galerkin_spectrum(V, W, mesh, window)
         reports = fem1d.classify_modes(mesh, res, ref)
-        for r in reports:
-            rows.append(
-                (n_half, t, n_c, mesh.h, r.eigenvalue, r.mu_boundary, r.mu_compact, r.classification)
-            )
+        rows.extend((n_half, t, n_c, mesh.h, *r) for r in reports)
         results["runs"].append(
             {
                 "n_half": n_half,
@@ -699,7 +693,6 @@ def run_augment(cfg, out_dir, threads):
             "reference fiber (%d planewaves)" % (J, n_c, n_pw)
         )
     M_q = p.get("M_q", 64)
-    margin = p.get("window_margin", 1.0)
     # every domain is checked against the window before the projector is built
     meshes = []
     for L in _as_list(p["L"]):
@@ -709,10 +702,11 @@ def run_augment(cfg, out_dir, threads):
             except MeshOffsetError as e:
                 raise ConfigError("augment: %s" % e)
             room = min(augment.window_margins(mesh, M_q))
-            if room < margin:
+            if room < augment.WINDOW_MARGIN:
                 raise ConfigError(
                     "augment L = %d, t = %g leaves %.2f periods to the edge of the M_q = %d "
-                    "window; window_margin asks for %g (increase M_q)" % (L, t, room, M_q, margin)
+                    "window; the projector needs %g (increase M_q)"
+                    % (L, t, room, M_q, augment.WINDOW_MARGIN)
                 )
             meshes.append((L, t, mesh))
     window = resolve_window(p["window"], out_dir)
@@ -721,11 +715,11 @@ def run_augment(cfg, out_dir, threads):
     rows = []
     results = {"window": list(window), "runs": []}
     for L, t, mesh in meshes:
-        aug = augment.augmented_space(P, mesh, min_margin=margin)
+        aug = augment.augmented_space(P, mesh)
         res = augment.augmented_spectrum(V, W, aug, window)
+        values = aug.node_values(res.eigenvectors)
         for i, ev in enumerate(res.eigenvalues):
-            mb, mk = augment.localization_masses(aug, res.eigenvectors[:, i])
-            rows.append((L, t, n_c, M_q, ev, mb, mk, fem1d.mode_label(ev, res.window, ref)))
+            rows.append((L, t, n_c, M_q, *fem1d.localize(mesh, ev, values[:, i], res.window, ref)))
         results["runs"].append(
             {
                 "L": L,

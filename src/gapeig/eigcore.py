@@ -128,21 +128,15 @@ def _max_abs(x):
 
 
 def _hermitian_defect(M):
-    """max |M_ij - conj(M_ji)| of a square array, with no complex arithmetic.
+    """max |M_ij - conj(M_ji)| of a square array.
 
-    For a complex M the real and imaginary parts of M - Mᴴ, R - Rᵀ and
-    J + Jᵀ from the views R, J of M, are written into the two halves of one
-    buffer that is then read as complex: the modulus is numpy's complex abs
-    of the very values the complex formula forms, with no conjugate copy
-    and no complex subtraction.
+    A real M, which may be a dense supercell matrix of thousands of rows,
+    is measured by _max_abs with no |x| temporary; complex pencils (1D Bloch
+    fibers) are small.
     """
     if not np.iscomplexobj(M):
         return _max_abs(M - M.T)
-    R, J = M.real, M.imag
-    buf = np.empty(M.shape + (2,), dtype=R.dtype)
-    np.subtract(R, R.T, out=buf[..., 0])
-    np.add(J, J.T, out=buf[..., 1])
-    return float(np.max(np.abs(buf.view(M.dtype)[..., 0])))
+    return float(np.max(np.abs(M - M.conj().T)))
 
 
 def _check_hermitian(M, name):

@@ -13,8 +13,11 @@ spectra the boundary-localized modes track.
 Every P1 form of the package comes from one kernel, element_integrals plus
 p1_forms, whose seam factor closes the element chain as the open line (0;
 the Dirichlet pencil drops node 0), the antiperiodic window circle (-1) or
-the quasiperiodic Bloch fiber (e^{iqb}).  mode_label is the one classifier
-of gap eigenvalues, for every P1 route.
+the quasiperiodic Bloch fiber (e^{iqb}).  localize is the one measurement
+of an eigenpair, for every P1 route: the boundary and compact masses of a
+P1 function given by its values at every mesh node (classify_modes pads a
+Dirichlet eigenvector with its zero end values; augment's eigenfunctions do
+not vanish there) and mode_label, the one classifier of gap eigenvalues.
 
 Every pencil here is tridiagonal and stays so: it is an
 eigcore.TridiagonalPencil, whose windowed solves never form an n x n matrix
@@ -23,6 +26,8 @@ and carry an exact inertia count of the eigenvalues in the window
 those solves' eigcore.EigResult, eigenvectors included, with no use of
 the supercell module.  Mesh1D refuses more than MAX_NODES nodes.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,29 +221,25 @@ def galerkin_spectrum(V, W, mesh, window):
     return _spectrum(pencil, window, {"method": "galerkin", "h": mesh.h, "n_c": mesh.n_c})
 
 
-def interval_mass(mesh, coeffs, lo, hi, interior=True):
+def interval_mass(mesh, values, lo, hi):
     """Exact integral of |psi|^2 over [lo, hi] for a P1 function.
 
-    coeffs are real interior-node coefficients when interior=True
-    (Dirichlet) or all-node coefficients otherwise; ValueError for complex
-    ones.  Partial elements are integrated exactly (the integrand is
-    piecewise quadratic).
+    values are psi's real values at every mesh node, end nodes included
+    (a Dirichlet function has zeros there); ValueError for complex ones or
+    another count.  Partial elements are integrated exactly (the integrand
+    is piecewise quadratic).
     """
-    coeffs = np.asarray(coeffs)
-    if np.iscomplexobj(coeffs):
-        raise ValueError("interval_mass takes real coefficients")
-    if interior:
-        full = np.zeros(mesh.n_nodes)
-        full[1:-1] = coeffs
-    else:
-        full = coeffs
+    values = np.asarray(values)
+    if np.iscomplexobj(values) or values.shape != (mesh.n_nodes,):
+        raise ValueError("interval_mass takes real values at every mesh node (%d), got %s %s"
+                         % (mesh.n_nodes, values.dtype, values.shape))
     lo = max(lo, mesh.x_lo)
     hi = min(hi, mesh.x_hi)
     if hi <= lo:
         return 0.0
     h = mesh.h
     nodes = mesh.nodes
-    c0, c1 = full[:-1], full[1:]
+    c0, c1 = values[:-1], values[1:]
     u0 = np.clip((lo - nodes[:-1]) / h, 0.0, 1.0)
     u1 = np.clip((hi - nodes[:-1]) / h, 0.0, 1.0)
     dc = c1 - c0
@@ -250,42 +251,36 @@ def interval_mass(mesh, coeffs, lo, hi, interior=True):
     return float(np.sum(seg))
 
 
-def boundary_mass(mesh, coeffs):
-    """Mass of a P1 eigenfunction on the two end strips of width 2b.
+def boundary_mass(mesh, values):
+    """Mass of a P1 function (values at every node) on the two end strips of
+    width 2b.
 
     Every mesh spans at least four periods, so the strips do not overlap.
     """
     strip = 2.0 * mesh.b
-    return interval_mass(mesh, coeffs, mesh.x_lo, mesh.x_lo + strip) + interval_mass(
-        mesh, coeffs, mesh.x_hi - strip, mesh.x_hi
+    return interval_mass(mesh, values, mesh.x_lo, mesh.x_lo + strip) + interval_mass(
+        mesh, values, mesh.x_hi - strip, mesh.x_hi
     )
 
 
-def compact_mass(mesh, coeffs):
-    """Mass of a P1 eigenfunction on the compact set (-2b, 2b), the central
-    four periods; ValueError for a mesh that does not contain it."""
+def compact_mass(mesh, values):
+    """Mass of a P1 function (values at every node) on the compact set
+    (-2b, 2b), the central four periods; ValueError for a mesh that does
+    not contain it."""
     lo, hi = -2.0 * mesh.b, 2.0 * mesh.b
     if not (mesh.x_lo <= lo and hi <= mesh.x_hi):
         raise ValueError("the compact set (-2b, 2b) is not inside the domain")
-    return interval_mass(mesh, coeffs, lo, hi)
+    return interval_mass(mesh, values, lo, hi)
 
 
-class LocalizationReport:
-    """Per-eigenvalue localization and classification record."""
+class LocalizationReport(NamedTuple):
+    """One eigenpair's localization and class: the last four columns of a
+    galerkin, pollution-scan or augment row."""
 
-    def __init__(self, eigenvalue, mu_boundary, mu_compact, classification):
-        self.eigenvalue = float(eigenvalue)
-        self.mu_boundary = float(mu_boundary)
-        self.mu_compact = float(mu_compact)
-        self.classification = classification
-
-    def __repr__(self):
-        return "LocalizationReport(%.6f, mu_b=%.3f, mu_K=%.3f, %s)" % (
-            self.eigenvalue,
-            self.mu_boundary,
-            self.mu_compact,
-            self.classification,
-        )
+    eigenvalue: float
+    mu_boundary: float
+    mu_compact: float
+    classification: str
 
 
 def mode_label(eigenvalue, window, reference, match_tol=MATCH_TOL):
@@ -308,18 +303,27 @@ def mode_label(eigenvalue, window, reference, match_tol=MATCH_TOL):
     return "spurious"
 
 
-def classify_modes(mesh, result, reference, match_tol=MATCH_TOL):
-    """Label windowed Galerkin eigenvalues by mode_label, with their masses.
+def localize(mesh, eigenvalue, values, window, reference, match_tol=MATCH_TOL):
+    """The LocalizationReport of one eigenpair: the boundary and compact
+    masses of the P1 function with the given values at every mesh node, and
+    the eigenvalue's mode_label.  Every galerkin, pollution-scan and augment
+    row comes from here."""
+    return LocalizationReport(float(eigenvalue), boundary_mass(mesh, values),
+                              compact_mass(mesh, values),
+                              mode_label(eigenvalue, window, reference, match_tol))
 
-    reference None gives "interior"/"undetermined" labels only.  Each
-    report carries the boundary and compact masses of the eigenfunction.
+
+def classify_modes(mesh, result, reference, match_tol=MATCH_TOL):
+    """localize every windowed Galerkin eigenpair of result.
+
+    The eigenvectors hold the interior nodes (Dirichlet); they are padded
+    with the two zero end values.  reference None gives
+    "interior"/"undetermined" labels only.
     """
-    reports = []
-    for i, ev in enumerate(result.eigenvalues):
-        c = result.eigenvectors[:, i]
-        cls = mode_label(ev, result.window, reference, match_tol)
-        reports.append(LocalizationReport(ev, boundary_mass(mesh, c), compact_mass(mesh, c), cls))
-    return reports
+    values = np.zeros((mesh.n_nodes, len(result.eigenvalues)))
+    values[1:-1] = result.eigenvectors
+    return [localize(mesh, ev, values[:, i], result.window, reference, match_tol)
+            for i, ev in enumerate(result.eigenvalues)]
 
 
 def dislocation_spectrum(V, kind, t, window, n_periods=40, n_c=100):

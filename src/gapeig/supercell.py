@@ -70,6 +70,7 @@ import numpy as np
 from gapeig import bloch, eigcore, model
 from gapeig.errors import InvalidMatrix
 
+# every route refuses (BasisTooLarge) a cell of more planewaves
 MAX_PLANEWAVES = bloch.MAX_PLANEWAVES
 # the dense routes (assemble_supercell, the mismatched cell) form n x n
 # matrices, so they refuse (BasisTooLarge) n above DENSE_LIMIT
@@ -203,7 +204,7 @@ def _real_form(modes, kscale, table):
     return S
 
 
-def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
+def assemble_supercell(V, W, L, N):
     """Dense supercell matrix in real form, S = Uᴴ H U for the operator H
     in the exponential basis e^{2 pi i m.x/(L b)} (_real_form), and its
     info {n_planewaves, grid, edge_ratio}.
@@ -211,10 +212,10 @@ def assemble_supercell(V, W, L, N, max_planewaves=MAX_PLANEWAVES):
     S is real, with the spectrum of H; its symmetry is validated where it
     is solved (eigcore.SymmetricPencil).  InvalidMatrix when the Fourier
     table is not that of a real potential; BasisTooLarge above
-    max_planewaves or DENSE_LIMIT planewaves."""
+    MAX_PLANEWAVES or DENSE_LIMIT planewaves."""
     offs = supercell_wavevectors(V.lattice.d, L, N)
     n = len(offs)
-    bloch.check_budget(n, min(max_planewaves, DENSE_LIMIT))
+    bloch.check_budget(n, min(MAX_PLANEWAVES, DENSE_LIMIT))
     grid = _coeff_grid(L, N)
     table, edge_ratio = _fourier_table(V, W, L, N, grid)
     S = _real_form(offs, 2.0 * np.pi / (L * V.lattice.b), table)
@@ -476,7 +477,7 @@ def _iterative_window_2d(V, W, L, N, offs, alpha, beta):
     return res
 
 
-def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLANEWAVES):
+def supercell_spectrum(V, W, L, N, window, method="auto"):
     """Gap eigenvalues of the supercell operator inside the window: the
     eigcore.EigResult of its windowed solve, with the route's diagnostics.
 
@@ -496,7 +497,7 @@ def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLA
     alpha, beta = eigcore.window_pair(window)
     offs = supercell_wavevectors(lat.d, L, N)
     L, N, n = int(L), int(N), len(offs)
-    bloch.check_budget(n, max_planewaves)
+    bloch.check_budget(n, MAX_PLANEWAVES)
     if method == "auto" and lat.d == 1:
         op = assemble_fiber_form(V, W, L, N)
         res = eigcore.solve_window(op, alpha, beta, with_vectors=False)
@@ -508,7 +509,7 @@ def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLA
             "lanczos_steps": res.lanczos_steps,
         }
     elif method == "dense" or (method == "auto" and n <= DENSE_LIMIT):
-        S, info = assemble_supercell(V, W, L, N, max_planewaves=max_planewaves)
+        S, info = assemble_supercell(V, W, L, N)
         res = eigcore.solve_window(eigcore.SymmetricPencil(S), alpha, beta, with_vectors=False)
         res.diagnostics = {**info, "method": "dense"}
     elif lat.d == 2:
@@ -519,7 +520,7 @@ def supercell_spectrum(V, W, L, N, window, method="auto", max_planewaves=MAX_PLA
     return res
 
 
-def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLANEWAVES):
+def mismatched_supercell_spectrum(V, W, L, t, N, window):
     """Supercell spectrum on a deliberately incommensurate cell of side (L+t)*b.
 
     With 0 < t < 1 the periodic potential no longer fits the cell, so its
@@ -539,7 +540,7 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     if N < 4 * (L + t):
         raise ValueError("resolution ratio N/(L+t) must be at least 4")
     n = 2 * N + 1
-    bloch.check_budget(n, min(max_planewaves, DENSE_LIMIT))
+    bloch.check_budget(n, min(MAX_PLANEWAVES, DENSE_LIMIT))
     span = (L + t) * lat.b
     grid = _coeff_grid(int(np.ceil(L + t)), N)
     table, edge_ratio = model.fourier_sample(lambda x: V(x) + W(x), 1, span, grid)
@@ -556,7 +557,7 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window, max_planewaves=MAX_PLAN
     return res
 
 
-def convergence_scan(V, W, L_values, ratio, window, method="auto", max_planewaves=MAX_PLANEWAVES):
+def convergence_scan(V, W, L_values, ratio, window, method="auto"):
     """Supercell spectra for increasing L at fixed N/L, each by
     supercell_spectrum with the given method, with Hausdorff deltas.
 
@@ -572,7 +573,7 @@ def convergence_scan(V, W, L_values, ratio, window, method="auto", max_planewave
     prev = None
     for L in L_values:
         N = int(round(ratio * L))
-        res = supercell_spectrum(V, W, L, N, window, method=method, max_planewaves=max_planewaves)
+        res = supercell_spectrum(V, W, L, N, window, method=method)
         interior = res.interior()
         delta = None if prev is None else hausdorff(prev, interior)
         rows.append(

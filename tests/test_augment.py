@@ -284,26 +284,67 @@ def test_augmented_spectrum_offset_family(V1d, W1d, lat1d, proj_full, reference1
     assert supercell.hausdorff(interior, reference1d) <= 2e-3
 
 
-# augment's values and classes on the benchmark problem at L = 16, n_c = 100,
-# M_q = 64, frozen from an earlier implementation of the route: a refactor
-# must keep them to roundoff (criterion 6 checks the values to 0.02 only)
+# augment's values, classes and masses (mu_boundary, mu_compact) on the
+# benchmark problem at L = 16, n_c = 100, M_q = 64, frozen from an earlier
+# implementation of the route: a refactor must keep the values to 1e-12 and
+# the masses to 1e-14 (criterion 6 checks the values to 0.02 only)
 FROZEN_AUGMENT = {
     0.0: ([-1.1435431284312583, -1.1435402343820789, -1.0444525590547118, -0.653222573415164],
-          ["undetermined"] * 2 + ["true"] * 2),
+          ["undetermined"] * 2 + ["true"] * 2,
+          [0.3291386946780026, 0.3262007841128939, 6.031469701589845e-17, 2.177460957336277e-06],
+          [0.013989704775962845, 0.0154590952882081, 0.9999958154786808, 0.9864152772225994]),
     0.5: ([-1.1441527670180534, -1.1441438896803104, -1.1435008435159542, -1.1434984851351881,
            -1.0444525590547094, -0.6532225736785454],
-          ["undetermined"] * 4 + ["true"] * 2),
+          ["undetermined"] * 4 + ["true"] * 2,
+          [0.1460272283073145, 0.049173200478243535, 0.285331303131454, 0.3151916458084037,
+           1.8718956062969204e-17, 2.1079317190923234e-06],
+          [0.04043098484797723, 0.044343936078060135, 0.010806565463951789, 0.01195335579339898,
+           0.9999958154786808, 0.9864151020935557]),
 }
 
 
 @pytest.mark.parametrize("t", sorted(FROZEN_AUGMENT))
 def test_augmented_spectrum_frozen(V1d, W1d, lat1d, proj_full, t):
-    values, classes = FROZEN_AUGMENT[t]
-    aug = augment.augmented_space(proj_full, fem1d.symmetric_mesh(lat1d, 100, 8, t))
+    values, classes, mu_boundary, mu_compact = FROZEN_AUGMENT[t]
+    mesh = fem1d.symmetric_mesh(lat1d, 100, 8, t)
+    aug = augment.augmented_space(proj_full, mesh)
     res = augment.augmented_spectrum(V1d, W1d, aug, WIN_1D)
     assert len(res.eigenvalues) == len(values)
     assert np.max(np.abs(res.eigenvalues - values)) <= 1e-12
-    assert [fem1d.mode_label(ev, res.window, REF_1D) for ev in res.eigenvalues] == classes
+    nodes = aug.node_values(res.eigenvectors)
+    reports = [fem1d.localize(mesh, ev, nodes[:, i], res.window, REF_1D)
+               for i, ev in enumerate(res.eigenvalues)]
+    assert [r.classification for r in reports] == classes
+    assert np.max(np.abs([r.mu_boundary for r in reports] - np.array(mu_boundary))) <= 1e-14
+    assert np.max(np.abs([r.mu_compact for r in reports] - np.array(mu_compact))) <= 1e-14
+
+
+def test_masses_match_quadrature_on_window(V1d, W1d, lat1d, proj_full):
+    # the reported masses of an augmented eigenfunction against |psi|^2
+    # integrated by a brute trapezoid rule over the window line.  psi is
+    # built on the window's own nodes, and its first mode has values 0.02
+    # and 0.09 at the domain ends, so measuring it as a Dirichlet function
+    # (zero end values) would be off by 1e-5 on one strip and 2e-4 on the other
+    P = proj_full
+    mesh = fem1d.symmetric_mesh(lat1d, 100, 8, 0.5)
+    aug = augment.augmented_space(P, mesh)
+    res = augment.augmented_spectrum(V1d, W1d, aug, WIN_1D)
+    c = res.eigenvectors[:, 0]
+    psi = aug.U_keep @ c[len(aug.idx):]
+    psi[aug.idx] += c[:len(aug.idx)]
+    x = (np.arange(P.n_win) - P.half_index) * P.h
+    values = aug.node_values(c)
+    assert np.all(np.abs(values[[0, -1]]) > 0.01)
+    r = fem1d.localize(mesh, res.eigenvalues[0], values, res.window, REF_1D)
+
+    def brute(lo, hi):
+        xs = np.linspace(lo, hi, 200001)
+        return np.trapezoid(np.interp(xs, x, psi) ** 2, xs)
+
+    strip = 2 * lat1d.b
+    mu_b = brute(mesh.x_lo, mesh.x_lo + strip) + brute(mesh.x_hi - strip, mesh.x_hi)
+    assert r.mu_boundary == pytest.approx(mu_b, abs=1e-8)
+    assert r.mu_compact == pytest.approx(brute(-strip, strip), abs=1e-8)
 
 
 def test_augmented_values_domain_independent(V1d, W1d, lat1d, proj_full):

@@ -97,7 +97,7 @@ def test_interval_mass_partition(lat1d):
     # masses over a partition of the domain sum to the full mass, exactly
     mesh = fem1d.symmetric_mesh(lat1d, 10, 2)
     rng = np.random.default_rng(1)
-    c = rng.standard_normal(mesh.n_nodes - 2)
+    c = rng.standard_normal(mesh.n_nodes)
     cuts = np.linspace(mesh.x_lo, mesh.x_hi, 7) + 0.013
     cuts[0], cuts[-1] = mesh.x_lo, mesh.x_hi
     parts = [
@@ -108,17 +108,16 @@ def test_interval_mass_partition(lat1d):
 
 
 def test_interval_mass_against_quadrature(lat1d):
-    # exact piecewise-quadratic integration vs a brute midpoint rule
+    # exact piecewise-quadratic integration vs a brute trapezoid rule, on
+    # values at every node (nonzero end values included) and on intervals
+    # that reach the domain ends
     mesh = fem1d.symmetric_mesh(lat1d, 7, 2)
     rng = np.random.default_rng(2)
-    c = rng.standard_normal(mesh.n_nodes - 2)
-    full = np.zeros(mesh.n_nodes)
-    full[1:-1] = c
-    lo, hi = -3.7, 5.1
-    xs = np.linspace(lo, hi, 400001)
-    vals = np.interp(xs, mesh.nodes, full)
-    brute = np.trapezoid(vals**2, xs)
-    assert fem1d.interval_mass(mesh, c, lo, hi) == pytest.approx(brute, abs=1e-7)
+    c = rng.standard_normal(mesh.n_nodes)
+    for lo, hi in ((-3.7, 5.1), (mesh.x_lo, mesh.x_lo + 1.3), (mesh.x_lo, mesh.x_hi)):
+        xs = np.linspace(lo, hi, 400001)
+        brute = np.trapezoid(np.interp(xs, mesh.nodes, c) ** 2, xs)
+        assert fem1d.interval_mass(mesh, c, lo, hi) == pytest.approx(brute, abs=1e-7)
 
 
 def test_mass_norm_of_eigenvectors(V1d, W1d, lat1d):
@@ -126,23 +125,27 @@ def test_mass_norm_of_eigenvectors(V1d, W1d, lat1d):
     mesh = fem1d.symmetric_mesh(lat1d, 50, 5)
     res = fem1d.galerkin_spectrum(V1d, W1d, mesh, WIN_1D)
     for i in range(len(res.eigenvalues)):
-        total = fem1d.interval_mass(mesh, res.eigenvectors[:, i], mesh.x_lo, mesh.x_hi)
+        values = np.pad(res.eigenvectors[:, i], 1)
+        total = fem1d.interval_mass(mesh, values, mesh.x_lo, mesh.x_hi)
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_boundary_mass_validation(lat1d):
     # a half-line mesh [0, 8b] does not contain the compact set (-2b, 2b)
     mesh = fem1d.halfline_mesh(lat1d, 10, 8)
-    c = np.ones(mesh.n_nodes - 2)
+    c = np.ones(mesh.n_nodes)
     with pytest.raises(ValueError):
         fem1d.compact_mass(mesh, c)
+    # the masses take a value at every node: interior values alone are refused
+    with pytest.raises(ValueError, match="every mesh node"):
+        fem1d.boundary_mass(mesh, c[1:-1])
 
 
 def test_masses_on_four_periods(lat1d):
     # on the shortest domain, [-2b, 2b], the two end strips of width 2b meet
     # in the middle and the compact set is the whole domain
     mesh = fem1d.symmetric_mesh(lat1d, 10, 2)
-    c = np.random.default_rng(3).standard_normal(mesh.n_nodes - 2)
+    c = np.random.default_rng(3).standard_normal(mesh.n_nodes)
     total = fem1d.interval_mass(mesh, c, mesh.x_lo, mesh.x_hi)
     assert fem1d.boundary_mass(mesh, c) == pytest.approx(total, rel=1e-14)
     assert fem1d.compact_mass(mesh, c) == pytest.approx(total, rel=1e-14)
@@ -167,6 +170,30 @@ def test_classification(V1d, W1d, lat1d, reference1d):
     for r in by_class["true"]:
         assert r.mu_boundary <= 0.01
         assert r.mu_compact >= 0.9
+
+
+# the galerkin.csv rows of configs/benchmark1d.json (n_half 10, t 0.5,
+# n_c 100), frozen from the implementation that measured the interior
+# coefficients: classify_modes pads them with the zero end values, so every
+# mass must stay the same to roundoff
+FROZEN_GALERKIN = [
+    (-1.143604211579862, 0.024162248473849013, 0.019028910222038144, "undetermined"),
+    (-1.1435991762787705, 0.08327106215362348, 0.02085149278550597, "undetermined"),
+    (-1.0444525590547158, 7.105446844726078e-23, 0.999995815478679, "true"),
+    (-0.9112769389609917, 0.9999985225808664, 5.866234531914488e-26, "spurious"),
+    (-0.6532225738395545, 2.5687508523597122e-08, 0.9864149833219332, "true"),
+]
+
+
+def test_classify_modes_frozen(V1d, W1d, lat1d, reference1d, window1d):
+    mesh = fem1d.symmetric_mesh(lat1d, 100, 10, t=0.5)
+    reports = fem1d.classify_modes(mesh, fem1d.galerkin_spectrum(V1d, W1d, mesh, window1d),
+                                   reference1d)
+    assert [r.classification for r in reports] == [row[3] for row in FROZEN_GALERKIN]
+    got = np.array([(r.eigenvalue, r.mu_boundary, r.mu_compact) for r in reports])
+    want = np.array([row[:3] for row in FROZEN_GALERKIN])
+    assert np.max(np.abs(got[:, 0] - want[:, 0])) <= 1e-12
+    assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-14
 
 
 def test_aligned_family_spurious_predicted_by_dislocation(

@@ -53,9 +53,10 @@ def test_wavevectors_1d_and_ball_2d():
         supercell.supercell_wavevectors(1, 2, 7)
 
 
-def test_budget_refusal(V1d, W1d):
+def test_budget_refusal(V1d, W1d, monkeypatch):
+    monkeypatch.setattr(supercell, "MAX_PLANEWAVES", 100)
     with pytest.raises(BasisTooLarge):
-        supercell.supercell_spectrum(V1d, W1d, 10, 160, WIN_1D, max_planewaves=100)
+        supercell.supercell_spectrum(V1d, W1d, 10, 160, WIN_1D)
 
 
 def test_dense_routes_refuse_above_dense_limit(V1d, W1d, V2d, W2d, monkeypatch):
