@@ -39,10 +39,11 @@ dispatches on the type (solve_lowest takes the first two):
 
 - MatrixFree: a real symmetric operator known by its action on blocks of
   columns, with a preconditioner for its shifts: the large 2D supercell.
-  Shifts are inverted by preconditioned block MINRES (minres,
-  Paige-Saunders with per-column scalars, on numpy alone), one call per
-  Lanczos block.  There is no inertia count, so a completeness rule (a
-  converged value at or beyond the window's half-width) stands in for one.
+  Shifts are inverted by right-preconditioned block GMRES (gmres, on numpy
+  alone), one call per Lanczos block; the preconditioner approximates the
+  signed inverse, so it need not be definite.  There is no inertia count,
+  so a completeness rule (a converged value at or beyond the window's
+  half-width) stands in for one.
 
 TridiagonalPencil, DiagonalLowRank and MatrixFree share one block
 shift-invert Lanczos (_lanczos): blocks of two start vectors, so an exactly
@@ -94,13 +95,13 @@ WEYL_STEP = (np.sqrt(5.0) - 1.0) / 2.0
 # when they hold eigenvalues, at most MAX_SLICE_DEPTH levels deep
 END_SLICE = 1.0 / 32
 MAX_SLICE_DEPTH = 12
-# MatrixFree: MINRES inner solves stop at relative residual MINRES_RTOL and
-# fail after MINRES_MAXITER iterations; the block Lanczos takes blocks of
-# LANCZOS_BLOCK vectors, and its Ritz pairs count as converged at residual
-# estimates below INEXACT_TOL * |theta| (the inner solves' accuracy bounds
-# how far below that the estimates can be trusted)
-MINRES_RTOL = 1e-10
-MINRES_MAXITER = 4000
+# MatrixFree: block GMRES inner solves stop at relative residual GMRES_RTOL
+# and fail after GMRES_MAXITER block iterations; the block Lanczos takes
+# blocks of LANCZOS_BLOCK vectors, and its Ritz pairs count as converged at
+# residual estimates below INEXACT_TOL * |theta| (the inner solves'
+# accuracy bounds how far below that the estimates can be trusted)
+GMRES_RTOL = 1e-10
+GMRES_MAXITER = 200
 LANCZOS_BLOCK = 2
 INEXACT_TOL = 1e-10
 # TridiagonalPencil: a shift whose border Schur complement outgrows the
@@ -538,96 +539,64 @@ class DiagonalLowRank:
         return solve
 
 
-def _column_dots(X, Y):
-    """The dot products of corresponding columns of X and Y."""
-    return np.einsum("ij,ij->j", X, Y)
+def gmres(apply, B, precondition, rtol, maxiter):
+    """Solutions X of A X = B for a real block B (n, p) of right-hand sides
+    by right-preconditioned block GMRES (Saad and Schultz, SIAM J. Sci.
+    Stat. Comput. 7, 1986), and the number of block iterations it took.
 
-
-def minres(apply, B, precondition, rtol, maxiter):
-    """Solutions X of A X = B for a real symmetric A and a block B (n, p) of
-    right-hand sides by preconditioned MINRES (Paige and Saunders, SIAM J.
-    Numer. Anal. 12, 1975), and the number of iterations each column took.
-
-    apply(V) = A V and precondition(V) = M⁻¹ V act on blocks of columns,
-    with M symmetric positive definite.  The columns run one MINRES each,
-    in lockstep: every scalar of the recurrence is kept per column, and a
-    column leaves the active block when its own stop test fires.  The test
-    is the reference implementation's: the residual estimate in the M⁻¹
-    norm below rtol ||A|| ||x||, or the estimate of ||A r|| below
-    rtol ||A|| ||r|| (norms of the preconditioned operator, estimated along
-    the way), or the limits roundoff sets: x then lies at machine precision
-    or on an eigenvector of a numerically singular A.  NotConverged when
-    maxiter iterations do not suffice for every column.
+    apply(V) = A V and precondition(V) = M V act on blocks of columns, M an
+    approximation of A⁻¹ that need be neither symmetric nor definite.  The
+    block Arnoldi process builds an orthonormal basis of the block Krylov
+    space of A M and B, two block Gram-Schmidt passes per block, in rows
+    that grow by doubling, and never restarts.  Each block iteration solves
+    the small least-squares problem min ||E - H Y|| for every column at once
+    (H the block Hessenberg matrix, E the coefficients of B) and stops once
+    each column's residual there, which estimates its true residual, is at
+    most rtol ||b_j||; then X = M (V Y), so only the basis V is stored.  A
+    direction the basis loses (an invariant subspace) is replaced by a fresh
+    Weyl run, as in _lanczos; a zero column is solved by exactly 0.
+    InvalidMatrix when A M gives non-finite values; NotConverged when
+    maxiter block iterations do not suffice for every column.
     """
-    eps = np.finfo(float).eps
-    tol = max(rtol, eps)
     n, p = B.shape
-    X = np.zeros((n, p))
-    iterations = np.zeros(p, dtype=int)
-    y = precondition(B)
-    beta1 = _column_dots(B, y)
-    if np.any(beta1 < 0.0):
-        raise InvalidMatrix("MINRES preconditioner is not positive definite")
-    # a zero right-hand side is solved by x = 0 in no iterations
-    act = np.flatnonzero(beta1 > 0.0)
-    beta1 = np.sqrt(beta1[act])
-    r1 = r2 = B[:, act]
-    y = y[:, act]
-    x = w = w2 = np.zeros((n, len(act)))
-    beta, phibar = beta1, beta1
-    oldb = dbar = epsln = tnorm2 = gmax = sn = np.zeros(len(act))
-    cs, gmin = np.full(len(act), -1.0), np.full(len(act), np.inf)
-    itn = 0
-    while len(act):
-        itn += 1
-        if itn > maxiter:
-            raise NotConverged("MINRES did not reach rtol %.1e in %d iterations" % (rtol, maxiter))
-        # one Lanczos step of the preconditioned operator
-        v = y / beta
-        y = apply(v)
-        if itn > 1:
-            y -= (beta / oldb) * r1
-        alfa = _column_dots(v, y)
-        y -= (alfa / beta) * r2
-        r1, r2 = r2, y
-        y = precondition(r2)
-        oldb, beta = beta, _column_dots(r2, y)
-        if np.any(beta < 0.0):
-            raise InvalidMatrix("MINRES preconditioner is not positive definite")
-        beta = np.sqrt(beta)
-        tnorm2 = tnorm2 + alfa * alfa + oldb * oldb + beta * beta
-        exact = (itn == 1) & (beta <= 10 * eps * beta1)
-        # the previous plane rotation, then the next one
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        root = np.hypot(gbar, dbar)
-        gamma = np.maximum(np.hypot(gbar, beta), eps)
-        cs, sn = gbar / gamma, beta / gamma
-        phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
-        gmax, gmin = np.maximum(gmax, gamma), np.minimum(gmin, gamma)
-        a_norm = np.sqrt(tnorm2)
-        ax_norm = a_norm * np.linalg.norm(x, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            test1 = np.where(ax_norm > 0.0, phibar / ax_norm, np.inf)
-            test2 = np.where(a_norm > 0.0, root / a_norm, np.inf)
-        done = (exact | (test1 <= tol) | (test2 <= tol) | (gmax / gmin >= 0.1 / eps)
-                | (ax_norm * eps >= beta1))
-        if np.any(done):
-            X[:, act[done]] = x[:, done]
-            iterations[act[done]] = itn
-            keep = ~done
-            act = act[keep]
-            x, w, w2, r1, r2, y = (a[:, keep] for a in (x, w, w2, r1, r2, y))
-            beta1, beta, oldb, phibar, dbar, epsln, tnorm2, cs, sn, gmax, gmin = (
-                a[keep]
-                for a in (beta1, beta, oldb, phibar, dbar, epsln, tnorm2, cs, sn, gmax, gmin))
-    return X, iterations
+    target = rtol * np.linalg.norm(B, axis=0)
+    U, E = np.linalg.qr(B)
+    # basis rows V grow to twice the rows needed, as _lanczos's Q does, and
+    # the block Hessenberg H by doubling
+    V = U.T
+    H = np.zeros((2 * p, 2 * p))
+    for it in range(1, maxiter + 1):
+        j, m = (it - 1) * p, it * p
+        if m + p > len(H):
+            H = np.pad(H, (0, len(H)))
+        W = apply(precondition(V[j:m].T)).T
+        if not np.all(np.isfinite(W)):
+            raise InvalidMatrix("block GMRES: the preconditioned operator gave non-finite values")
+        scale = np.linalg.norm(W)
+        for _ in range(2):
+            C = W @ V[:m].T
+            H[:m, j:m] += C.T
+            W = W - C @ V[:m]
+        U, s, Vt = np.linalg.svd(W.T, full_matrices=False)
+        lost = s <= 1e-12 * scale
+        H[m : m + p, j:m] = s[:, None] * Vt
+        H[m : m + p][lost] = 0.0
+        # the least-squares problem by a full QR of H: its residuals are
+        # the last p rows of the rotated right-hand side
+        O, R = np.linalg.qr(H[: m + p, :m], mode="complete")
+        G = O[:p].T @ E
+        if np.all(np.linalg.norm(G[m:], axis=0) <= target):
+            return precondition(V[:m].T @ np.linalg.solve(R[:m], G[:m])), it
+        if m + p > n:
+            break
+        if np.any(lost):
+            U[:, lost] = _orthonormal_rows(
+                _weyl_rows(n, m + np.flatnonzero(lost)), np.vstack([V[:m], U[:, ~lost].T])
+            ).T
+        if m + p > len(V):
+            V = np.concatenate([V, np.empty((2 * (m + p) - len(V), n))])
+        V[m : m + p] = U.T
+    raise NotConverged("block GMRES did not reach rtol %.1e in %d block iterations" % (rtol, it))
 
 
 class MatrixFree:
@@ -635,13 +604,15 @@ class MatrixFree:
     a preconditioner for its shifts.
 
     matvec(X) = A X for a real block of columns X (n, p), and
-    precondition(sigma) returns a function applying a symmetric positive
-    definite approximation of |A - sigma|⁻¹ to such a block.  Shifts are
-    inverted by preconditioned block MINRES (minres), to MINRES_RTOL;
-    inner_solves and inner_iterations count the right-hand sides solved and
-    their iterations, and a solve that fails raises NotConverged.  With no
-    inertia count, solve_window finds its window by the shift-invert
-    Lanczos (_lanczos) with the completeness rule that stands in for one.
+    precondition(sigma) returns a function applying an approximation of
+    (A - sigma)⁻¹ to such a block; it raises LinAlgError at a shift it
+    cannot invert, which _lanczos then moves.  Shifts are inverted by
+    right-preconditioned block GMRES (gmres), to GMRES_RTOL; inner_solves
+    counts the right-hand sides solved and inner_iterations the operator
+    applications (block iterations times columns), and a solve that fails
+    raises NotConverged.  With no inertia count, solve_window finds its
+    window by the shift-invert Lanczos (_lanczos) with the completeness
+    rule that stands in for one.
     """
 
     mass = None
@@ -658,17 +629,17 @@ class MatrixFree:
         return self.matvec(X)
 
     def shift_inverse(self, sigma):
-        """Solver of (A - sigma) X = Y for a block Y by block MINRES,
-        preconditioned by precondition(sigma)."""
+        """Solver of (A - sigma) X = Y for a block Y by block GMRES,
+        right-preconditioned by precondition(sigma)."""
         M = self.precondition(sigma)
 
         def shifted(V):
             return self.matvec(V) - sigma * V
 
         def solve(Y):
-            X, iterations = minres(shifted, Y, M, MINRES_RTOL, MINRES_MAXITER)
+            X, iterations = gmres(shifted, Y, M, GMRES_RTOL, GMRES_MAXITER)
             self.inner_solves += Y.shape[1]
-            self.inner_iterations += int(np.sum(iterations))
+            self.inner_iterations += iterations * Y.shape[1]
             return X
 
         return solve

@@ -33,14 +33,16 @@ path needs numpy alone.
 (_iterative_window_2d), on numpy alone: an eigcore.MatrixFree whose matvec
 convolves with the same table, truncated to its bandwidth, by FFT
 (_real_form_matvec), solved by block shift-invert Lanczos with block
-MINRES inner solves, one per Lanczos block.  The same real blocks as the
-1D fiber form precondition those solves (_fiber_preconditioner):
-|P - sigma|⁻¹ for P = -Laplacian + V is exact on the periodic part and
+GMRES inner solves, one per Lanczos block.  The same real blocks as the
+1D fiber form right-precondition those solves (_fiber_preconditioner):
+(P - sigma)⁻¹ for P = -Laplacian + V is exact on the periodic part and
 block diagonal, formed once per shift and applied by one matrix product
-per block, which cuts MINRES from 155 to 32 iterations per solve at L=4,
-N=32.  For the 2D benchmark V the blocks are about half the size of the
-paired fibers (6 blocks of 120-256 modes at L=2, N=18, against 4 of about
-252).
+per block.  The preconditioned operator I + W (P - sigma)⁻¹ is then the
+identity plus a compact part, and GMRES takes about 16 block iterations
+per Lanczos block at L=4, N=32, where MINRES, which needs a definite
+|P - sigma|⁻¹, took 32 per column.  For the 2D benchmark V the blocks are
+about half the size of the paired fibers (6 blocks of 120-256 modes at
+L=2, N=18, against 4 of about 252).
 
 V and W are real, so T[-x] = conj T[x] and H commutes with complex
 conjugation, which maps the planewave of mode m to that of mode -m.  Every
@@ -56,7 +58,7 @@ and none forms a complex n x n array.  Dense solves (method "dense", the
 2D route at small sizes and the mismatched cell) build S and hand it to
 LAPACK; the fiber form takes its fibers and its W factor in it; the
 matrix-free solve applies it by _real_form_matvec, so its Lanczos is
-symmetric and its MINRES inner solves work on real blocks of n rows.  The
+symmetric and its GMRES inner solves work on real blocks of n rows.  The
 lookup needs no order of the modes.  Only _real_form_matvec does: it
 reads index n-1-i as the mode opposite to index i, which holds for the
 lexicographic lists of supercell_wavevectors.  The same symmetry makes
@@ -409,21 +411,23 @@ def _real_form_matvec(table, offs, kscale, L):
 
 
 def _fiber_preconditioner(V, L, N):
-    """precondition(sigma): |P - sigma|⁻¹ in the real form, for the periodic
+    """precondition(sigma): (P - sigma)⁻¹ in the real form, for the periodic
     part P = -Laplacian + V of a supercell, and the sorted sizes of its
     blocks.
 
     P's real form is block diagonal over the mode classes V couples, each
     eigendecomposed once (_fiber_blocks), P = Q diag(e) Qᵀ.
-    precondition(sigma) forms Q diag(1/|e - sigma|) Qᵀ block by block once,
+    precondition(sigma) forms Q diag(1/(e - sigma)) Qᵀ block by block once,
     and applies it to a block of columns with one matrix product per
-    block: real, symmetric positive definite, and exactly |S - sigma|⁻¹
-    when W = 0.
+    block: real, symmetric, indefinite, and exactly (S - sigma)⁻¹ when
+    W = 0.  It raises LinAlgError when sigma is an eigenvalue of P.
     """
     groups = _fiber_blocks(V, L, N)
 
     def precondition(sigma):
-        weighted = [(rows, (Q / np.abs(e - sigma)[:, None, :]) @ Q.transpose(0, 2, 1))
+        if not all(np.all(e - sigma) for _, e, _ in groups):
+            raise np.linalg.LinAlgError("the shift is an eigenvalue of the periodic part")
+        weighted = [(rows, (Q / (e - sigma)[:, None, :]) @ Q.transpose(0, 2, 1))
                     for rows, e, Q in groups]
 
         def apply(X):
@@ -444,12 +448,12 @@ def _iterative_window_2d(V, W, L, N, offs, alpha, beta):
     The operator is the real form S of the dense route's H, applied by FFT
     from the same Fourier table (_real_form_matvec), as an
     eigcore.MatrixFree: block shift-invert Lanczos at the window centre
-    sigma, with block MINRES inner solves of (S - sigma) Z = R on real
-    blocks of n rows, preconditioned by the Bloch fiber blocks of V
+    sigma, with block GMRES inner solves of (S - sigma) Z = R on real
+    blocks of n rows, right-preconditioned by the Bloch fiber blocks of V
     (_fiber_preconditioner), whose sizes preconditioner_blocks lists.
-    A failed inner solve raises NotConverged, so minres_nonconverged is 0
-    whenever values are returned; inner_solves and inner_iterations count
-    the right-hand sides solved and their iterations.  The window is
+    A failed inner solve raises NotConverged; inner_solves counts the
+    right-hand sides solved and inner_iterations the applications of S to
+    a column (block iterations times columns).  The window is
     complete by the Lanczos rule (a converged value at or beyond its
     half-width from sigma); residual_bound bounds ||S v - lambda v|| after
     the closing Rayleigh-Ritz step with the true matvec.
@@ -469,7 +473,6 @@ def _iterative_window_2d(V, W, L, N, offs, alpha, beta):
         "sigma": 0.5 * (alpha + beta),
         "inner_solves": op.inner_solves,
         "inner_iterations": op.inner_iterations,
-        "minres_nonconverged": 0,
         "edge_ratio": edge_ratio,
         "window_complete": True,
         "residual_bound": res.residual_bound,
@@ -484,7 +487,7 @@ def supercell_spectrum(V, W, L, N, window, method="auto"):
     method "dense" solves the assembled real form (assemble_supercell) with
     a windowed LAPACK call; "iterative" (2D only) uses the
     matrix-free path (_iterative_window_2d), whose diagnostics carry its
-    MINRES counts and residual_bound.  "auto" takes, in 1D, the fiber form
+    inner-solve counts and residual_bound.  "auto" takes, in 1D, the fiber form
     (assemble_fiber_form) with its inertia-certified count and Woodbury
     shift-invert Lanczos, whose diagnostics carry the certificate
     n_in_window and residual_bound (a bound on ||H v - lambda v|| for the

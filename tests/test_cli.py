@@ -193,7 +193,7 @@ def test_determinism(tmp_path):
     assert 0 < run["certificate"]["residual_bound"] <= 1e-10
     for key in ("rank_w", "support_points", "lanczos_steps"):
         assert sa["diagnostics"][key] > 0
-    # the 2D matrix-free run's diagnostics, MINRES iteration count included,
+    # the 2D matrix-free run's diagnostics, GMRES iteration count included,
     # are deterministic too
     cfg2 = read_cfg(GOLDEN_2D)
     cfg2["supercell"] = ITERATIVE_2D
@@ -670,7 +670,7 @@ def test_supercell_1d_loads_no_scipy(tmp_path):
 
 
 def test_supercell_2d_loads_no_scipy(tmp_path):
-    # the matrix-free 2D supercell runs its MINRES and block Lanczos on numpy alone
+    # the matrix-free 2D supercell runs its GMRES and block Lanczos on numpy alone
     cfg = read_cfg(GOLDEN_2D)
     cfg["supercell"] = ITERATIVE_2D
     assert _loaded_after(tmp_path, ["supercell"], ("scipy", "concurrent"), cfg) == "[]"

@@ -1,6 +1,6 @@
 """Eigensolver wrappers against a self-contained Jacobi rotation oracle, and the
 inertia-certified tridiagonal pencil, the diagonal-plus-low-rank operator and
-the matrix-free operator (MINRES, block Lanczos) against dense LAPACK."""
+the matrix-free operator (block GMRES, block Lanczos) against dense LAPACK."""
 
 import numpy as np
 import pytest
@@ -524,58 +524,72 @@ def test_diagonal_low_rank_rejects_malformed():
 
 def random_matrix_free(rng, n, spectrum):
     """A MatrixFree operator Q diag(spectrum) Qᵀ with a random orthogonal Q,
-    preconditioned by |diag(H) - sigma|⁻¹ (positive definite, and far from
-    exact); also returns the dense H."""
+    preconditioned by sign(d - sigma) / (|d - sigma| + 0.1), d = diag(H)
+    (signed, indefinite where d - sigma changes sign, and far from exact);
+    also returns the dense H."""
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     H = (Q * spectrum) @ Q.T
     H = 0.5 * (H + H.T)
     d = np.diag(H).copy()
 
     def precondition(sigma):
-        weight = 1.0 / (np.abs(d - sigma) + 0.1)
+        weight = np.sign(d - sigma) / (np.abs(d - sigma) + 0.1)
         return lambda X: weight[:, None] * X
 
     return eigcore.MatrixFree(n, lambda x: H @ x, precondition), H
 
 
-def test_minres_matches_direct_solve():
-    # an indefinite system with a diagonal preconditioner
+def test_gmres_matches_direct_solve():
+    # an indefinite system with a signed, indefinite diagonal preconditioner
     rng = np.random.default_rng(41)
     op, H = random_matrix_free(rng, 60, np.linspace(-3.0, 5.0, 60))
     b = rng.standard_normal((60, 1))
     A = H - 0.37 * np.eye(60)
-    x, iterations = eigcore.minres(lambda v: A @ v, b, op.precondition(0.37), 1e-12, 500)
-    assert x.shape == (60, 1) and iterations.shape == (1,)
-    assert 0 < iterations[0] <= 500
-    assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
-    with pytest.raises(NotConverged, match="MINRES"):
-        eigcore.minres(lambda v: A @ v, b, op.precondition(0.37), 1e-12, 3)
+    M = op.precondition(0.37)
+    assert np.min(M(np.ones((60, 1)))) < 0.0 < np.max(M(np.ones((60, 1))))
+    x, iterations = eigcore.gmres(lambda v: A @ v, b, M, 1e-12, 100)
+    assert x.shape == (60, 1)
+    assert 0 < iterations <= 60
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(x[:, 0] - np.linalg.solve(A, b[:, 0])) <= 1e-9 * np.linalg.norm(x)
+    with pytest.raises(NotConverged, match="GMRES"):
+        eigcore.gmres(lambda v: A @ v, b, M, 1e-12, 3)
 
 
-def test_block_minres_columns_stop_on_their_own():
+def test_block_gmres_random_invariant_and_zero_columns():
     # one block of three right-hand sides: a random one, one in a two-
-    # dimensional invariant subspace of A (exact after two steps) and a zero
-    # one; each column stops at its own count, takes the iterations of a
-    # MINRES run on it alone, and matches a direct solve (and that run, to
-    # the roundoff of a block product against a single-column one)
+    # dimensional invariant subspace of A and a zero one.  On its own the
+    # invariant column is solved in two block iterations; in the block its
+    # subspace runs out there, the lost direction is replaced, and the
+    # random column goes on.  Every column matches a direct solve, and the
+    # zero column's solution is exactly 0.
     rng = np.random.default_rng(44)
     spectrum = np.linspace(-3.0, 5.0, 60)
     Q = np.linalg.qr(rng.standard_normal((60, 60)))[0]
     A = (Q * (spectrum - 0.37)) @ Q.T
     A = 0.5 * (A + A.T)
     B = np.column_stack([rng.standard_normal(60), Q[:, 3] + 2.0 * Q[:, 50], np.zeros(60)])
-    X, iterations = eigcore.minres(lambda v: A @ v, B, lambda v: v.copy(), 1e-12, 500)
-    assert iterations[2] == 0 and not np.any(X[:, 2])
-    assert iterations[1] == 2 < iterations[0]
+    X, iterations = eigcore.gmres(lambda v: A @ v, B, lambda v: v.copy(), 1e-12, 100)
+    assert np.all(np.isfinite(X)) and not np.any(X[:, 2])
     want = np.linalg.solve(A, B)
     for j in range(3):
-        assert np.linalg.norm(X[:, j] - want[:, j]) <= 1e-8 * max(1.0, np.linalg.norm(want[:, j]))
-        alone, count = eigcore.minres(lambda v: A @ v, B[:, j : j + 1], lambda v: v.copy(), 1e-12, 500)
-        assert count[0] == iterations[j]
-        assert np.linalg.norm(alone[:, 0] - X[:, j]) <= 1e-9 * max(1.0, np.linalg.norm(X[:, j]))
-    # a maxiter that suffices for the fast column only still raises
-    with pytest.raises(NotConverged, match="MINRES"):
-        eigcore.minres(lambda v: A @ v, B, lambda v: v.copy(), 1e-12, iterations[0] - 1)
+        assert np.linalg.norm(X[:, j] - want[:, j]) <= 1e-9 * max(1.0, np.linalg.norm(want[:, j]))
+    alone, count = eigcore.gmres(lambda v: A @ v, B[:, 1:], lambda v: v.copy(), 1e-12, 100)
+    assert count == 2 < iterations
+    assert not np.any(alone[:, 1])
+    assert np.linalg.norm(alone[:, 0] - want[:, 1]) <= 1e-9 * np.linalg.norm(want[:, 1])
+    # a cap that suffices for the invariant column only still raises
+    with pytest.raises(NotConverged, match="GMRES"):
+        eigcore.gmres(lambda v: A @ v, B, lambda v: v.copy(), 1e-12, iterations - 1)
+
+
+def test_gmres_refuses_non_finite_preconditioner():
+    # a preconditioner that divides by zero must not pass as a converged solve
+    A = np.diag(np.arange(1.0, 7.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = 1.0 / (np.arange(1.0, 7.0) - 3.0)
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            eigcore.gmres(lambda v: A @ v, np.ones((6, 2)), lambda v: weight[:, None] * v, 1e-10, 10)
 
 
 def test_matrix_free_window_matches_dense_with_double_value():

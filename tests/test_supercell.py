@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gapeig import eigcore, model, supercell
+from gapeig import bloch, eigcore, model, supercell
 from gapeig.errors import BasisTooLarge, InvalidMatrix, NotConverged, ResolutionError
 
 # converged 1D gap eigenvalues (L=40, N=640), stable to ~1e-12 under L and N
@@ -158,7 +158,6 @@ def test_dense_vs_iterative_2d(V2d, W2d):
     dense = supercell.supercell_spectrum(V2d, W2d, 4, 32, win, method="dense")
     iter_ = supercell.supercell_spectrum(V2d, W2d, 4, 32, win, method="iterative")
     assert supercell.hausdorff(dense.eigenvalues, iter_.eigenvalues) <= 1e-8
-    assert iter_.diagnostics["minres_nonconverged"] == 0
 
 
 def test_iterative_finds_double_values(V2d, lat2d):
@@ -170,16 +169,50 @@ def test_iterative_finds_double_values(V2d, lat2d):
     assert len(res) == len(dense) == 5
     assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-12
     assert np.count_nonzero(np.abs(res.eigenvalues + 0.361034179731) <= 1e-11) == 2
-    # the preconditioner is exactly |S - sigma|^-1 here, so MINRES needs
-    # next to no iterations
-    assert res.diagnostics["inner_iterations"] <= 3 * res.diagnostics["inner_solves"]
+    # the preconditioner is exactly (S - sigma)^-1 here, so GMRES takes one
+    # block iteration per solve
+    assert res.diagnostics["inner_iterations"] == res.diagnostics["inner_solves"]
 
 
-def test_iterative_minres_failure_raises(V2d, W2d, monkeypatch):
+def test_iterative_gmres_failure_raises(V2d, W2d, monkeypatch):
     # an inner solve that does not converge must not pass silently
-    monkeypatch.setattr(eigcore, "MINRES_MAXITER", 3)
-    with pytest.raises(NotConverged, match="MINRES"):
+    monkeypatch.setattr(eigcore, "GMRES_MAXITER", 2)
+    with pytest.raises(NotConverged, match="GMRES"):
         supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
+
+
+def test_iterative_shift_on_periodic_eigenvalue(V2d, W2d):
+    # a window centred exactly on an eigenvalue of the periodic part P: its
+    # preconditioner (P - sigma)^-1 does not exist there, so the shift is
+    # moved off, and the window holds the dense route's values
+    e = np.sort(np.concatenate([e.ravel() for _, e, _ in supercell._fiber_blocks(V2d, 2, 8)]))[20]
+    win = (e - 0.05, e + 0.05)
+    assert 0.5 * (win[0] + win[1]) == e
+    precondition, _ = supercell._fiber_preconditioner(V2d, 2, 8)
+    with pytest.raises(np.linalg.LinAlgError):
+        precondition(e)
+    dense = supercell.supercell_spectrum(V2d, W2d, 2, 8, win, method="dense")
+    res = supercell.supercell_spectrum(V2d, W2d, 2, 8, win, method="iterative")
+    assert np.allclose(dense.eigenvalues, [0.83394628, 0.8575865, 0.89223705], atol=1e-8)
+    assert len(res) == 3
+    assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-12
+    assert res.diagnostics["inner_iterations"] > 0
+    assert res.residual_bound <= 1e-7
+
+
+def test_iterative_defect_cell_inner_iterations(V2d, W2d):
+    # the benchmark's 2D cell (L = 2, N = 18) in the M_q = 8 gap window:
+    # the signed preconditioner leaves GMRES an identity plus a compact part,
+    # which block MINRES on |P - sigma|^-1 took 1037 applications to solve
+    gap = bloch.find_gap(bloch.band_structure(V2d, M_q=8), 1)
+    win = (gap.alpha, gap.beta)
+    dense = supercell.supercell_spectrum(V2d, W2d, 2, 18, win, method="dense")
+    res = supercell.supercell_spectrum(V2d, W2d, 2, 18, win, method="iterative")
+    assert len(res) == len(dense) > 0
+    assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-12
+    assert res.diagnostics["inner_solves"] == 32
+    assert res.diagnostics["inner_iterations"] <= 620
+    assert res.diagnostics["residual_bound"] <= 2.5e-9
 
 
 def test_iterative_window_retries_until_complete(V2d, W2d):
@@ -232,13 +265,13 @@ def test_fiber_blocks_split_real_form(V2d, L, N):
 
 
 def test_iterative_operators_are_real(V2d, W2d, monkeypatch):
-    # the Lanczos and MINRES blocks, the matvec and the preconditioner are
+    # the Lanczos and GMRES blocks, the matvec and the preconditioner are
     # all real, of the basis size n (the real form, not 2n real unknowns),
-    # and each MINRES call solves one whole Lanczos block
-    real = eigcore.minres
+    # and each GMRES call solves one whole Lanczos block
+    real = eigcore.gmres
     seen = []
 
-    def minres(apply, b, precondition, *args):
+    def gmres(apply, b, precondition, *args):
         seen.append(("rhs", b.dtype, b.shape))
         for name, f in (("matvec", apply), ("preconditioner", precondition)):
             y = f(b)
@@ -247,7 +280,7 @@ def test_iterative_operators_are_real(V2d, W2d, monkeypatch):
         seen.append(("solution", x.dtype, x.shape))
         return x, iterations
 
-    monkeypatch.setattr(eigcore, "minres", minres)
+    monkeypatch.setattr(eigcore, "gmres", gmres)
     res = supercell.supercell_spectrum(V2d, W2d, 2, 8, WIN_2D, method="iterative")
     n, p = res.diagnostics["n_planewaves"], eigcore.LANCZOS_BLOCK
     assert {rec[0] for rec in seen} == {"rhs", "matvec", "preconditioner", "solution"}
