@@ -478,8 +478,6 @@ def augmented_spectrum(V, W, aug, window):
         "n_aug": Uk.shape[1],
         "M_q": P.M_q,
         "n_c": P.n_c,
-        "n_in_window": res.count,
-        "residual_bound": res.residual_bound,
     }
     return res
 

@@ -532,17 +532,12 @@ def run_supercell(cfg, out_dir, threads):
     if len(Ls) > 1:
         scan = supercell.convergence_scan(V, W, Ls, ratio, window, method=method)
         for row in scan:
-            for ev, cls in _edge_classes(row["eigenvalues"], window):
+            res = row["result"]
+            for ev, cls in _edge_classes(res.eigenvalues, window):
                 rows.append((row["L"], row["N"], 0.0, ev, cls))
-            run = {
-                "L": row["L"],
-                "N": row["N"],
-                "eigenvalues": row["eigenvalues"],
-                "interior": row["interior"],
-                "delta_prev": row["delta_prev"],
-            }
-            results["runs"].append(_with_certificate(run, row["diagnostics"]))
-            diag = row["diagnostics"]
+            results["runs"].append(_run(res, L=row["L"], N=row["N"], interior=row["interior"],
+                                        delta_prev=row["delta_prev"]))
+            diag = res.diagnostics
     else:
         L = Ls[0]
         N = int(round(ratio * L))
@@ -557,8 +552,7 @@ def run_supercell(cfg, out_dir, threads):
             res = supercell.supercell_spectrum(V, W, L, N, window, method=method)
         for ev, cls in _edge_classes(res.eigenvalues, res.window):
             rows.append((L, N, t, ev, cls))
-        run = {"L": L, "N": N, "t": t, "eigenvalues": res.eigenvalues, "interior": res.interior()}
-        results["runs"].append(_with_certificate(run, res.diagnostics))
+        results["runs"].append(_run(res, L=L, N=N, t=t, interior=res.interior()))
         diag = res.diagnostics
     write_csv(
         os.path.join(out_dir, "supercell.csv"),
@@ -574,22 +568,25 @@ def _edge_classes(values, window):
     return [(ev, "interior" if ok else "edge") for ev, ok in zip(values, inside)]
 
 
-def _certificate(diagnostics):
-    """Inertia count and residual bound of one certified windowed solve."""
-    return {key: diagnostics[key] for key in ("n_in_window", "residual_bound")}
+def _run(res, **fields):
+    """One summary run: the fields, the eigenvalues of the windowed solve
+    res and its certificate, read from the eigcore.EigResult.  n_in_window
+    is the solve's count (null for the matrix-free 2D supercell, which has
+    none) and residual_bound its residual bound (null for the dense
+    supercell solves, which return no vectors)."""
+    return {**fields, "eigenvalues": res.eigenvalues,
+            "certificate": {"n_in_window": res.count, "residual_bound": res.residual_bound}}
 
 
-def _with_certificate(run, diagnostics):
-    """run plus the certificate of its solve, when the solve was certified
-    (the 1D fiber form; dense and 2D supercell solves carry none)."""
-    if "n_in_window" in diagnostics:
-        run["certificate"] = _certificate(diagnostics)
-    return run
-
-
-def _galerkin_rows(V, W, lat, p, window, rows, results):
+def _galerkin_section(cfg, out_dir, section, csv_name):
+    """galerkin and pollution-scan on their config section, writing the
+    rows to csv_name: one Galerkin solve per n_half, each mode classified
+    against the reference."""
     from gapeig import fem1d
 
+    lat, V, W = build_problem(cfg)
+    p = cfg[section]
+    window = resolve_window(p["window"], out_dir)
     n_c = p.get("n_c", 100)
     t = p.get("t", 0.0)
     try:  # every mesh is built, and an off-grid offset refused, before the reference solve
@@ -597,57 +594,35 @@ def _galerkin_rows(V, W, lat, p, window, rows, results):
     except MeshOffsetError as e:
         raise ConfigError(str(e)) from None
     ref = _reference_values(p["reference"], V, W, window) if "reference" in p else None
+    rows = []
+    results = {"window": list(window), "runs": []}
     for n_half, mesh in meshes:
         res = fem1d.galerkin_spectrum(V, W, mesh, window)
         reports = fem1d.classify_modes(mesh, res, ref)
         rows.extend((n_half, t, n_c, mesh.h, *r) for r in reports)
         results["runs"].append(
-            {
-                "n_half": n_half,
-                "t": t,
-                "eigenvalues": res.eigenvalues,
-                "classes": [r.classification for r in reports],
-                "certificate": _certificate(res.diagnostics),
-            }
-        )
-    return ref
+            _run(res, n_half=n_half, t=t, classes=[r.classification for r in reports]))
+    write_csv(
+        os.path.join(out_dir, csv_name),
+        ["n_half", "t", "n_c", "h", "eigenvalue", "mu_boundary", "mu_compact", "class"],
+        rows,
+    )
+    return results, {"reference": ref}, [csv_name]
 
 
 def run_galerkin(cfg, out_dir, threads):
-    lat, V, W = build_problem(cfg)
-    p = cfg["galerkin"]
-    window = resolve_window(p["window"], out_dir)
-    rows = []
-    results = {"window": list(window), "runs": []}
-    ref = _galerkin_rows(V, W, lat, p, window, rows, results)
-    write_csv(
-        os.path.join(out_dir, "galerkin.csv"),
-        ["n_half", "t", "n_c", "h", "eigenvalue", "mu_boundary", "mu_compact", "class"],
-        rows,
-    )
-    diag = {"reference": ref}
-    return results, diag, ["galerkin.csv"]
+    return _galerkin_section(cfg, out_dir, "galerkin", "galerkin.csv")
 
 
 def run_pollution_scan(cfg, out_dir, threads):
-    lat, V, W = build_problem(cfg)
-    p = cfg["pollution-scan"]
-    window = resolve_window(p["window"], out_dir)
-    rows = []
-    results = {"window": list(window), "runs": []}
-    ref = _galerkin_rows(V, W, lat, p, window, rows, results)
-    spurious = [r[4] for r in rows if r[7] == "spurious"]
-    results["n_runs"] = len(results["runs"])
-    results["runs_with_spurious"] = sum(
-        1 for run in results["runs"] if "spurious" in run["classes"]
-    )
-    results["spurious_eigenvalues"] = spurious
-    write_csv(
-        os.path.join(out_dir, "pollution.csv"),
-        ["n_half", "t", "n_c", "h", "eigenvalue", "mu_boundary", "mu_compact", "class"],
-        rows,
-    )
-    return results, {"reference": ref}, ["pollution.csv"]
+    results, diag, files = _galerkin_section(cfg, out_dir, "pollution-scan", "pollution.csv")
+    runs = results["runs"]
+    results["n_runs"] = len(runs)
+    results["runs_with_spurious"] = sum("spurious" in run["classes"] for run in runs)
+    results["spurious_eigenvalues"] = [ev for run in runs
+                                       for ev, cls in zip(run["eigenvalues"], run["classes"])
+                                       if cls == "spurious"]
+    return results, diag, files
 
 
 def run_dislocation(cfg, out_dir, threads):
@@ -667,10 +642,7 @@ def run_dislocation(cfg, out_dir, threads):
             )
             for ev in res.eigenvalues:
                 rows.append((kind, t, n_periods, n_c, ev))
-            results["runs"].append(
-                {"kind": kind, "t": t, "eigenvalues": res.eigenvalues,
-                 "certificate": _certificate(res.diagnostics)}
-            )
+            results["runs"].append(_run(res, kind=kind, t=t))
     write_csv(
         os.path.join(out_dir, "dislocation.csv"),
         ["kind", "t", "n_periods", "n_c", "eigenvalue"],
@@ -720,17 +692,8 @@ def run_augment(cfg, out_dir, threads):
         values = aug.node_values(res.eigenvectors)
         for i, ev in enumerate(res.eigenvalues):
             rows.append((L, t, n_c, M_q, *fem1d.localize(mesh, ev, values[:, i], res.window, ref)))
-        results["runs"].append(
-            {
-                "L": L,
-                "t": t,
-                "eigenvalues": res.eigenvalues,
-                "interior": res.interior(),
-                "n_aug": aug.n_aug,
-                "gram_min": aug.diagnostics["gram_min"],
-                "certificate": _certificate(res.diagnostics),
-            }
-        )
+        results["runs"].append(_run(res, L=L, t=t, interior=res.interior(), n_aug=aug.n_aug,
+                                    gram_min=aug.diagnostics["gram_min"]))
     a2 = augment.a2_estimate(V, meshes[0][2], P)
     report = {
         "idempotency_residual": P.diagnostics["idempotency_residual"],

@@ -59,9 +59,11 @@ which polishes the values and bounds their residuals.
 Every solve returns an EigResult: ascending eigenvalues and, on request,
 B-orthonormal eigenvectors with a residual bound; Lanczos solves always
 carry their residual bound and basis size (lanczos_steps, summed over the
-pieces), and the counted ones their inertia count.  A windowed solve's
-result keeps its window, and every windowed route of the package returns
-it with the route's diagnostics; interior_mask is the one edge guard.
+pieces), and the counted ones their inertia count; a dense windowed solve
+computes the whole spectrum, so it counts too.  A windowed solve's result
+keeps its window and carries its certificate (count and residual bound),
+and every windowed route of the package returns it with the route's
+diagnostics; interior_mask is the one edge guard.
 TridiagonalPencil, DiagonalLowRank and MatrixFree are real symmetric, so
 the Lanczos runs in real arithmetic; only a dense SymmetricPencil (a
 complex Bloch fiber) is ever complex.
@@ -650,11 +652,16 @@ class EigResult:
 
     residual_bound is max_j ||A v_j - lambda_j B v_j||_2 and orthonormality
     is ||V^H B V - I||_max; dense value-only solves leave both None.  count
-    is the inertia count that certifies a structured solve and
-    lanczos_steps the Lanczos basis vectors it built over all window slices
-    (both None for dense solves; a MatrixFree solve has no count).  window
-    is the open interval (lo, hi) of a solve_window call, which holds every
-    value (None for other solves); diagnostics is what the routes add.
+    is the number of eigenvalues in the window: the inertia count that
+    certifies a structured solve, or the values a dense windowed solve
+    kept of the whole spectrum (None for a MatrixFree solve, which has no
+    count, and for solves without a window).  count and residual_bound are
+    the solve's certificate, which a route may widen (by its own tolerance)
+    but does not copy.  lanczos_steps is the Lanczos basis vectors a
+    structured solve built over all window slices (None for dense solves).
+    window is the open interval (lo, hi) of a solve_window call, which
+    holds every value (None for other solves); diagnostics is what the
+    routes add.
     """
 
     def __init__(self, eigenvalues, eigenvectors=None, residual_bound=None, orthonormality=None,
@@ -948,6 +955,7 @@ def solve_window(pencil, lo, hi, with_vectors=True):
         raise ValueError("window requires lo < hi")
     if isinstance(pencil, SymmetricPencil):
         res = _solve_dense(pencil, with_vectors, by_value=(lo, hi))
+        res.count = len(res)  # kept of the whole spectrum LAPACK computed
     else:
         count = None if isinstance(pencil, MatrixFree) else pencil.count(lo, hi)
         res = _solve_lanczos(pencil, lo, hi, count, with_vectors)

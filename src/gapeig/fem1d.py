@@ -21,10 +21,11 @@ not vanish there) and mode_label, the one classifier of gap eigenvalues.
 
 Every pencil here is tridiagonal and stays so: it is an
 eigcore.TridiagonalPencil, whose windowed solves never form an n x n matrix
-and carry an exact inertia count of the eigenvalues in the window
-(diagnostics "n_in_window", next to "residual_bound"); the spectra are
-those solves' eigcore.EigResult, eigenvectors included, with no use of
-the supercell module.  Mesh1D refuses more than MAX_NODES nodes.
+and carry an exact inertia count of the eigenvalues in the window; the
+spectra are those solves' eigcore.EigResult, eigenvectors, count and
+residual bound included, with no use of the supercell module, and their
+diagnostics hold the route's facts (method, n_dof, the mesh or the
+dislocation).  Mesh1D refuses more than MAX_NODES nodes.
 """
 
 from typing import NamedTuple
@@ -206,8 +207,7 @@ def assemble_galerkin(V, W, mesh):
 def _spectrum(pencil, window, extra_diag):
     """The pencil's windowed solve (an eigcore.EigResult) with its diagnostics."""
     res = eigcore.solve_window(pencil, *eigcore.window_pair(window))
-    res.diagnostics = {"n_dof": pencil.n, "n_in_window": res.count,
-                       "residual_bound": res.residual_bound, **extra_diag}
+    res.diagnostics = {"n_dof": pencil.n, **extra_diag}
     return res
 
 

@@ -29,7 +29,8 @@ inertia, certified against the dropped part of W, and its values come
 from eigcore's shift-invert Lanczos with an O(nk) Woodbury inverse.  This
 path needs numpy alone.
 
-2D supercells are solved densely when small and, when large, matrix-free
+2D supercells are solved densely when small (method "auto": up to
+AUTO_DENSE_2D planewaves) and, when large, matrix-free
 (_iterative_window_2d), on numpy alone: an eigcore.MatrixFree whose matvec
 convolves with the same table, truncated to its bandwidth, by FFT
 (_real_form_matvec), solved by block shift-invert Lanczos with block
@@ -77,6 +78,13 @@ MAX_PLANEWAVES = bloch.MAX_PLANEWAVES
 # the dense routes (assemble_supercell, the mismatched cell) form n x n
 # matrices, so they refuse (BasisTooLarge) n above DENSE_LIMIT
 DENSE_LIMIT = 4200
+# a 2D cell with method "auto" is solved densely up to AUTO_DENSE_2D
+# planewaves and matrix-free above.  The dense eigh grows as n^3 and the
+# matrix-free solve's cost with L: in the benchmark's gap window (1 BLAS
+# thread, medians of 3) the two took the same time at n = 1373 for L = 2,
+# about 1450 for L = 3 and about 1600 for L = 4; at n = 1793 dense took
+# 0.58 s against 0.31-0.45 s
+AUTO_DENSE_2D = 1400
 # 1D fiber form: W's grid points with |w| <= SUPPORT_TOL max|w| and its
 # components with s^2 <= RANK_TOL max s^2 are dropped; ROUNDOFF * ||H||
 # is the allowance for roundoff in the window count's certification
@@ -453,10 +461,11 @@ def _iterative_window_2d(V, W, L, N, offs, alpha, beta):
     (_fiber_preconditioner), whose sizes preconditioner_blocks lists.
     A failed inner solve raises NotConverged; inner_solves counts the
     right-hand sides solved and inner_iterations the applications of S to
-    a column (block iterations times columns).  The window is
-    complete by the Lanczos rule (a converged value at or beyond its
-    half-width from sigma); residual_bound bounds ||S v - lambda v|| after
-    the closing Rayleigh-Ritz step with the true matvec.
+    a column (block iterations times columns).  The window is complete by
+    the Lanczos rule (a converged value at or beyond its half-width from
+    sigma), or the solve raises; the result has no count, and its
+    residual_bound bounds ||S v - lambda v|| after the closing
+    Rayleigh-Ritz step with the true matvec.
     """
     n = len(offs)
     kscale = 2.0 * np.pi / (L * V.lattice.b)
@@ -470,12 +479,9 @@ def _iterative_window_2d(V, W, L, N, offs, alpha, beta):
         "n_planewaves": n,
         "fft_grid": G,
         "preconditioner_blocks": blocks,
-        "sigma": 0.5 * (alpha + beta),
         "inner_solves": op.inner_solves,
         "inner_iterations": op.inner_iterations,
         "edge_ratio": edge_ratio,
-        "window_complete": True,
-        "residual_bound": res.residual_bound,
     }
     return res
 
@@ -485,14 +491,16 @@ def supercell_spectrum(V, W, L, N, window, method="auto"):
     eigcore.EigResult of its windowed solve, with the route's diagnostics.
 
     method "dense" solves the assembled real form (assemble_supercell) with
-    a windowed LAPACK call; "iterative" (2D only) uses the
-    matrix-free path (_iterative_window_2d), whose diagnostics carry its
-    inner-solve counts and residual_bound.  "auto" takes, in 1D, the fiber form
+    a windowed LAPACK call, which counts the window and bounds no residual;
+    "iterative" (2D only) uses the matrix-free path (_iterative_window_2d),
+    which bounds the residual and has no count, and whose diagnostics carry
+    its inner-solve counts.  "auto" takes, in 1D, the fiber form
     (assemble_fiber_form) with its inertia-certified count and Woodbury
-    shift-invert Lanczos, whose diagnostics carry the certificate
-    n_in_window and residual_bound (a bound on ||H v - lambda v|| for the
-    assembled H) and lanczos_steps; in 2D it picks dense or iterative by
-    size.  Any other method raises ValueError before any work.
+    shift-invert Lanczos, whose residual_bound, widened by the form's tol,
+    bounds ||H v - lambda v|| for the assembled H, and whose diagnostics
+    carry lanczos_steps; in 2D it solves densely up to AUTO_DENSE_2D
+    planewaves and matrix-free above.  Any other method raises ValueError
+    before any work.
     """
     if method not in ("auto", "dense", "iterative"):
         raise ValueError("supercell method %r is none of auto/dense/iterative" % (method,))
@@ -504,14 +512,9 @@ def supercell_spectrum(V, W, L, N, window, method="auto"):
     if method == "auto" and lat.d == 1:
         op = assemble_fiber_form(V, W, L, N)
         res = eigcore.solve_window(op, alpha, beta, with_vectors=False)
-        res.diagnostics = {
-            **op.info,
-            "method": "fibers",
-            "n_in_window": res.count,
-            "residual_bound": res.residual_bound + op.tol,
-            "lanczos_steps": res.lanczos_steps,
-        }
-    elif method == "dense" or (method == "auto" and n <= DENSE_LIMIT):
+        res.residual_bound += op.tol
+        res.diagnostics = {**op.info, "method": "fibers", "lanczos_steps": res.lanczos_steps}
+    elif method == "dense" or (method == "auto" and n <= AUTO_DENSE_2D):
         S, info = assemble_supercell(V, W, L, N)
         res = eigcore.solve_window(eigcore.SymmetricPencil(S), alpha, beta, with_vectors=False)
         res.diagnostics = {**info, "method": "dense"}
@@ -564,7 +567,8 @@ def convergence_scan(V, W, L_values, ratio, window, method="auto"):
     """Supercell spectra for increasing L at fixed N/L, each by
     supercell_spectrum with the given method, with Hausdorff deltas.
 
-    Returns a list of rows {L, N, eigenvalues, interior, delta_prev};
+    Returns a list of rows {L, N, result, interior, delta_prev}: result is
+    the cell's eigcore.EigResult, with its certificate and diagnostics, and
     delta_prev is the Hausdorff distance between consecutive interior gap
     eigenvalue sets (inf when one is empty, 0 when both are).  The distance
     uses interior sets because larger supercells sample the bands at more
@@ -583,10 +587,9 @@ def convergence_scan(V, W, L_values, ratio, window, method="auto"):
             {
                 "L": int(L),
                 "N": N,
-                "eigenvalues": res.eigenvalues,
+                "result": res,
                 "interior": interior,
                 "delta_prev": delta,
-                "diagnostics": res.diagnostics,
             }
         )
         prev = interior

@@ -257,7 +257,7 @@ def test_augmented_spectrum_matches_dense_oracle(V1d, W1d, lat1d, proj_small):
         A, M = dense_augmented_pencil(V1d, W1d, aug)
         want = sla.eigh(A, M, subset_by_value=WIN_1D, eigvals_only=True)
         assert aug.n_aug > 0
-        assert res.diagnostics["n_in_window"] == len(res.eigenvalues) == len(want) > 0
+        assert res.count == len(res.eigenvalues) == len(want) > 0
         assert np.allclose(res.eigenvalues, want, rtol=1e-9, atol=0.0)
         V = res.eigenvectors
         assert np.max(np.abs(V.T @ M @ V - np.eye(len(want)))) <= 1e-9

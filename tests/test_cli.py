@@ -232,6 +232,43 @@ def test_determinism_structured_solves(tmp_path):
             assert run["certificate"]["n_in_window"] == len(run["eigenvalues"])
 
 
+def test_every_run_has_one_certificate_schema(tmp_path):
+    # every windowed run of every subcommand carries the certificate of its
+    # solve under the same two keys, null where the solve has no such
+    # number; the diagnostics hold no copy of it
+    out = str(tmp_path / "out")
+    assert cli.main(["gap", "--config", write_cfg(tmp_path, SMALL_CFG), "--out", out]) == 0
+    jobs = [("supercell", dict(SMALL_CFG["supercell"], L=[5, 6]), "fibers"),
+            ("supercell", dict(SMALL_CFG["supercell"], method="dense"), "dense"),
+            ("supercell", dict(SMALL_CFG["supercell"], t=0.5), "dense-mismatched")]
+    jobs += [(method, SMALL_CFG[method], None)
+             for method in ("galerkin", "pollution-scan", "dislocation", "augment")]
+    summaries = []
+    for method, section, route in jobs:
+        cfg = write_cfg(tmp_path, dict(SMALL_CFG, **{method: section}))
+        assert cli.main([method, "--config", cfg, "--out", out]) == 0
+        summaries.append((read_summary(out), route))
+    cfg2 = dict(read_cfg(GOLDEN_2D), supercell=ITERATIVE_2D)
+    out2 = str(tmp_path / "out2")
+    assert cli.main(["supercell", "--config", write_cfg(tmp_path, cfg2, "two.json"),
+                     "--out", out2]) == 0
+    summaries.append((read_summary(out2), "shift-invert"))
+    for s, route in summaries:
+        assert not {"n_in_window", "residual_bound", "sigma", "window_complete"} & set(
+            s["diagnostics"])
+        if route is not None:
+            assert s["diagnostics"]["method"] == route
+        assert s["results"]["runs"]
+        for run in s["results"]["runs"]:
+            cert = run["certificate"]
+            assert set(cert) == {"n_in_window", "residual_bound"}
+            assert cert["n_in_window"] in (None, len(run["eigenvalues"]))
+            # the dense supercell solves count and return no vectors; the
+            # matrix-free one bounds its residual and has no count
+            assert (cert["n_in_window"] is None) == (route == "shift-invert")
+            assert (cert["residual_bound"] is None) == (route in ("dense", "dense-mismatched"))
+
+
 def test_threads_flag_same_output(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CFG)
     outs = []

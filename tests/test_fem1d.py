@@ -227,9 +227,9 @@ def test_structured_solve_matches_dense_oracle(V1d, W1d, lat1d):
         A = fem1d.dense_form((pencil.a, pencil.a_off, 0.0))
         M = fem1d.dense_form((pencil.m, pencil.m_off, 0.0))
         want = sla.eigh(A, M, subset_by_value=WIN_1D, eigvals_only=True)
-        assert res.diagnostics["n_in_window"] == len(res.eigenvalues) == len(want) > 0
+        assert res.count == len(res.eigenvalues) == len(want) > 0
         assert np.allclose(res.eigenvalues, want, rtol=1e-10, atol=0.0)
-        assert res.diagnostics["residual_bound"] <= 1e-10
+        assert res.residual_bound <= 1e-10
 
 
 def test_domain_monotonicity(V1d, W1d, lat1d):

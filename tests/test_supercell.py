@@ -212,7 +212,19 @@ def test_iterative_defect_cell_inner_iterations(V2d, W2d):
     assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-12
     assert res.diagnostics["inner_solves"] == 32
     assert res.diagnostics["inner_iterations"] <= 620
-    assert res.diagnostics["residual_bound"] <= 2.5e-9
+    assert res.residual_bound <= 2.5e-9
+
+
+@pytest.mark.parametrize("N, n, method", [(18, 1009, "dense"), (24, 1793, "shift-invert")])
+def test_auto_2d_switches_at_crossover(V2d, W2d, N, n, method):
+    # method "auto" solves a 2D cell densely up to AUTO_DENSE_2D planewaves
+    # and matrix-free above, with the dense route's values
+    res = supercell.supercell_spectrum(V2d, W2d, 2, N, WIN_2D)
+    assert res.diagnostics["n_planewaves"] == n
+    assert res.diagnostics["method"] == method
+    dense = supercell.supercell_spectrum(V2d, W2d, 2, N, WIN_2D, method="dense")
+    assert len(res) == len(dense) > 0
+    assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-10
 
 
 def test_iterative_window_retries_until_complete(V2d, W2d):
@@ -221,10 +233,9 @@ def test_iterative_window_retries_until_complete(V2d, W2d):
     # closing Rayleigh-Ritz step bounds their residual
     dense = supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="dense")
     res = supercell.supercell_spectrum(V2d, W2d, 2, 18, WIN_2D, method="iterative")
-    assert res.diagnostics["window_complete"] is True
     assert len(res) == len(dense) == 2
     assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-8
-    assert 0 < res.diagnostics["residual_bound"] <= 1e-8
+    assert 0 < res.residual_bound <= 1e-8
 
 
 @pytest.mark.parametrize("L, N", [(2, 8), (2, 18)])
@@ -484,9 +495,9 @@ def test_fiber_form_matches_dense(V1d, W1d, window1d, L, count):
     dense = supercell.supercell_spectrum(V1d, W1d, L, 16 * L, window1d, method="dense")
     diag = fibers.diagnostics
     assert diag["method"] == "fibers"
-    assert diag["n_in_window"] == len(fibers) == len(dense) == count
+    assert fibers.count == len(fibers) == len(dense) == count
     assert np.max(np.abs(fibers.eigenvalues - dense.eigenvalues)) <= 1e-13
-    assert diag["residual_bound"] <= 1e-10
+    assert fibers.residual_bound <= 1e-10
     assert diag["rank_w"] < diag["support_points"] < diag["n_planewaves"] == 32 * L + 1
     assert diag["lanczos_steps"] > 0
 
@@ -507,7 +518,7 @@ def test_fiber_form_mixed_sign_w(V1d, lat1d, window1d):
     assert op.e.dtype == op.Y.dtype == np.float64
     fibers = supercell.supercell_spectrum(V1d, W, 20, 320, window1d)
     dense = supercell.supercell_spectrum(V1d, W, 20, 320, window1d, method="dense")
-    assert fibers.diagnostics["n_in_window"] == len(fibers) == len(dense) > 0
+    assert fibers.count == len(fibers) == len(dense) > 0
     assert np.max(np.abs(fibers.eigenvalues - dense.eigenvalues)) <= 1e-13
 
 
@@ -518,7 +529,7 @@ def test_fiber_form_without_w_counts_fiber_values(V1d, empty_w):
     op = supercell.assemble_fiber_form(V1d, empty_w, 10, 160)
     assert op.info["rank_w"] == 0 and op.info["support_points"] == 0
     res = supercell.supercell_spectrum(V1d, empty_w, 10, 160, (lo, hi))
-    assert res.diagnostics["n_in_window"] == np.count_nonzero((op.e > lo) & (op.e < hi)) > 10
+    assert res.count == np.count_nonzero((op.e > lo) & (op.e < hi)) > 10
     dense = np.linalg.eigvalsh(supercell.assemble_supercell(V1d, empty_w, 10, 160)[0])
     want = dense[(dense > lo) & (dense < hi)]
     assert len(res) == len(want)
