@@ -528,7 +528,6 @@ def run_supercell(cfg, out_dir, threads):
                           % V.lattice.d)
     rows = []
     results = {"window": list(window), "runs": []}
-    diag = {}
     if len(Ls) > 1:
         scan = supercell.convergence_scan(V, W, Ls, ratio, window, method=method)
         for row in scan:
@@ -536,8 +535,13 @@ def run_supercell(cfg, out_dir, threads):
             for ev, cls in _edge_classes(res.eigenvalues, window):
                 rows.append((row["L"], row["N"], 0.0, ev, cls))
             results["runs"].append(_run(res, L=row["L"], N=row["N"], interior=row["interior"],
-                                        delta_prev=row["delta_prev"]))
-            diag = res.diagnostics
+                                        delta_prev=row["delta_prev"],
+                                        diagnostics=res.diagnostics))
+        # each cell's route facts stay with its run; the summary keeps
+        # those every cell shares
+        cells = [run["diagnostics"] for run in results["runs"]]
+        diag = {key: value for key, value in cells[0].items()
+                if all(cell.get(key) == value for cell in cells)}
     else:
         L = Ls[0]
         N = int(round(ratio * L))

@@ -41,7 +41,9 @@ dispatches on the type (solve_lowest takes the first two):
   columns, with a preconditioner for its shifts: the large 2D supercell.
   Shifts are inverted by right-preconditioned block GMRES (gmres, on numpy
   alone), one call per Lanczos block; the preconditioner approximates the
-  signed inverse, so it need not be definite.  There is no inertia count,
+  signed inverse, so it need not be definite.  The calls of one shift
+  share a recycled Krylov space (ShiftSolver), checked by each solve's
+  true residual and dropped when it fails.  There is no inertia count,
   so a completeness rule (a converged value at or beyond the window's
   half-width) stands in for one.
 
@@ -98,12 +100,18 @@ WEYL_STEP = (np.sqrt(5.0) - 1.0) / 2.0
 END_SLICE = 1.0 / 32
 MAX_SLICE_DEPTH = 12
 # MatrixFree: block GMRES inner solves stop at relative residual GMRES_RTOL
-# and fail after GMRES_MAXITER block iterations; the block Lanczos takes
-# blocks of LANCZOS_BLOCK vectors, and its Ritz pairs count as converged at
-# residual estimates below INEXACT_TOL * |theta| (the inner solves'
-# accuracy bounds how far below that the estimates can be trusted)
+# and fail after GMRES_MAXITER block iterations; the solves of one shift
+# share a recycled space (RecycledSpace) of at most GMRES_RECYCLE
+# directions, and a recycled solve whose true residual exceeds
+# RECYCLE_GUARD times the first solve's (or GMRES_RTOL) is done again
+# without it.  The block Lanczos takes blocks of LANCZOS_BLOCK vectors, and
+# its Ritz pairs count as converged at residual estimates below
+# INEXACT_TOL * |theta| (the inner solves' accuracy bounds how far below
+# that the estimates can be trusted)
 GMRES_RTOL = 1e-10
 GMRES_MAXITER = 200
+GMRES_RECYCLE = 32
+RECYCLE_GUARD = 10.0
 LANCZOS_BLOCK = 2
 INEXACT_TOL = 1e-10
 # TridiagonalPencil: a shift whose border Schur complement outgrows the
@@ -541,7 +549,24 @@ class DiagonalLowRank:
         return solve
 
 
-def gmres(apply, B, precondition, rtol, maxiter):
+class RecycledSpace:
+    """A recycled pair (U, C) for the gmres solves of one operator A:
+    A U = C with orthonormal columns C (GCRO: de Sturler, J. Comput. Appl.
+    Math. 67, 1996; Parks, de Sturler, Mackey, Johnson and Maiti, SIAM J.
+    Sci. Comput. 28, 2006).
+
+    U and C are kept as rows, Uᵀ and Cᵀ, of two arrays of cap rows and n
+    columns allocated once; the first size rows are the pair.  gmres
+    appends each solve's own directions to it until it holds cap.
+    """
+
+    def __init__(self, n, cap):
+        self.U = np.empty((cap, n))
+        self.C = np.empty((cap, n))
+        self.size = 0
+
+
+def gmres(apply, B, precondition, rtol, maxiter, recycle=None):
     """Solutions X of A X = B for a real block B (n, p) of right-hand sides
     by right-preconditioned block GMRES (Saad and Schultz, SIAM J. Sci.
     Stat. Comput. 7, 1986), and the number of block iterations it took.
@@ -559,27 +584,54 @@ def gmres(apply, B, precondition, rtol, maxiter):
     Weyl run, as in _lanczos; a zero column is solved by exactly 0.
     InvalidMatrix when A M gives non-finite values; NotConverged when
     maxiter block iterations do not suffice for every column.
+
+    With a RecycledSpace (U, C), A U = C, the solve starts from
+    X0 = U Cᵀ B and runs the same Arnoldi on (I - C Cᵀ) A M from the
+    projected residual (I - C Cᵀ) B, its basis and fresh directions kept
+    orthogonal to C; with D = Cᵀ A M V, X = X0 + (M V - U D) Y.  On
+    convergence the pair takes the leading columns of C' = V Q and
+    U' = (M V - U D) R⁻¹ for the QR factorization H = Q R, which satisfy
+    A U' = C', until it is full; M V for them is kept in the pair's free
+    rows as the Arnoldi forms it.  The residual estimate is the true
+    residual only as far as A U = C holds, which the caller checks.
     """
     n, p = B.shape
     target = rtol * np.linalg.norm(B, axis=0)
-    U, E = np.linalg.qr(B)
+    k = 0 if recycle is None else recycle.size
+    room = 0 if recycle is None else len(recycle.C) - k
+    Ur, Cr = (recycle.U[:k], recycle.C[:k]) if k else (np.empty((0, n)),) * 2
+    R0 = B
+    if k:
+        CB = Cr @ B
+        R0 = B - Cr.T @ CB
+        R0 -= Cr.T @ (Cr @ R0)
+    Q0, E = np.linalg.qr(R0)
     # basis rows V grow to twice the rows needed, as _lanczos's Q does, and
-    # the block Hessenberg H by doubling
-    V = U.T
+    # the block Hessenberg H and D = Cᵀ A M V by doubling
+    V = Q0.T
     H = np.zeros((2 * p, 2 * p))
+    D = np.zeros((k, 2 * p))
     for it in range(1, maxiter + 1):
         j, m = (it - 1) * p, it * p
         if m + p > len(H):
             H = np.pad(H, (0, len(H)))
-        W = apply(precondition(V[j:m].T)).T
+            D = np.pad(D, ((0, 0), (0, D.shape[1])))
+        MV = precondition(V[j:m].T)
+        if j < room:
+            recycle.U[k + j : k + min(m, room)] = MV.T[: room - j]
+        W = apply(MV).T
         if not np.all(np.isfinite(W)):
             raise InvalidMatrix("block GMRES: the preconditioned operator gave non-finite values")
         scale = np.linalg.norm(W)
         for _ in range(2):
-            C = W @ V[:m].T
-            H[:m, j:m] += C.T
-            W = W - C @ V[:m]
-        U, s, Vt = np.linalg.svd(W.T, full_matrices=False)
+            if k:
+                P = W @ Cr.T
+                D[:, j:m] += P.T
+                W = W - P @ Cr
+            P = W @ V[:m].T
+            H[:m, j:m] += P.T
+            W = W - P @ V[:m]
+        Z, s, Vt = np.linalg.svd(W.T, full_matrices=False)
         lost = s <= 1e-12 * scale
         H[m : m + p, j:m] = s[:, None] * Vt
         H[m : m + p][lost] = 0.0
@@ -588,17 +640,45 @@ def gmres(apply, B, precondition, rtol, maxiter):
         O, R = np.linalg.qr(H[: m + p, :m], mode="complete")
         G = O[:p].T @ E
         if np.all(np.linalg.norm(G[m:], axis=0) <= target):
-            return precondition(V[:m].T @ np.linalg.solve(R[:m], G[:m])), it
-        if m + p > n:
+            Y = np.linalg.solve(R[:m], G[:m])
+            X = precondition(V[:m].T @ Y)
+            if k:
+                X += Ur.T @ (CB - D[:, :m] @ Y)
+            if room:
+                _extend(recycle, V[:m], Z.T, O[:, :m], R[:m], D[:, :m])
+            return X, it
+        if k + m + p > n:
             break
         if np.any(lost):
-            U[:, lost] = _orthonormal_rows(
-                _weyl_rows(n, m + np.flatnonzero(lost)), np.vstack([V[:m], U[:, ~lost].T])
+            Z[:, lost] = _orthonormal_rows(
+                _weyl_rows(n, m + np.flatnonzero(lost)), np.vstack([Cr, V[:m], Z[:, ~lost].T])
             ).T
         if m + p > len(V):
             V = np.concatenate([V, np.empty((2 * (m + p) - len(V), n))])
-        V[m : m + p] = U.T
+        V[m : m + p] = Z.T
     raise NotConverged("block GMRES did not reach rtol %.1e in %d block iterations" % (rtol, it))
+
+
+def _extend(recycle, V, Vnext, Q, R, D):
+    """Append to the pair the leading columns of C' = [V, Vnext] Q and
+    U' = (M V - U D) R⁻¹ that fit, with M V already in its free rows of U,
+    up to the first pivot of R that is lost to roundoff; V and Vnext are
+    the basis rows and the next block's."""
+    k = recycle.size
+    a = min(R.shape[1], len(recycle.C) - k)
+    pivots = np.abs(np.diagonal(R)[:a])
+    lost = np.flatnonzero(pivots <= 1e-12 * np.max(pivots))
+    if len(lost):
+        a = int(lost[0])
+    if not a:
+        return
+    MV = recycle.U[k : k + a]
+    if k:
+        MV -= D[:, :a].T @ recycle.U[:k]
+    recycle.U[k : k + a] = np.linalg.solve(R[:a, :a].T, MV)
+    m = len(V)
+    recycle.C[k : k + a] = Q[:m, :a].T @ V + Q[m:, :a].T @ Vnext
+    recycle.size = k + a
 
 
 class MatrixFree:
@@ -609,9 +689,11 @@ class MatrixFree:
     precondition(sigma) returns a function applying an approximation of
     (A - sigma)⁻¹ to such a block; it raises LinAlgError at a shift it
     cannot invert, which _lanczos then moves.  Shifts are inverted by
-    right-preconditioned block GMRES (gmres), to GMRES_RTOL; inner_solves
-    counts the right-hand sides solved and inner_iterations the operator
-    applications (block iterations times columns), and a solve that fails
+    right-preconditioned block GMRES (gmres), to GMRES_RTOL, and the solves
+    of one shift share a recycled space (ShiftSolver); inner_solves counts
+    the right-hand sides solved and inner_iterations the operator
+    applications inside GMRES (block iterations times columns, a recycled
+    attempt and its plain re-solve both counted), and a solve that fails
     raises NotConverged.  With no inertia count, solve_window finds its
     window by the shift-invert Lanczos (_lanczos) with the completeness
     rule that stands in for one.
@@ -631,20 +713,62 @@ class MatrixFree:
         return self.matvec(X)
 
     def shift_inverse(self, sigma):
-        """Solver of (A - sigma) X = Y for a block Y by block GMRES,
-        right-preconditioned by precondition(sigma)."""
-        M = self.precondition(sigma)
+        """Solver of (A - sigma) X = Y for a block Y: a ShiftSolver."""
+        return ShiftSolver(self, sigma)
 
-        def shifted(V):
-            return self.matvec(V) - sigma * V
 
-        def solve(Y):
-            X, iterations = gmres(shifted, Y, M, GMRES_RTOL, GMRES_MAXITER)
-            self.inner_solves += Y.shape[1]
-            self.inner_iterations += iterations * Y.shape[1]
+class ShiftSolver:
+    """(A - sigma) X = Y for the blocks Y of one MatrixFree op and shift, by
+    block GMRES right-preconditioned by op.precondition(sigma), all solves
+    sharing one RecycledSpace of at most GMRES_RECYCLE directions
+    (recycled; None once dropped).
+
+    The first solve is plain and starts the pair.  The pair's relation
+    (A - sigma) U = C is only as accurate as the solves it came from, and
+    with a nearly singular preconditioner (a shift close to an eigenvalue
+    of its periodic part) not even that, so every solve's true residual is
+    checked with one more block product: a recycled solve whose relative
+    residual exceeds RECYCLE_GUARD times the first solve's, or GMRES_RTOL
+    if larger, or that does not converge, drops the pair for this shift
+    and is solved again without it.
+    """
+
+    def __init__(self, op, sigma):
+        self.op = op
+        self.sigma = sigma
+        self.precondition = op.precondition(sigma)
+        self.recycled = RecycledSpace(op.n, min(GMRES_RECYCLE, op.n))
+        self.first = None
+
+    def _shifted(self, V):
+        self.op.inner_iterations += V.shape[1]
+        return self.op.matvec(V) - self.sigma * V
+
+    def _gmres(self, Y, recycle):
+        return gmres(self._shifted, Y, self.precondition, GMRES_RTOL, GMRES_MAXITER, recycle)[0]
+
+    def _residual(self, X, Y):
+        """max_j ||(A - sigma) x_j - y_j|| / ||y_j|| over the nonzero y_j."""
+        r = np.linalg.norm(self.op.matvec(X) - self.sigma * X - Y, axis=0)
+        b = np.linalg.norm(Y, axis=0)
+        return float(np.max(r / np.where(b > 0.0, b, 1.0), initial=0.0))
+
+    def __call__(self, Y):
+        self.op.inner_solves += Y.shape[1]
+        if self.recycled is None:
+            return self._gmres(Y, None)
+        if self.first is None:
+            X = self._gmres(Y, self.recycled)
+            self.first = self._residual(X, Y)
             return X
-
-        return solve
+        try:
+            X = self._gmres(Y, self.recycled)
+            if self._residual(X, Y) <= RECYCLE_GUARD * max(self.first, GMRES_RTOL):
+                return X
+        except NotConverged:
+            pass
+        self.recycled = None
+        return self._gmres(Y, None)
 
 
 class EigResult:

@@ -39,9 +39,12 @@ GMRES inner solves, one per Lanczos block.  The same real blocks as the
 (P - sigma)⁻¹ for P = -Laplacian + V is exact on the periodic part and
 block diagonal, formed once per shift and applied by one matrix product
 per block.  The preconditioned operator I + W (P - sigma)⁻¹ is then the
-identity plus a compact part, and GMRES takes about 16 block iterations
-per Lanczos block at L=4, N=32, where MINRES, which needs a definite
-|P - sigma|⁻¹, took 32 per column.  For the 2D benchmark V the blocks are
+identity plus a compact part, and plain GMRES takes about 16 block
+iterations per Lanczos block at L=4, N=32, where MINRES, which needs a
+definite |P - sigma|⁻¹, took 32 per column.  The inner solves of one
+shift share a recycled Krylov space (eigcore.ShiftSolver): the first
+solve's directions start every later one, which then takes about 8.  For
+the 2D benchmark V the blocks are
 about half the size of the paired fibers (6 blocks of 120-256 modes at
 L=2, N=18, against 4 of about 252).
 
@@ -81,10 +84,11 @@ DENSE_LIMIT = 4200
 # a 2D cell with method "auto" is solved densely up to AUTO_DENSE_2D
 # planewaves and matrix-free above.  The dense eigh grows as n^3 and the
 # matrix-free solve's cost with L: in the benchmark's gap window (1 BLAS
-# thread, medians of 3) the two took the same time at n = 1373 for L = 2,
-# about 1450 for L = 3 and about 1600 for L = 4; at n = 1793 dense took
-# 0.58 s against 0.31-0.45 s
-AUTO_DENSE_2D = 1400
+# thread, medians of 3, inner solves of a shift sharing a recycled space)
+# the two took the same time at n = 1009-1129 for L = 2, about 1200 for
+# L = 3 and about 1257 for L = 4; at n = 1517 dense took 0.33-0.34 s
+# against 0.20-0.21 s
+AUTO_DENSE_2D = 1200
 # 1D fiber form: W's grid points with |w| <= SUPPORT_TOL max|w| and its
 # components with s^2 <= RANK_TOL max s^2 are dropped; ROUNDOFF * ||H||
 # is the allowance for roundoff in the window count's certification
@@ -459,12 +463,14 @@ def _iterative_window_2d(V, W, L, N, offs, alpha, beta):
     sigma, with block GMRES inner solves of (S - sigma) Z = R on real
     blocks of n rows, right-preconditioned by the Bloch fiber blocks of V
     (_fiber_preconditioner), whose sizes preconditioner_blocks lists.
-    A failed inner solve raises NotConverged; inner_solves counts the
-    right-hand sides solved and inner_iterations the applications of S to
-    a column (block iterations times columns).  The window is complete by
-    the Lanczos rule (a converged value at or beyond its half-width from
-    sigma), or the solve raises; the result has no count, and its
-    residual_bound bounds ||S v - lambda v|| after the closing
+    The inner solves of the shift share one recycled Krylov space
+    (eigcore.ShiftSolver).  A failed inner solve raises NotConverged;
+    inner_solves counts the right-hand sides solved and inner_iterations
+    the applications of S to a column inside GMRES (block iterations times
+    columns, a re-solve without the recycled space included).  The window
+    is complete by the Lanczos rule (a converged value at or beyond its
+    half-width from sigma), or the solve raises; the result has no count,
+    and its residual_bound bounds ||S v - lambda v|| after the closing
     Rayleigh-Ritz step with the true matvec.
     """
     n = len(offs)

@@ -381,6 +381,24 @@ def test_supercell_scan_takes_method(tmp_path):
     assert [run["L"] for run in s["results"]["runs"]] == [2, 3]
 
 
+def test_supercell_scan_keeps_diagnostics_per_cell(tmp_path):
+    # every cell of a convergence scan reports its own route facts; the
+    # summary keeps only those all cells share
+    section = {"window": WIN_1D, "L": [10, 20, 40], "ratio": 16}
+    assert _supercell_exit(tmp_path, section) == (0, True)
+    s = read_summary(tmp_path / "out")
+    runs = s["results"]["runs"]
+    assert [run["L"] for run in runs] == [10, 20, 40]
+    for run in runs:
+        diag = run["diagnostics"]
+        assert diag["L"] == run["L"] and diag["N"] == run["N"] == 16 * run["L"]
+        assert diag["method"] == "fibers"
+        assert diag["rank_w"] > 0 and diag["lanczos_steps"] > 0
+    assert len({run["diagnostics"]["n_planewaves"] for run in runs}) == 3
+    assert s["diagnostics"]["method"] == "fibers"
+    assert not {"L", "N", "n_planewaves"} & set(s["diagnostics"])
+
+
 def test_schema_is_valid():
     # load_config builds its validator once without checking SCHEMA itself
     jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)

@@ -592,6 +592,91 @@ def test_gmres_refuses_non_finite_preconditioner():
             eigcore.gmres(lambda v: A @ v, np.ones((6, 2)), lambda v: weight[:, None] * v, 1e-10, 10)
 
 
+def test_shift_solver_recycles_one_space():
+    # the blocks of one shift share a recycled pair (U, C), (A - sigma) U = C
+    # with C orthonormal, that never outgrows its cap: each block matches
+    # plain GMRES to its residual, and all of them take fewer operator
+    # applications than plain GMRES does
+    rng = np.random.default_rng(45)
+    n, p, sigma = 80, eigcore.LANCZOS_BLOCK, 0.37
+    op, H = random_matrix_free(rng, n, np.linspace(-3.0, 5.0, n))
+    A = H - sigma * np.eye(n)
+    M = op.precondition(sigma)
+    solve = op.shift_inverse(sigma)
+    plain = 0
+    for _ in range(10):
+        B = rng.standard_normal((n, p))
+        X = solve(B)
+        b = np.linalg.norm(B, axis=0)
+        assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 10 * eigcore.GMRES_RTOL * b)
+        want, iterations = eigcore.gmres(lambda v: A @ v, B, M, eigcore.GMRES_RTOL,
+                                         eigcore.GMRES_MAXITER)
+        plain += iterations * p
+        assert np.linalg.norm(X - want) <= 1e-8 * np.linalg.norm(want)
+        pair = solve.recycled
+        assert 0 < pair.size <= len(pair.C) == len(pair.U) == eigcore.GMRES_RECYCLE
+    assert op.inner_solves == 10 * p
+    assert op.inner_iterations < plain
+    U, C = pair.U[: pair.size].T, pair.C[: pair.size].T
+    assert np.linalg.norm(A @ U - C) <= 1e-12 * np.linalg.norm(A)
+    assert np.max(np.abs(C.T @ C - np.eye(pair.size))) <= 1e-12
+    # a block in span(C) is solved by its start U Cᵀ B, in one block iteration
+    B = C[:, :p] + 0.5 * C[:, p : 2 * p]
+    before = op.inner_iterations
+    X = solve(B)
+    assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 10 * eigcore.GMRES_RTOL)
+    assert np.linalg.norm(X - U @ (C.T @ B)) <= 1e-12 * np.linalg.norm(X)
+    assert op.inner_iterations - before == p
+    assert solve.recycled is pair
+
+
+def test_gmres_recycled_pair_grows_with_its_relation():
+    # a preconditioner that leaves the identity plus a compact part, as the
+    # 2D supercell's does, lets each solve add fewer directions than the
+    # cap, so later solves append to a pair they started from: A U = C and
+    # the orthonormality of C hold at every size up to the cap
+    rng = np.random.default_rng(47)
+    n, p = 120, 2
+    d = np.where(np.arange(n) % 2, 1.0, -1.0) * np.linspace(1.0, 4.0, n)
+    Q = np.linalg.qr(rng.standard_normal((n, 24)))[0]
+    A = np.diag(d) + (Q * 0.5 ** np.arange(24)) @ Q.T
+    pair = eigcore.RecycledSpace(n, 32)
+    sizes = []
+    for _ in range(6):
+        B = rng.standard_normal((n, p))
+        X, _ = eigcore.gmres(lambda v: A @ v, B, lambda v: v / d[:, None], 1e-10, 100, pair)
+        assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 1e-9 * np.linalg.norm(B, axis=0))
+        U, C = pair.U[: pair.size].T, pair.C[: pair.size].T
+        assert np.linalg.norm(A @ U - C) <= 1e-13 * np.linalg.norm(A)
+        assert np.max(np.abs(C.T @ C - np.eye(pair.size))) <= 1e-13
+        sizes.append(pair.size)
+    assert 0 < sizes[0] < sizes[1] < sizes[-1] == 32
+
+
+def test_shift_solver_drops_a_failed_pair():
+    # a pair whose relation (A - sigma) U = C no longer holds gives a
+    # recycled solve a large true residual: the solver drops the pair for
+    # the rest of the shift and solves the block again without it, both
+    # attempts counted in inner_iterations
+    rng = np.random.default_rng(46)
+    n, p, sigma = 80, eigcore.LANCZOS_BLOCK, 0.37
+    op, H = random_matrix_free(rng, n, np.linspace(-3.0, 5.0, n))
+    A = H - sigma * np.eye(n)
+    solve = op.shift_inverse(sigma)
+    solve(rng.standard_normal((n, p)))
+    pair = solve.recycled
+    assert pair.size > 0 and solve.first <= 10 * eigcore.GMRES_RTOL
+    pair.U[: pair.size] *= 1.0 + 1e-6
+    B = rng.standard_normal((n, p))
+    before = op.inner_iterations
+    X = solve(B)
+    assert solve.recycled is None
+    assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 10 * eigcore.GMRES_RTOL * np.linalg.norm(B, axis=0))
+    _, iterations = eigcore.gmres(lambda v: A @ v, B, op.precondition(sigma), eigcore.GMRES_RTOL,
+                                  eigcore.GMRES_MAXITER)
+    assert op.inner_iterations - before > iterations * p
+
+
 def test_matrix_free_window_matches_dense_with_double_value():
     # a double eigenvalue in the window is found twice: the block Lanczos
     # starts from two vectors; values are polished by Rayleigh-Ritz

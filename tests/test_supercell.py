@@ -204,6 +204,7 @@ def test_iterative_defect_cell_inner_iterations(V2d, W2d):
     # the benchmark's 2D cell (L = 2, N = 18) in the M_q = 8 gap window:
     # the signed preconditioner leaves GMRES an identity plus a compact part,
     # which block MINRES on |P - sigma|^-1 took 1037 applications to solve
+    # and block GMRES without a recycled space 508
     gap = bloch.find_gap(bloch.band_structure(V2d, M_q=8), 1)
     win = (gap.alpha, gap.beta)
     dense = supercell.supercell_spectrum(V2d, W2d, 2, 18, win, method="dense")
@@ -211,7 +212,7 @@ def test_iterative_defect_cell_inner_iterations(V2d, W2d):
     assert len(res) == len(dense) > 0
     assert np.max(np.abs(res.eigenvalues - dense.eigenvalues)) <= 1e-12
     assert res.diagnostics["inner_solves"] == 32
-    assert res.diagnostics["inner_iterations"] <= 620
+    assert res.diagnostics["inner_iterations"] <= 300
     assert res.residual_bound <= 2.5e-9
 
 
