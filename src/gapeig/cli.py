@@ -502,6 +502,9 @@ def run_gap(cfg, out_dir, threads):
 
 
 def run_supercell(cfg, out_dir, threads):
+    """One run per cell: the cells of a convergence scan over L, or one
+    cell, commensurate or (t > 0) mismatched.  Every cell passes
+    supercell.check_cell before any is solved (ConfigError otherwise)."""
     from gapeig import supercell
 
     _, V, W = build_problem(cfg)
@@ -516,48 +519,31 @@ def run_supercell(cfg, out_dir, threads):
             "supercell t = %g applies to one cell only; the convergence scan over L = %s "
             "runs commensurate cells" % (t, Ls)
         )
-    if t > 0 and method != "auto":
-        raise ConfigError(
-            "supercell t = %g solves the mismatched cell densely; method %r does not apply"
-            % (t, method)
-        )
-    if t > 0 and V.lattice.d != 1:
-        raise ConfigError("supercell t = %g is a mismatched 1D cell; d = %d" % (t, V.lattice.d))
-    if method == "iterative" and V.lattice.d != 2:
-        raise ConfigError("supercell method 'iterative' is the matrix-free 2D solve; d = %d"
-                          % V.lattice.d)
+    try:
+        for L in Ls:
+            supercell.check_cell(V.lattice.d, L, int(round(ratio * L)), method,
+                                 t if t > 0 else None)
+    except ValueError as e:
+        raise ConfigError("supercell: %s" % e) from None
+    if t > 0:
+        L, N = Ls[0], int(round(ratio * Ls[0]))
+        res = supercell.mismatched_supercell_spectrum(V, W, L, t, N, window)
+        cells = [{"L": L, "N": N, "result": res, "interior": res.interior(), "delta_prev": None}]
+    else:
+        cells = supercell.convergence_scan(V, W, Ls, ratio, window, method=method)
     rows = []
     results = {"window": list(window), "runs": []}
-    if len(Ls) > 1:
-        scan = supercell.convergence_scan(V, W, Ls, ratio, window, method=method)
-        for row in scan:
-            res = row["result"]
-            for ev, cls in _edge_classes(res.eigenvalues, window):
-                rows.append((row["L"], row["N"], 0.0, ev, cls))
-            results["runs"].append(_run(res, L=row["L"], N=row["N"], interior=row["interior"],
-                                        delta_prev=row["delta_prev"],
-                                        diagnostics=res.diagnostics))
-        # each cell's route facts stay with its run; the summary keeps
-        # those every cell shares
-        cells = [run["diagnostics"] for run in results["runs"]]
-        diag = {key: value for key, value in cells[0].items()
-                if all(cell.get(key) == value for cell in cells)}
-    else:
-        L = Ls[0]
-        N = int(round(ratio * L))
-        if t > 0:
-            if N < 4 * (L + t):
-                raise ConfigError(
-                    "supercell ratio %g gives N = %d < 4*(L + t) = %g at L = %d, t = %g; "
-                    "raise ratio" % (ratio, N, 4 * (L + t), L, t)
-                )
-            res = supercell.mismatched_supercell_spectrum(V, W, L, t, N, window)
-        else:
-            res = supercell.supercell_spectrum(V, W, L, N, window, method=method)
-        for ev, cls in _edge_classes(res.eigenvalues, res.window):
+    for cell in cells:
+        res, L, N = cell["result"], cell["L"], cell["N"]
+        for ev, cls in _edge_classes(res.eigenvalues, window):
             rows.append((L, N, t, ev, cls))
-        results["runs"].append(_run(res, L=L, N=N, t=t, interior=res.interior()))
-        diag = res.diagnostics
+        results["runs"].append(_run(res, L=L, N=N, t=t, interior=cell["interior"],
+                                    delta_prev=cell["delta_prev"], diagnostics=res.diagnostics))
+    # each cell's route facts stay with its run; the summary keeps those
+    # every cell shares
+    first, *rest = [run["diagnostics"] for run in results["runs"]]
+    diag = {key: value for key, value in first.items()
+            if all(cell.get(key) == value for cell in rest)}
     write_csv(
         os.path.join(out_dir, "supercell.csv"),
         ["L", "N", "t", "eigenvalue", "class"],

@@ -101,7 +101,7 @@ END_SLICE = 1.0 / 32
 MAX_SLICE_DEPTH = 12
 # MatrixFree: block GMRES inner solves stop at relative residual GMRES_RTOL
 # and fail after GMRES_MAXITER block iterations; the solves of one shift
-# share a recycled space (RecycledSpace) of at most GMRES_RECYCLE
+# share a recycled space (ShiftSolver) of at most GMRES_RECYCLE
 # directions, and a recycled solve whose true residual exceeds
 # RECYCLE_GUARD times the first solve's (or GMRES_RTOL) is done again
 # without it.  The block Lanczos takes blocks of LANCZOS_BLOCK vectors, and
@@ -549,21 +549,12 @@ class DiagonalLowRank:
         return solve
 
 
-class RecycledSpace:
-    """A recycled pair (U, C) for the gmres solves of one operator A:
-    A U = C with orthonormal columns C (GCRO: de Sturler, J. Comput. Appl.
-    Math. 67, 1996; Parks, de Sturler, Mackey, Johnson and Maiti, SIAM J.
-    Sci. Comput. 28, 2006).
-
-    U and C are kept as rows, Uᵀ and Cᵀ, of two arrays of cap rows and n
-    columns allocated once; the first size rows are the pair.  gmres
-    appends each solve's own directions to it until it holds cap.
-    """
-
-    def __init__(self, n, cap):
-        self.U = np.empty((cap, n))
-        self.C = np.empty((cap, n))
-        self.size = 0
+def _enlarged(X, shape):
+    """A zero array of the given shape with X copied into its leading
+    corner: the storage of a Krylov basis or projection that outgrew X."""
+    Y = np.zeros(shape)
+    Y[tuple(map(slice, X.shape))] = X
+    return Y
 
 
 def gmres(apply, B, precondition, rtol, maxiter, recycle=None):
@@ -585,15 +576,16 @@ def gmres(apply, B, precondition, rtol, maxiter, recycle=None):
     InvalidMatrix when A M gives non-finite values; NotConverged when
     maxiter block iterations do not suffice for every column.
 
-    With a RecycledSpace (U, C), A U = C, the solve starts from
-    X0 = U Cᵀ B and runs the same Arnoldi on (I - C Cᵀ) A M from the
-    projected residual (I - C Cᵀ) B, its basis and fresh directions kept
-    orthogonal to C; with D = Cᵀ A M V, X = X0 + (M V - U D) Y.  On
-    convergence the pair takes the leading columns of C' = V Q and
-    U' = (M V - U D) R⁻¹ for the QR factorization H = Q R, which satisfy
-    A U' = C', until it is full; M V for them is kept in the pair's free
-    rows as the Arnoldi forms it.  The residual estimate is the true
-    residual only as far as A U = C holds, which the caller checks.
+    recycle, a ShiftSolver of A, holds a recycled pair (U, C), A U = C: the
+    solve starts from X0 = U Cᵀ B and runs the same Arnoldi on
+    (I - C Cᵀ) A M from the projected residual (I - C Cᵀ) B, its basis and
+    fresh directions kept orthogonal to C; with D = Cᵀ A M V,
+    X = X0 + (M V - U D) Y.  On convergence the pair takes the leading
+    columns of C' = V Q and U' = (M V - U D) R⁻¹ for the QR factorization
+    H = Q R, which satisfy A U' = C', until it is full (recycle._extend);
+    M V for them is kept in the pair's free rows as the Arnoldi forms it.
+    The residual estimate is the true residual only as far as A U = C
+    holds, which the caller checks.
     """
     n, p = B.shape
     target = rtol * np.linalg.norm(B, axis=0)
@@ -614,8 +606,8 @@ def gmres(apply, B, precondition, rtol, maxiter, recycle=None):
     for it in range(1, maxiter + 1):
         j, m = (it - 1) * p, it * p
         if m + p > len(H):
-            H = np.pad(H, (0, len(H)))
-            D = np.pad(D, ((0, 0), (0, D.shape[1])))
+            H = _enlarged(H, (2 * len(H),) * 2)
+            D = _enlarged(D, (k, 2 * D.shape[1]))
         MV = precondition(V[j:m].T)
         if j < room:
             recycle.U[k + j : k + min(m, room)] = MV.T[: room - j]
@@ -645,7 +637,7 @@ def gmres(apply, B, precondition, rtol, maxiter, recycle=None):
             if k:
                 X += Ur.T @ (CB - D[:, :m] @ Y)
             if room:
-                _extend(recycle, V[:m], Z.T, O[:, :m], R[:m], D[:, :m])
+                recycle._extend(V[:m], Z.T, O[:, :m], R[:m], D[:, :m])
             return X, it
         if k + m + p > n:
             break
@@ -654,38 +646,16 @@ def gmres(apply, B, precondition, rtol, maxiter, recycle=None):
                 _weyl_rows(n, m + np.flatnonzero(lost)), np.vstack([Cr, V[:m], Z[:, ~lost].T])
             ).T
         if m + p > len(V):
-            V = np.concatenate([V, np.empty((2 * (m + p) - len(V), n))])
+            V = _enlarged(V, (2 * (m + p), n))
         V[m : m + p] = Z.T
     raise NotConverged("block GMRES did not reach rtol %.1e in %d block iterations" % (rtol, it))
-
-
-def _extend(recycle, V, Vnext, Q, R, D):
-    """Append to the pair the leading columns of C' = [V, Vnext] Q and
-    U' = (M V - U D) R⁻¹ that fit, with M V already in its free rows of U,
-    up to the first pivot of R that is lost to roundoff; V and Vnext are
-    the basis rows and the next block's."""
-    k = recycle.size
-    a = min(R.shape[1], len(recycle.C) - k)
-    pivots = np.abs(np.diagonal(R)[:a])
-    lost = np.flatnonzero(pivots <= 1e-12 * np.max(pivots))
-    if len(lost):
-        a = int(lost[0])
-    if not a:
-        return
-    MV = recycle.U[k : k + a]
-    if k:
-        MV -= D[:, :a].T @ recycle.U[:k]
-    recycle.U[k : k + a] = np.linalg.solve(R[:a, :a].T, MV)
-    m = len(V)
-    recycle.C[k : k + a] = Q[:m, :a].T @ V + Q[m:, :a].T @ Vnext
-    recycle.size = k + a
 
 
 class MatrixFree:
     """Real symmetric operator A of size n known by its action alone, with
     a preconditioner for its shifts.
 
-    matvec(X) = A X for a real block of columns X (n, p), and
+    apply(X) = A X for a real block of columns X (n, p), and
     precondition(sigma) returns a function applying an approximation of
     (A - sigma)⁻¹ to such a block; it raises LinAlgError at a shift it
     cannot invert, which _lanczos then moves.  Shifts are inverted by
@@ -701,16 +671,12 @@ class MatrixFree:
 
     mass = None
 
-    def __init__(self, n, matvec, precondition):
+    def __init__(self, n, apply, precondition):
         self.n = int(n)
-        self.matvec = matvec
+        self.apply = apply
         self.precondition = precondition
         self.inner_solves = 0
         self.inner_iterations = 0
-
-    def apply(self, X):
-        """A X for a block of columns X."""
-        return self.matvec(X)
 
     def shift_inverse(self, sigma):
         """Solver of (A - sigma) X = Y for a block Y: a ShiftSolver."""
@@ -720,54 +686,82 @@ class MatrixFree:
 class ShiftSolver:
     """(A - sigma) X = Y for the blocks Y of one MatrixFree op and shift, by
     block GMRES right-preconditioned by op.precondition(sigma), all solves
-    sharing one RecycledSpace of at most GMRES_RECYCLE directions
-    (recycled; None once dropped).
+    sharing one recycled pair (U, C): (A - sigma) U = C with orthonormal
+    columns C (GCRO: de Sturler, J. Comput. Appl. Math. 67, 1996; Parks,
+    de Sturler, Mackey, Johnson and Maiti, SIAM J. Sci. Comput. 28, 2006).
 
-    The first solve is plain and starts the pair.  The pair's relation
-    (A - sigma) U = C is only as accurate as the solves it came from, and
-    with a nearly singular preconditioner (a shift close to an eigenvalue
-    of its periodic part) not even that, so every solve's true residual is
-    checked with one more block product: a recycled solve whose relative
-    residual exceeds RECYCLE_GUARD times the first solve's, or GMRES_RTOL
-    if larger, or that does not converge, drops the pair for this shift
-    and is solved again without it.
+    U and C are kept as rows, Uᵀ and Cᵀ, of two arrays of at most
+    GMRES_RECYCLE rows and n columns allocated once; the first size rows
+    are the pair, and each solve appends its own directions (_extend) until
+    the arrays are full.  The first solve is plain and starts the pair.
+    The pair's relation is only as accurate as the solves it came from,
+    and with a nearly singular preconditioner (a shift close to an
+    eigenvalue of its periodic part) not even that, so every solve's true
+    residual is checked with one more block product: a recycled solve whose
+    relative residual exceeds RECYCLE_GUARD times the first solve's, or
+    GMRES_RTOL if larger, or that does not converge, drops the pair for
+    this shift (U and C become None) and is solved again without it.
     """
 
     def __init__(self, op, sigma):
         self.op = op
         self.sigma = sigma
         self.precondition = op.precondition(sigma)
-        self.recycled = RecycledSpace(op.n, min(GMRES_RECYCLE, op.n))
+        cap = min(GMRES_RECYCLE, op.n)
+        self.U = np.empty((cap, op.n))
+        self.C = np.empty((cap, op.n))
+        self.size = 0
         self.first = None
+
+    def _extend(self, V, Vnext, Q, R, D):
+        """Append to the pair the leading columns of C' = [V, Vnext] Q and
+        U' = (M V - U D) R⁻¹ that fit, with M V already in its free rows of
+        U, up to the first pivot of R that is lost to roundoff; V and Vnext
+        are gmres's basis rows and its next block's."""
+        k = self.size
+        a = min(R.shape[1], len(self.C) - k)
+        pivots = np.abs(np.diagonal(R)[:a])
+        lost = np.flatnonzero(pivots <= 1e-12 * np.max(pivots))
+        if len(lost):
+            a = int(lost[0])
+        if not a:
+            return
+        MV = self.U[k : k + a]
+        if k:
+            MV -= D[:, :a].T @ self.U[:k]
+        self.U[k : k + a] = np.linalg.solve(R[:a, :a].T, MV)
+        m = len(V)
+        self.C[k : k + a] = Q[:m, :a].T @ V + Q[m:, :a].T @ Vnext
+        self.size = k + a
 
     def _shifted(self, V):
         self.op.inner_iterations += V.shape[1]
-        return self.op.matvec(V) - self.sigma * V
+        return self.op.apply(V) - self.sigma * V
 
     def _gmres(self, Y, recycle):
         return gmres(self._shifted, Y, self.precondition, GMRES_RTOL, GMRES_MAXITER, recycle)[0]
 
     def _residual(self, X, Y):
         """max_j ||(A - sigma) x_j - y_j|| / ||y_j|| over the nonzero y_j."""
-        r = np.linalg.norm(self.op.matvec(X) - self.sigma * X - Y, axis=0)
+        r = np.linalg.norm(self.op.apply(X) - self.sigma * X - Y, axis=0)
         b = np.linalg.norm(Y, axis=0)
         return float(np.max(r / np.where(b > 0.0, b, 1.0), initial=0.0))
 
     def __call__(self, Y):
         self.op.inner_solves += Y.shape[1]
-        if self.recycled is None:
+        if self.U is None:
             return self._gmres(Y, None)
         if self.first is None:
-            X = self._gmres(Y, self.recycled)
+            X = self._gmres(Y, self)
             self.first = self._residual(X, Y)
             return X
         try:
-            X = self._gmres(Y, self.recycled)
+            X = self._gmres(Y, self)
             if self._residual(X, Y) <= RECYCLE_GUARD * max(self.first, GMRES_RTOL):
                 return X
         except NotConverged:
             pass
-        self.recycled = None
+        self.U = self.C = None
         return self._gmres(Y, None)
 
 
@@ -817,14 +811,14 @@ def window_pair(window):
     return float(a), float(b)
 
 
-def interior_mask(values, window, guard_frac=DEFAULT_EDGE_GUARD):
-    """Which values lie further than guard_frac times the width of the
-    window (alpha, beta) from both of its ends.  Values hugging an end sit
+def interior_mask(values, window):
+    """Which values lie further than DEFAULT_EDGE_GUARD times the width of
+    the window (alpha, beta) from both of its ends.  Values hugging an end sit
     at the numerical band edge and cannot be attributed to a defect at
     fixed resolution; counting only the others makes gap-eigenvalue counts
     resolution-stable."""
     alpha, beta = window
-    guard = guard_frac * (beta - alpha)
+    guard = DEFAULT_EDGE_GUARD * (beta - alpha)
     values = np.asarray(values)
     return (values > alpha + guard) & (values < beta - guard)
 
@@ -979,8 +973,8 @@ def _lanczos(op, lo, hi, count=None):
                 _weyl_rows(n, m + np.flatnonzero(lost)), np.vstack([Q[:m], U[:, ~lost].T])
             ).T
         if m + b > len(T):
-            T = np.pad(T, (0, min(2 * (m + b), m_max) - len(T)))
-            Q = np.concatenate([Q, np.empty((len(T) - len(Q), n))])
+            T = _enlarged(T, (min(2 * (m + b), m_max),) * 2)
+            Q = _enlarged(Q, (len(T), n))
         Q[m : m + b] = U.T
         T[m : m + b, j:m] = B
         T[j:m, m : m + b] = B.T

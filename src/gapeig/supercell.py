@@ -39,14 +39,12 @@ GMRES inner solves, one per Lanczos block.  The same real blocks as the
 (P - sigma)⁻¹ for P = -Laplacian + V is exact on the periodic part and
 block diagonal, formed once per shift and applied by one matrix product
 per block.  The preconditioned operator I + W (P - sigma)⁻¹ is then the
-identity plus a compact part, and plain GMRES takes about 16 block
-iterations per Lanczos block at L=4, N=32, where MINRES, which needs a
-definite |P - sigma|⁻¹, took 32 per column.  The inner solves of one
-shift share a recycled Krylov space (eigcore.ShiftSolver): the first
-solve's directions start every later one, which then takes about 8.  For
-the 2D benchmark V the blocks are
-about half the size of the paired fibers (6 blocks of 120-256 modes at
-L=2, N=18, against 4 of about 252).
+identity plus a compact part.  The inner solves of one shift share a
+recycled Krylov space (eigcore.ShiftSolver): the first solve's directions
+start every later one.  At L=2, N=18 and at L=4, N=32 the first solve of
+a shift takes 15-16 block iterations and every later one 8.  For the 2D
+benchmark V the blocks are about half the size of the paired fibers
+(6 blocks of 120-256 modes at L=2, N=18, against 4 of about 252).
 
 V and W are real, so T[-x] = conj T[x] and H commutes with complex
 conjugation, which maps the planewave of mode m to that of mode -m.  Every
@@ -128,12 +126,36 @@ def hausdorff(a, b):
     return float(max(d1, d2))
 
 
+def check_cell(d, L, N, method="auto", t=None):
+    """Refuse (ValueError) a cell that no route solves, before any work.
+
+    method is "auto", "dense" or "iterative", and "iterative" is the 2D
+    matrix-free solve.  A mismatched cell (an offset t, 0 <= t < 1; None
+    for a commensurate one) is 1D only and solved densely, so its method is
+    "auto".  The cell resolves every period by at least 4 planewaves:
+    N >= 4 (L + t).
+    """
+    if method not in ("auto", "dense", "iterative"):
+        raise ValueError("supercell method %r is none of auto/dense/iterative" % (method,))
+    if method == "iterative" and d != 2:
+        raise ValueError("supercell method 'iterative' is the matrix-free 2D solve; d = %d" % d)
+    if t is not None:
+        if d != 1:
+            raise ValueError("the mismatched supercell (t = %g) is 1D only; d = %d" % (t, d))
+        if method != "auto":
+            raise ValueError("the mismatched supercell (t = %g) is solved densely; method %r "
+                             "does not apply" % (t, method))
+        if not 0 <= t < 1:
+            raise ValueError("offset t = %g must lie in [0, 1)" % t)
+    if N < 4 * (L + (t or 0)):
+        raise ValueError("resolution ratio N/(L + t) = %d/%g is below 4" % (N, L + (t or 0)))
+
+
 def supercell_wavevectors(d, L, N):
     """Integer planewave indices m with |m|_2 <= N (frequencies 2*pi*m/(L*b))."""
     if not (int(N) == N and int(L) == L and N >= L >= 1):
         raise ValueError("need integers N >= L >= 1")
-    if N < 4 * L:
-        raise ValueError("resolution ratio N/L must be at least 4")
+    check_cell(d, L, N)
     N = int(N)
     if d == 1:
         return np.arange(-N, N + 1).reshape(-1, 1)
@@ -505,12 +527,11 @@ def supercell_spectrum(V, W, L, N, window, method="auto"):
     shift-invert Lanczos, whose residual_bound, widened by the form's tol,
     bounds ||H v - lambda v|| for the assembled H, and whose diagnostics
     carry lanczos_steps; in 2D it solves densely up to AUTO_DENSE_2D
-    planewaves and matrix-free above.  Any other method raises ValueError
-    before any work.
+    planewaves and matrix-free above.  A cell that check_cell refuses
+    raises ValueError before any work.
     """
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError("supercell method %r is none of auto/dense/iterative" % (method,))
     lat = V.lattice
+    check_cell(lat.d, L, N, method)
     alpha, beta = eigcore.window_pair(window)
     offs = supercell_wavevectors(lat.d, L, N)
     L, N, n = int(L), int(N), len(offs)
@@ -524,10 +545,8 @@ def supercell_spectrum(V, W, L, N, window, method="auto"):
         S, info = assemble_supercell(V, W, L, N)
         res = eigcore.solve_window(eigcore.SymmetricPencil(S), alpha, beta, with_vectors=False)
         res.diagnostics = {**info, "method": "dense"}
-    elif lat.d == 2:
-        res = _iterative_window_2d(V, W, L, N, offs, alpha, beta)
     else:
-        raise ValueError("iterative path is for d=2")
+        res = _iterative_window_2d(V, W, L, N, offs, alpha, beta)
     res.diagnostics.update({"L": L, "N": N})
     return res
 
@@ -539,18 +558,14 @@ def mismatched_supercell_spectrum(V, W, L, t, N, window):
     periodization carries a jump at the cell boundary; the resulting slow
     Fourier tail is kept on purpose (no aliasing refusal here) because the
     point of this variant is to show how breaking commensurability pollutes
-    the gap.  1D only; returns the eigcore.EigResult of the dense windowed
-    solve, with the route's diagnostics.
+    the gap.  1D only (check_cell, which raises ValueError before any
+    work); returns the eigcore.EigResult of the dense windowed solve, with
+    the route's diagnostics.
     """
     lat = V.lattice
-    if lat.d != 1:
-        raise ValueError("mismatched supercell is 1D only")
-    if not (0 <= t < 1):
-        raise ValueError("offset t must lie in [0, 1)")
+    check_cell(lat.d, L, N, t=t)
     alpha, beta = eigcore.window_pair(window)
     N = int(N)
-    if N < 4 * (L + t):
-        raise ValueError("resolution ratio N/(L+t) must be at least 4")
     n = 2 * N + 1
     bloch.check_budget(n, min(MAX_PLANEWAVES, DENSE_LIMIT))
     span = (L + t) * lat.b
@@ -573,19 +588,23 @@ def convergence_scan(V, W, L_values, ratio, window, method="auto"):
     """Supercell spectra for increasing L at fixed N/L, each by
     supercell_spectrum with the given method, with Hausdorff deltas.
 
-    Returns a list of rows {L, N, result, interior, delta_prev}: result is
-    the cell's eigcore.EigResult, with its certificate and diagnostics, and
-    delta_prev is the Hausdorff distance between consecutive interior gap
-    eigenvalue sets (inf when one is empty, 0 when both are).  The distance
+    Every cell, N = round(ratio L), passes check_cell (ValueError) before
+    any is solved.  Returns a list of rows {L, N, result, interior,
+    delta_prev}: result is the cell's eigcore.EigResult, with its
+    certificate and diagnostics, and delta_prev is the Hausdorff distance
+    between consecutive interior gap eigenvalue sets (inf when one is
+    empty, 0 when both are).  The distance
     uses interior sets because larger supercells sample the bands at more
     quasimomenta and pick up band-edge values just inside a window whose
     endpoints were themselves computed on a finite quasimomentum grid; those
     values are essential spectrum, not gap eigenvalues.
     """
+    cells = [(L, int(round(ratio * L))) for L in L_values]
+    for L, N in cells:
+        check_cell(V.lattice.d, L, N, method)
     rows = []
     prev = None
-    for L in L_values:
-        N = int(round(ratio * L))
+    for L, N in cells:
         res = supercell_spectrum(V, W, L, N, window, method=method)
         interior = res.interior()
         delta = None if prev is None else hausdorff(prev, interior)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapeig import augment, cli
+from gapeig import augment, cli, eigcore, supercell
 from gapeig.errors import ConfigError
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -397,6 +397,81 @@ def test_supercell_scan_keeps_diagnostics_per_cell(tmp_path):
     assert len({run["diagnostics"]["n_planewaves"] for run in runs}) == 3
     assert s["diagnostics"]["method"] == "fibers"
     assert not {"L", "N", "n_planewaves"} & set(s["diagnostics"])
+
+
+RUN_KEYS = {"L", "N", "t", "interior", "delta_prev", "diagnostics", "eigenvalues", "certificate"}
+
+
+@pytest.mark.parametrize(
+    "section",
+    [{"window": WIN_1D, "L": 10}, {"window": WIN_1D, "L": [10, 20]},
+     {"window": WIN_1D, "L": 10, "t": 0.5}],
+    ids=["single", "scan", "mismatched"],
+)
+def test_supercell_runs_have_one_shape(tmp_path, section):
+    # every supercell section writes runs with one key set, and the
+    # summary's diagnostics are the facts its runs share, all of them for
+    # one cell; a single cell's run is that of a scan over it alone
+    assert _supercell_exit(tmp_path, section) == (0, True)
+    s = read_summary(tmp_path / "out")
+    runs = s["results"]["runs"]
+    assert len(runs) == len(cli._as_list(section["L"]))
+    assert all(set(run) == RUN_KEYS for run in runs)
+    cells = [run["diagnostics"] for run in runs]
+    assert s["diagnostics"] == {key: value for key, value in cells[0].items()
+                                if all(cell.get(key) == value for cell in cells)}
+    if len(runs) == 1:
+        assert s["diagnostics"] == runs[0]["diagnostics"] and runs[0]["delta_prev"] is None
+    if section["L"] == 10 and "t" not in section:
+        assert _supercell_exit(tmp_path, dict(section, L=[10])) == (0, True)
+        assert read_summary(tmp_path / "out")["results"]["runs"] == runs
+
+
+def _problem(d):
+    return cli.build_problem(read_cfg(GOLDEN_1D if d == 1 else GOLDEN_2D))[1:]
+
+
+WIN_2D = [-0.36, -0.01]
+
+
+@pytest.mark.parametrize(
+    "d, section, solves",
+    [
+        (1, {"window": WIN_1D, "L": 10, "method": "Dense"},
+         lambda V, W: [lambda: supercell.supercell_spectrum(V, W, 10, 160, WIN_1D, method="Dense"),
+                       lambda: supercell.convergence_scan(V, W, [10, 20], 16, WIN_1D,
+                                                          method="Dense")]),
+        (1, {"window": WIN_1D, "L": [10, 20], "method": "iterative"},
+         lambda V, W: [lambda: supercell.supercell_spectrum(V, W, 10, 160, WIN_1D,
+                                                            method="iterative"),
+                       lambda: supercell.convergence_scan(V, W, [10, 20], 16, WIN_1D,
+                                                          method="iterative")]),
+        (2, {"window": WIN_2D, "L": 2, "t": 0.5},
+         lambda V, W: [lambda: supercell.mismatched_supercell_spectrum(V, W, 2, 0.5, 32,
+                                                                       WIN_2D)]),
+        (1, {"window": WIN_1D, "L": 10, "t": 0.5, "method": "dense"},
+         lambda V, W: [lambda: supercell.check_cell(1, 10, 160, "dense", 0.5)]),
+        (1, {"window": WIN_1D, "L": 3, "t": 0.5, "ratio": 4},
+         lambda V, W: [lambda: supercell.mismatched_supercell_spectrum(V, W, 3, 0.5, 12, WIN_1D),
+                       lambda: supercell.supercell_spectrum(V, W, 10, 39, WIN_1D),
+                       lambda: supercell.convergence_scan(V, W, [10, 20], 3.9, WIN_1D)]),
+    ],
+    ids=["method-name", "iterative-is-2d", "mismatched-is-1d", "mismatched-is-auto",
+         "resolution"],
+)
+def test_supercell_route_rule_refused_before_any_solve(tmp_path, monkeypatch, d, section,
+                                                       solves):
+    # each route rule is stated once, in supercell.check_cell: the library
+    # raises ValueError and the CLI exits 2 with nothing written, and
+    # neither starts a windowed solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a windowed solve started")
+
+    monkeypatch.setattr(eigcore, "solve_window", no_solve)
+    for solve in solves(*_problem(d)):
+        with pytest.raises(ValueError):
+            solve()
+    assert _supercell_exit(tmp_path, section, d=d) == (2, False)
 
 
 def test_schema_is_valid():

@@ -207,11 +207,14 @@ def test_window_result_interior():
     assert res.diagnostics == {}
     assert np.array_equal(res.eigenvalues, [0.001, 0.5, 0.9999])
     assert np.array_equal(res.interior(), [0.5])
-    assert np.array_equal(eigcore.interior_mask(res.eigenvalues, res.window, 0.0),
-                          [True, True, True])
-    # the guard band is closed: a value on its edge is not interior
-    assert np.array_equal(eigcore.interior_mask([0.25, 0.5, 0.75], (0.0, 1.0), 0.25),
+    assert np.array_equal(eigcore.interior_mask(res.eigenvalues, res.window),
                           [False, True, False])
+    # the guard band is closed: a value on its edge is not interior
+    guard = eigcore.DEFAULT_EDGE_GUARD
+    assert np.array_equal(eigcore.interior_mask([guard, 0.5, 1.0 - guard], (0.0, 1.0)),
+                          [False, True, False])
+    assert np.array_equal(eigcore.interior_mask([1.5 * guard, 1.0 - 1.5 * guard], (0.0, 1.0)),
+                          [True, True])
     assert eigcore.window_pair([1, 2]) == (1.0, 2.0)
 
 
@@ -613,13 +616,13 @@ def test_shift_solver_recycles_one_space():
                                          eigcore.GMRES_MAXITER)
         plain += iterations * p
         assert np.linalg.norm(X - want) <= 1e-8 * np.linalg.norm(want)
-        pair = solve.recycled
-        assert 0 < pair.size <= len(pair.C) == len(pair.U) == eigcore.GMRES_RECYCLE
+        assert 0 < solve.size <= len(solve.C) == len(solve.U) == eigcore.GMRES_RECYCLE
     assert op.inner_solves == 10 * p
     assert op.inner_iterations < plain
-    U, C = pair.U[: pair.size].T, pair.C[: pair.size].T
+    rows = solve.U
+    U, C = solve.U[: solve.size].T, solve.C[: solve.size].T
     assert np.linalg.norm(A @ U - C) <= 1e-12 * np.linalg.norm(A)
-    assert np.max(np.abs(C.T @ C - np.eye(pair.size))) <= 1e-12
+    assert np.max(np.abs(C.T @ C - np.eye(solve.size))) <= 1e-12
     # a block in span(C) is solved by its start U Cᵀ B, in one block iteration
     B = C[:, :p] + 0.5 * C[:, p : 2 * p]
     before = op.inner_iterations
@@ -627,7 +630,7 @@ def test_shift_solver_recycles_one_space():
     assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 10 * eigcore.GMRES_RTOL)
     assert np.linalg.norm(X - U @ (C.T @ B)) <= 1e-12 * np.linalg.norm(X)
     assert op.inner_iterations - before == p
-    assert solve.recycled is pair
+    assert solve.U is rows
 
 
 def test_gmres_recycled_pair_grows_with_its_relation():
@@ -640,7 +643,9 @@ def test_gmres_recycled_pair_grows_with_its_relation():
     d = np.where(np.arange(n) % 2, 1.0, -1.0) * np.linspace(1.0, 4.0, n)
     Q = np.linalg.qr(rng.standard_normal((n, 24)))[0]
     A = np.diag(d) + (Q * 0.5 ** np.arange(24)) @ Q.T
-    pair = eigcore.RecycledSpace(n, 32)
+    op = eigcore.MatrixFree(n, lambda v: A @ v, lambda sigma: lambda v: v / d[:, None])
+    pair = op.shift_inverse(0.0)
+    assert len(pair.C) == 32
     sizes = []
     for _ in range(6):
         B = rng.standard_normal((n, p))
@@ -664,13 +669,12 @@ def test_shift_solver_drops_a_failed_pair():
     A = H - sigma * np.eye(n)
     solve = op.shift_inverse(sigma)
     solve(rng.standard_normal((n, p)))
-    pair = solve.recycled
-    assert pair.size > 0 and solve.first <= 10 * eigcore.GMRES_RTOL
-    pair.U[: pair.size] *= 1.0 + 1e-6
+    assert solve.size > 0 and solve.first <= 10 * eigcore.GMRES_RTOL
+    solve.U[: solve.size] *= 1.0 + 1e-6
     B = rng.standard_normal((n, p))
     before = op.inner_iterations
     X = solve(B)
-    assert solve.recycled is None
+    assert solve.U is None and solve.C is None
     assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 10 * eigcore.GMRES_RTOL * np.linalg.norm(B, axis=0))
     _, iterations = eigcore.gmres(lambda v: A @ v, B, op.precondition(sigma), eigcore.GMRES_RTOL,
                                   eigcore.GMRES_MAXITER)
